@@ -41,7 +41,7 @@ from .elements import (
     specht_constraint_residual,
     verify_affine_identity,
 )
-from .manufactured import ManufacturedField, example_layer, example_smooth, source
+from .manufactured import ManufacturedField, example_field, example_layer, example_smooth, source
 from .mesh import (
     ElementGeometry,
     Mesh,
@@ -84,6 +84,7 @@ __all__ = [
     "element_stiffness",
     "element_stiffness_morley",
     "energy_error",
+    "example_field",
     "example_layer",
     "example_smooth",
     "interpolate",

@@ -1,10 +1,11 @@
 """Energy-norm errors, convergence rates, and inequality verifications.
 
 The error norm is the broken quantity ``|||v||| = ||grad v|| + iota ||grad^2 v||``
-with elementwise derivatives; the morley family replaces the first-order
-part by the gradient of the linear vertex interpolant.  The relative error
-divides by the same norm of the exact field computed with the same
-quadrature.
+with elementwise derivatives of the full discrete function, for every
+family: the morley norm also uses the full broken gradient, not the
+gradient of the linear vertex interpolant that its membrane form uses.  The
+relative error divides by the same norm of the exact field computed with
+the same quadrature.
 
 The inequality checks certify, numerically and with independently
 assembled right-hand sides, the three structural facts the convergence
@@ -21,7 +22,7 @@ import scipy.optimize
 
 from .assembly import MaterialParams, assemble, build_dofmap
 from .elements import ElementKind, MonoTables, build_basis, pi1_map
-from .manufactured import ManufacturedField, example_layer, example_smooth, source
+from .manufactured import ManufacturedField, example_field, source
 from .mesh import Mesh, element_geometry, refine
 from .quadrature import edge_rule, triangle_rule
 from .solver import SolverError, solve
@@ -51,13 +52,13 @@ def mesh_diameter(mesh: Mesh) -> float:
     return float(np.hypot(vec[:, 0], vec[:, 1]).max())
 
 
-def local_coefficients(mesh: Mesh, dofmap, full_dofs: np.ndarray) -> np.ndarray:
+def local_coefficients(dofmap, full_dofs: np.ndarray) -> np.ndarray:
     """Per-element (nloc, 2) coefficient blocks extracted from the full vector."""
     ids = 2 * dofmap.scatter
     return np.stack([full_dofs[ids], full_dofs[ids + 1]], axis=-1)
 
 
-def energy_error(mesh: Mesh, kind, full_dofs: np.ndarray, field: ManufacturedField, iota=None):
+def energy_error(mesh: Mesh, kind, full_dofs: np.ndarray, field: ManufacturedField):
     """Absolute and relative energy error of a discrete solution.
 
     ``full_dofs`` is the full coefficient vector (boundary entries
@@ -70,10 +71,10 @@ def energy_error(mesh: Mesh, kind, full_dofs: np.ndarray, field: ManufacturedFie
         raise ValueError(
             f"dof vector has shape {full_dofs.shape}, expected ({dofmap.n_vector},)"
         )
-    iota = field.mat.iota if iota is None else float(iota)
+    iota = field.mat.iota
     rule = triangle_rule(10)
     tables = MonoTables(rule.points)
-    locals_ = local_coefficients(mesh, dofmap, full_dofs)
+    locals_ = local_coefficients(dofmap, full_dofs)
 
     err_g = err_h = nrm_g = nrm_h = 0.0
     for t in range(mesh.num_triangles):
@@ -127,14 +128,6 @@ class ConvergenceReport:
     rows: list = dataclass_field(default_factory=list)
 
 
-def _example_field(example: str, mat: MaterialParams) -> ManufacturedField:
-    if example == "smooth":
-        return example_smooth(mat)
-    if example == "layer":
-        return example_layer(mat.iota, mat.lam, mat.mu)
-    raise ValueError(f"unknown example {example!r}, expected 'smooth' or 'layer'")
-
-
 def convergence_study(
     kind,
     example: str,
@@ -156,7 +149,7 @@ def convergence_study(
     reports = []
     for iota in iotas:
         mat = MaterialParams(lam=lam, mu=mu, iota=float(iota))
-        field = _example_field(example, mat)
+        field = example_field(example, mat)
         f = source(field)
         report = ConvergenceReport(
             kind=kind.value,
@@ -372,7 +365,7 @@ def jump_check(mesh: Mesh, kind, n_trials: int, seed: int = 0, corrupt: bool = F
     worst = 0.0
     for _ in range(n_trials):
         full = rng.normal(size=dofmap.n_vector)
-        coeffs = local_coefficients(mesh, dofmap, full)
+        coeffs = local_coefficients(dofmap, full)
         if corrupt:
             t = int(rng.integers(mesh.num_triangles))
             coeffs[t] += rng.normal(size=coeffs[t].shape)

@@ -191,12 +191,10 @@ def element_stiffness_morley(
     return K.reshape(2 * n, 2 * n)
 
 
-def element_load(
-    basis: LocalBasis, f, rule: TriangleRule | None = None, tables=None, through_pi1=False
-) -> np.ndarray:
+def element_load(basis: LocalBasis, f, rule: TriangleRule | None = None, tables=None) -> np.ndarray:
     """Element load vector ``(f, v)`` (or ``(f, pi1 v)`` for morley)."""
     rule = rule or triangle_rule(10)
-    if through_pi1:
+    if basis.family == "morley":
         vals = (rule.points @ pi1_map(basis)).T
     else:
         vals = basis.coeffs @ (tables.M if tables is not None else MonoTables(rule.points).M)
@@ -211,8 +209,6 @@ def assemble(
     kind,
     mat: MaterialParams,
     f,
-    stiffness_rule: TriangleRule | None = None,
-    load_rule: TriangleRule | None = None,
     clamp: bool = True,
 ) -> SparseSystem:
     """Assemble the reduced system for one family on one mesh.
@@ -224,8 +220,8 @@ def assemble(
     t0 = time.perf_counter()
     kind = ElementKind(kind)
     dofmap = build_dofmap(mesh, kind)
-    srule = stiffness_rule or triangle_rule(6)
-    lrule = load_rule or triangle_rule(10)
+    srule = triangle_rule(6)
+    lrule = triangle_rule(10)
     stab = MonoTables(srule.points)
     ltab = MonoTables(lrule.points)
 
@@ -240,10 +236,9 @@ def assemble(
         basis = build_basis(kind, geom, dofmap.signs[t])
         if morley:
             K_all[t] = element_stiffness_morley(basis, mat, srule, stab)
-            b_all[t] = element_load(basis, f, lrule, ltab, through_pi1=True)
         else:
             K_all[t] = element_stiffness(basis, mat, srule, stab)
-            b_all[t] = element_load(basis, f, lrule, ltab)
+        b_all[t] = element_load(basis, f, lrule, ltab)
 
     vscatter = np.repeat(2 * dofmap.scatter, 2, axis=1) + np.tile([0, 1], nloc)
     n_total = dofmap.n_vector

@@ -7,7 +7,6 @@ failure.
 import argparse
 import io
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,11 +28,12 @@ from .elements import (
     specht_constraint_residual,
     verify_affine_identity,
 )
-from .manufactured import example_layer, example_smooth, source
-from .mesh import element_geometry, load_mesh, make_structured, refine, triangle_geometry
+from .manufactured import example_field, example_layer, example_smooth, source
+from .mesh import element_geometry, load_mesh, make_structured, refine
 from .solver import SolverError, solve
+from .verify import boundary_points, fd_source, random_geometry, random_quartic
 
-__all__ = ["main", "RunConfig", "CliError"]
+__all__ = ["main", "CliError"]
 
 CSV_HEADER = "element,example,iota,level,h,dofs,energy_err,rel_energy_err,rate"
 
@@ -47,38 +47,18 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-@dataclass
-class RunConfig:
-    element: str
-    example: str
-    iotas: list
-    lam: float
-    mu: float
-    mesh_desc: str
-    levels: int
-    out: str | None
-    fmt: str
-
-    def __post_init__(self):
-        if self.levels < 1:
-            raise CliError("levels must be at least 1")
-        for iota in self.iotas:
-            if not 0.0 < iota <= 1.0:
-                raise CliError(f"iota values must lie in (0, 1], got {iota}")
-        try:
-            MaterialParams(lam=self.lam, mu=self.mu, iota=self.iotas[0])
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-
-
-def _parse_iotas(text: str):
+def _parse_materials(args):
+    """One MaterialParams per entry of the comma separated ``--iota`` list."""
     try:
-        values = [float(part) for part in text.split(",") if part.strip()]
+        iotas = [float(part) for part in args.iota.split(",") if part.strip()]
     except ValueError as exc:
-        raise CliError(f"cannot parse iota list {text!r}") from exc
-    if not values:
+        raise CliError(f"cannot parse iota list {args.iota!r}") from exc
+    if not iotas:
         raise CliError("no iota values given")
-    return values
+    try:
+        return [MaterialParams(lam=args.lam, mu=args.mu, iota=iota) for iota in iotas]
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _parse_mesh(text: str):
@@ -144,71 +124,48 @@ def format_markdown(reports) -> str:
 
 
 def cmd_convergence(args) -> int:
-    config = RunConfig(
-        element=args.element,
-        example=args.example,
-        iotas=_parse_iotas(args.iota),
+    materials = _parse_materials(args)
+    if args.levels < 1:
+        raise CliError("levels must be at least 1")
+    base_mesh, desc = _parse_mesh(args.mesh)
+    reports = convergence_study(
+        args.element,
+        args.example,
+        [mat.iota for mat in materials],
+        args.levels,
+        base_mesh,
         lam=args.lam,
         mu=args.mu,
-        mesh_desc=args.mesh,
-        levels=args.levels,
-        out=args.out,
-        fmt=args.format,
-    )
-    base_mesh, desc = _parse_mesh(config.mesh_desc)
-    reports = convergence_study(
-        config.element,
-        config.example,
-        config.iotas,
-        config.levels,
-        base_mesh,
-        lam=config.lam,
-        mu=config.mu,
         mesh_desc=desc,
     )
-    text = format_csv(reports) if config.fmt == "csv" else format_markdown(reports)
-    _write_output(text, config.out)
+    text = format_csv(reports) if args.format == "csv" else format_markdown(reports)
+    _write_output(text, args.out)
     return 0
 
 
-def _field_for(example: str, mat: MaterialParams):
-    if example == "smooth":
-        return example_smooth(mat)
-    return example_layer(mat.iota, mat.lam, mat.mu)
-
-
 def cmd_solve(args) -> int:
-    iotas = _parse_iotas(args.iota)
-    if len(iotas) != 1:
+    materials = _parse_materials(args)
+    if len(materials) != 1:
         raise CliError("solve takes a single iota")
-    config = RunConfig(
-        element=args.element,
-        example=args.example,
-        iotas=iotas,
-        lam=args.lam,
-        mu=args.mu,
-        mesh_desc=args.mesh,
-        levels=args.refine + 1,
-        out=None,
-        fmt="csv",
-    )
-    mesh, _ = _parse_mesh(config.mesh_desc)
+    if args.refine < 0:
+        raise CliError("refine must be nonnegative")
+    mesh, _ = _parse_mesh(args.mesh)
     for _ in range(args.refine):
         mesh = refine(mesh)
     probes = _parse_probes(args.probe)
-    mat = MaterialParams(lam=config.lam, mu=config.mu, iota=iotas[0])
-    field = _field_for(config.example, mat)
-    system = assemble(mesh, config.element, mat, source(field))
+    mat = materials[0]
+    field = example_field(args.example, mat)
+    system = assemble(mesh, args.element, mat, source(field))
     report = solve(system)
     full = system.expand(report.solution)
-    values = _evaluate_at(mesh, config.element, full, probes)
+    values = _evaluate_at(mesh, args.element, full, probes)
     exact = field.displacement(probes)
     for p, v, e in zip(probes, values, exact):
         print(
             f"u_h({p[0]:g}, {p[1]:g}) = ({v[0]:.8e}, {v[1]:.8e})"
             f"   exact ({e[0]:.8e}, {e[1]:.8e})"
         )
-    absolute, relative = energy_error(mesh, config.element, full, field)
+    absolute, relative = energy_error(mesh, args.element, full, field)
     print(f"energy_err={absolute!r} rel_energy_err={relative!r} method={report.method}")
     return 0
 
@@ -237,7 +194,7 @@ def _parse_probes(text: str) -> np.ndarray:
 def _evaluate_at(mesh, kind, full_dofs, pts: np.ndarray) -> np.ndarray:
     kind = ElementKind(kind)
     dofmap = build_dofmap(mesh, kind)
-    locals_ = local_coefficients(mesh, dofmap, full_dofs)
+    locals_ = local_coefficients(dofmap, full_dofs)
     vertex_stride = 3 if kind is ElementKind.SPECHT else 1
     out = np.empty_like(pts)
     for row, p in enumerate(pts):
@@ -259,38 +216,6 @@ def _evaluate_at(mesh, kind, full_dofs, pts: np.ndarray) -> np.ndarray:
         if not found:
             raise CliError(f"probe point ({p[0]:g}, {p[1]:g}) not inside the mesh")
     return out
-
-
-def _random_geometry(rng):
-    while True:
-        coords = rng.uniform(-1.0, 1.0, size=(3, 2))
-        va, vb = coords[1] - coords[0], coords[2] - coords[0]
-        area = 0.5 * (va[0] * vb[1] - va[1] * vb[0])
-        if area < 0:
-            coords = coords[[0, 2, 1]]
-            area = -area
-        if area < 0.05:
-            continue
-        geom = triangle_geometry(coords)
-        if geom.chunkiness < 12.0:
-            return geom
-
-
-def _random_quartic(rng):
-    exps = [(a, b) for a in range(5) for b in range(5 - a)]
-    coeffs = rng.normal(size=len(exps))
-
-    def value(xy):
-        x, y = xy[:, 0], xy[:, 1]
-        return sum(c * x**a * y**b for c, (a, b) in zip(coeffs, exps))
-
-    def grad(xy):
-        x, y = xy[:, 0], xy[:, 1]
-        gx = sum(c * a * x ** max(a - 1, 0) * y**b for c, (a, b) in zip(coeffs, exps))
-        gy = sum(c * b * x**a * y ** max(b - 1, 0) for c, (a, b) in zip(coeffs, exps))
-        return np.stack([gx, gy], axis=-1)
-
-    return value, grad
 
 
 def _verify_korn(seed):
@@ -321,7 +246,7 @@ def _verify_elements(seed):
     worst = {kind: 0.0 for kind in ElementKind}
     constraint = 0.0
     for _ in range(200):
-        geom = _random_geometry(rng)
+        geom = random_geometry(rng)
         for kind in ElementKind:
             basis = build_basis(kind, geom)
             worst[kind] = max(worst[kind], duality_residual(basis))
@@ -341,8 +266,8 @@ def _verify_elements(seed):
     )
     affine = 0.0
     for _ in range(100):
-        geom = _random_geometry(rng)
-        value, grad = _random_quartic(rng)
+        geom = random_geometry(rng)
+        value, grad = random_quartic(rng)
         scale = max(1.0, np.abs(value(geom.vertices)).max())
         affine = max(affine, verify_affine_identity(geom, value, grad) / scale)
     checks.append(("ntw affine identity", affine <= 1e-12, f"max deviation {affine:.2e}"))
@@ -383,66 +308,10 @@ def _verify_jumps(seed):
     return checks
 
 
-def _fd_source(field, pts, h_inner=1e-3, h_outer=1e-2):
-    """Nested Richardson central differences for iota^2 Delta g - g."""
-
-    def lap(F, xy, h):
-        def one(hh):
-            tot = -4.0 * np.asarray(F(xy), dtype=float)
-            for ax in (0, 1):
-                for s in (-1.0, 1.0):
-                    q = xy.copy()
-                    q[:, ax] += s * hh
-                    tot = tot + np.asarray(F(q), dtype=float)
-            return tot / hh**2
-
-        return (4.0 * one(0.5 * h) - one(h)) / 3.0
-
-    def graddiv(F, xy, h):
-        def div(where, hh):
-            d = np.zeros(len(where))
-            for ax in (0, 1):
-                p = where.copy()
-                p[:, ax] += hh
-                m = where.copy()
-                m[:, ax] -= hh
-                d += (np.asarray(F(p))[:, ax] - np.asarray(F(m))[:, ax]) / (2.0 * hh)
-            return d
-
-        def one(hh):
-            out = np.empty((len(xy), 2))
-            for ax in (0, 1):
-                p = xy.copy()
-                p[:, ax] += hh
-                m = xy.copy()
-                m[:, ax] -= hh
-                out[:, ax] = (div(p, hh) - div(m, hh)) / (2.0 * hh)
-            return out
-
-        return (4.0 * one(0.5 * h) - one(h)) / 3.0
-
-    mat = field.mat
-
-    def g(xy):
-        return mat.mu * lap(field.displacement, xy, h_inner) + (
-            mat.lam + mat.mu
-        ) * graddiv(field.displacement, xy, h_inner)
-
-    return mat.iota**2 * lap(g, pts, h_outer) - g(pts)
-
-
 def _verify_manufactured(seed):
     rng = np.random.default_rng(seed)
     checks = []
-    t = np.linspace(0.0, 1.0, 25)
-    sides = np.vstack(
-        [
-            np.column_stack([t, np.zeros_like(t)]),
-            np.column_stack([t, np.ones_like(t)]),
-            np.column_stack([np.zeros_like(t), t]),
-            np.column_stack([np.ones_like(t), t]),
-        ]
-    )
+    sides = boundary_points(25)
     fields = {
         "smooth": example_smooth(),
         "layer iota=1": example_layer(1.0),
@@ -459,9 +328,9 @@ def _verify_manufactured(seed):
     for example in ("smooth", "layer"):
         for iota in (1.0, 1e-2):
             mat = MaterialParams(iota=iota)
-            field = _field_for(example, mat)
+            field = example_field(example, mat)
             fa = source(field)(pts)
-            fd = _fd_source(field, pts)
+            fd = fd_source(field, pts)
             rel = np.abs(fa - fd).max() / max(np.abs(fa).max(), 1.0)
             checks.append(
                 (

@@ -389,13 +389,13 @@ def pi1_map(basis: LocalBasis) -> np.ndarray:
     return out
 
 
-def apply_dof(dof: DofDescriptor, geom: ElementGeometry, value_fn, grad_fn, rule=None):
+def apply_dof(dof: DofDescriptor, geom: ElementGeometry, value_fn, grad_fn):
     """Apply a degree-of-freedom functional to a smooth scalar function.
 
     ``value_fn(xy)`` and ``grad_fn(xy)`` take points of shape (n, 2) and
-    return values (n,) and gradients (n, 2).
+    return values (n,) and gradients (n, 2).  Edge moments use the
+    six-point Gauss rule.
     """
-    rule = rule or _EDGE6
     if dof.entity == "vertex":
         xy = geom.vertices[dof.index][None, :]
         if dof.kind == "value":
@@ -409,19 +409,19 @@ def apply_dof(dof: DofDescriptor, geom: ElementGeometry, value_fn, grad_fn, rule
         return float(np.asarray(value_fn(xy)).ravel()[0])
     if dof.entity == "edge":
         i = dof.index
-        bary = _edge_bary(i, rule.points)
+        bary = _edge_bary(i, _EDGE6.points)
         grads = np.asarray(grad_fn(bary @ geom.vertices)).reshape(-1, 2)
         if dof.kind == "normal_moment":
             direction = dof.sign * geom.normals[i]
         else:  # median_moment: from the opposite vertex to the edge midpoint
             direction = geom.midpoints[i] - geom.vertices[i]
-        return float((grads @ direction) @ rule.weights)
+        return float((grads @ direction) @ _EDGE6.weights)
     raise ValueError(f"unhandled dof {dof!r}")
 
 
-def interpolate(basis: LocalBasis, value_fn, grad_fn, rule=None) -> np.ndarray:
+def interpolate(basis: LocalBasis, value_fn, grad_fn) -> np.ndarray:
     """Local coefficient vector of the interpolant of a smooth function."""
-    return np.array([apply_dof(d, basis.geom, value_fn, grad_fn, rule) for d in basis.dofs])
+    return np.array([apply_dof(d, basis.geom, value_fn, grad_fn) for d in basis.dofs])
 
 
 def duality_residual(basis: LocalBasis) -> float:
@@ -453,22 +453,22 @@ def specht_constraint_residual(basis: LocalBasis) -> float:
     return residual / max(gscale, 1.0)
 
 
-def verify_affine_identity(geom: ElementGeometry, value_fn, grad_fn, bary=None) -> float:
+# Barycentric sample points of verify_affine_identity: seven per side.
+_SIDE = np.linspace(0.0, 1.0, 7)
+_LATTICE = np.array([(a, b, 1.0 - a - b) for a in _SIDE for b in _SIDE if a + b <= 1.0 + 1e-12])
+
+
+def verify_affine_identity(geom: ElementGeometry, value_fn, grad_fn) -> float:
     """Max deviation between the ntw interpolant and its affine relative.
 
-    Both interpolants of the same smooth function are evaluated at the
-    given barycentric sample points (a lattice by default); the two agree
-    identically because the median-derivative moments are linear
-    combinations of the normal moments and the vertex values.
+    Both interpolants of the same smooth function are evaluated on a
+    barycentric lattice; the two agree identically because the
+    median-derivative moments are linear combinations of the normal moments
+    and the vertex values.
     """
-    if bary is None:
-        side = np.linspace(0.0, 1.0, 7)
-        bary = np.array(
-            [(a, b, 1.0 - a - b) for a in side for b in side if a + b <= 1.0 + 1e-12]
-        )
     normal = ntw_basis(geom)
     affine = ntw_affine_basis(geom)
     c_normal = interpolate(normal, value_fn, grad_fn)
     c_affine = interpolate(affine, value_fn, grad_fn)
-    diff = c_normal @ normal.values(bary) - c_affine @ affine.values(bary)
+    diff = c_normal @ normal.values(_LATTICE) - c_affine @ affine.values(_LATTICE)
     return float(np.abs(diff).max())

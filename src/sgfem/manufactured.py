@@ -27,6 +27,7 @@ __all__ = [
     "ManufacturedField",
     "example_smooth",
     "example_layer",
+    "example_field",
     "source",
 ]
 
@@ -215,6 +216,15 @@ def example_layer(iota: float, lam: float = 10.0, mu: float = 1.0) -> Manufactur
         y2=factor_sin_layer(iota),
         mat=mat,
     )
+
+
+def example_field(example: str, mat: MaterialParams) -> ManufacturedField:
+    """The ``smooth`` or ``layer`` field built for ``mat``."""
+    if example == "smooth":
+        return example_smooth(mat)
+    if example == "layer":
+        return example_layer(mat.iota, mat.lam, mat.mu)
+    raise ValueError(f"unknown example {example!r}, expected 'smooth' or 'layer'")
 
 
 def source(field: ManufacturedField):

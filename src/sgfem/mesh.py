@@ -47,14 +47,8 @@ class ElementGeometry:
         Length of edge ``i`` (opposite vertex ``i``).
     altitudes : ndarray, shape (3,)
         Distance from vertex ``i`` to edge ``i``; equals ``2 * area / length``.
-    edge_shifts : ndarray, shape (3,)
-        Distance from the foot of altitude ``i`` to the midpoint of edge
-        ``i``: ``|l_j^2 - l_k^2| / (2 * l_i)``.
     normals : ndarray, shape (3, 2)
         Outward unit normals of the three edges.
-    tangents : ndarray, shape (3, 2)
-        Unit tangents of the three edges, following the counter-clockwise
-        boundary orientation.
     midpoints : ndarray, shape (3, 2)
         Edge midpoints.
     chunkiness : float
@@ -66,9 +60,7 @@ class ElementGeometry:
     grad_lambda: np.ndarray
     edge_lengths: np.ndarray
     altitudes: np.ndarray
-    edge_shifts: np.ndarray
     normals: np.ndarray
-    tangents: np.ndarray
     midpoints: np.ndarray
     chunkiness: float
 
@@ -102,12 +94,6 @@ def triangle_geometry(coords: np.ndarray) -> ElementGeometry:
     # i.e. the ccw rotation of the edge vector divided by twice the area.
     grad_lambda = np.column_stack([-edge_vec[:, 1], edge_vec[:, 0]]) / twice_area
     altitudes = twice_area / lengths
-    shifts = np.array(
-        [
-            abs(lengths[j] ** 2 - lengths[k] ** 2) / (2.0 * lengths[i])
-            for i, (j, k) in enumerate(_EDGE_VERTS)
-        ]
-    )
     midpoints = np.array([0.5 * (coords[j] + coords[k]) for j, k in _EDGE_VERTS])
     inscribed = 2.0 * twice_area / lengths.sum()
     return ElementGeometry(
@@ -116,9 +102,7 @@ def triangle_geometry(coords: np.ndarray) -> ElementGeometry:
         grad_lambda=grad_lambda,
         edge_lengths=lengths,
         altitudes=altitudes,
-        edge_shifts=shifts,
         normals=normals,
-        tangents=tangents,
         midpoints=midpoints,
         chunkiness=lengths.max() / inscribed,
     )

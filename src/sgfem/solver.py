@@ -1,31 +1,34 @@
-"""Linear solvers for the reduced systems.
+"""Sparse direct solve of the reduced systems.
 
-A sparse direct factorization is the default; a preconditioned conjugate
-gradient iteration is the fallback for systems the factorization cannot
-handle.  Every solve reports the relative residual of what it returns.
+Every solve factors the matrix with SuperLU and checks what it returns: a
+failed factorization, a non-finite solution or a relative residual above
+``MAX_REL_RESIDUAL`` raises :class:`SolverError` instead of returning a
+bad answer.
 """
 
 import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import SparseSystem
 
-__all__ = ["SolveReport", "SolverError", "solve"]
+__all__ = ["MAX_REL_RESIDUAL", "SolveReport", "SolverError", "solve"]
+
+# The largest residual over the four-level studies from structured:8 is
+# 2.25e-9 (ntw, iota = 1, 56 578 dofs), 440 times inside this gate.
+MAX_REL_RESIDUAL = 1e-6
 
 
 class SolverError(RuntimeError):
-    """Raised when no solver produced an acceptable solution."""
+    """Raised when the solve did not produce an acceptable solution."""
 
 
 @dataclass
 class SolveReport:
     solution: np.ndarray
     method: str
-    iterations: int
     rel_residual: float
     wall_seconds: float
 
@@ -37,44 +40,20 @@ def _residual(A, x, b) -> float:
     return float(np.linalg.norm(A @ x - b) / nb)
 
 
-def solve(system: SparseSystem, method: str = "auto", cg_rtol: float = 1e-10) -> SolveReport:
-    """Solve the reduced system and report how it went.
-
-    ``method`` is one of ``auto`` (direct, falling back to cg), ``direct``
-    or ``cg``.
-    """
+def solve(system: SparseSystem) -> SolveReport:
+    """Factor, solve and check the reduced system."""
     A, b = system.matrix, system.rhs
-    n = A.shape[0]
     t0 = time.perf_counter()
-    if n == 0:
-        return SolveReport(np.zeros(0), "direct", 0, 0.0, time.perf_counter() - t0)
-    if method not in ("auto", "direct", "cg"):
-        raise ValueError(f"unknown method {method!r}")
-
-    if method in ("auto", "direct"):
-        try:
-            lu = spla.splu(A.tocsc())
-            x = lu.solve(b)
-            res = _residual(A, x, b)
-            if np.all(np.isfinite(x)):
-                return SolveReport(x, "direct", 0, res, time.perf_counter() - t0)
-        except RuntimeError:
-            if method == "direct":
-                raise SolverError("direct factorization failed")
-        if method == "direct":
-            raise SolverError("direct solve produced non-finite values")
-
-    diag = A.diagonal()
-    if np.any(diag <= 0):
-        raise SolverError("matrix diagonal is not positive, cannot precondition")
-    M = sp.diags(1.0 / diag)
-    maxiter = int(50 * np.sqrt(n)) + 10
-    count = [0]
-
-    def tick(_):
-        count[0] += 1
-
-    x, info = spla.cg(A, b, rtol=cg_rtol, maxiter=maxiter, M=M, callback=tick)
-    if info != 0:
-        raise SolverError(f"conjugate gradients did not converge (info={info})")
-    return SolveReport(x, "cg", count[0], _residual(A, x, b), time.perf_counter() - t0)
+    if A.shape[0] == 0:
+        return SolveReport(np.zeros(0), "direct", 0.0, time.perf_counter() - t0)
+    try:
+        lu = spla.splu(A.tocsc())
+    except RuntimeError as exc:
+        raise SolverError(f"direct factorization failed: {exc}") from exc
+    x = lu.solve(b)
+    if not np.all(np.isfinite(x)):
+        raise SolverError("direct solve produced non-finite values")
+    res = _residual(A, x, b)
+    if not res <= MAX_REL_RESIDUAL:
+        raise SolverError(f"relative residual {res:.2e} exceeds {MAX_REL_RESIDUAL:.0e}")
+    return SolveReport(x, "direct", res, time.perf_counter() - t0)

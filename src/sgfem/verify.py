@@ -1,0 +1,128 @@
+"""Random inputs and finite-difference oracles for the verification checks.
+
+The ``sgfem verify`` suites and the test suite draw their random triangles
+and quartics here.  The finite-difference oracle differentiates black-box
+evaluators only, so it stays independent of the analytic derivative chains
+it is used to check.
+"""
+
+import numpy as np
+
+from .mesh import ElementGeometry, triangle_geometry
+
+__all__ = [
+    "boundary_points",
+    "random_geometry",
+    "random_quartic",
+    "richardson_laplacian",
+    "richardson_grad_div",
+    "fd_source",
+]
+
+
+def boundary_points(n: int) -> np.ndarray:
+    """``n`` points on each side of the unit square, corners included."""
+    t = np.linspace(0.0, 1.0, n)
+    return np.vstack(
+        [
+            np.column_stack([t, np.zeros_like(t)]),
+            np.column_stack([t, np.ones_like(t)]),
+            np.column_stack([np.zeros_like(t), t]),
+            np.column_stack([np.ones_like(t), t]),
+        ]
+    )
+
+
+def random_geometry(rng) -> ElementGeometry:
+    """A counter-clockwise triangle in [-1, 1]^2 with area at least 0.05
+    and chunkiness below 12, drawn by rejection."""
+    while True:
+        coords = rng.uniform(-1.0, 1.0, size=(3, 2))
+        va, vb = coords[1] - coords[0], coords[2] - coords[0]
+        area = 0.5 * (va[0] * vb[1] - va[1] * vb[0])
+        if area < 0:
+            coords = coords[[0, 2, 1]]
+            area = -area
+        if area < 0.05:
+            continue
+        geom = triangle_geometry(coords)
+        if geom.chunkiness < 12.0:
+            return geom
+
+
+def random_quartic(rng):
+    """Value and gradient evaluators of a bivariate quartic with normal
+    random coefficients."""
+    exps = [(a, b) for a in range(5) for b in range(5 - a)]
+    coeffs = rng.normal(size=len(exps))
+
+    def value(xy):
+        x, y = xy[:, 0], xy[:, 1]
+        return sum(c * x**a * y**b for c, (a, b) in zip(coeffs, exps))
+
+    def grad(xy):
+        x, y = xy[:, 0], xy[:, 1]
+        gx = sum(c * a * x ** max(a - 1, 0) * y**b for c, (a, b) in zip(coeffs, exps))
+        gy = sum(c * b * x**a * y ** max(b - 1, 0) for c, (a, b) in zip(coeffs, exps))
+        return np.stack([gx, gy], axis=-1)
+
+    return value, grad
+
+
+def richardson_laplacian(F, xy, h):
+    """Componentwise Laplacian of F(xy) with one Richardson sweep."""
+
+    def lap(hh):
+        out = -4.0 * np.asarray(F(xy), dtype=float)
+        for axis in (0, 1):
+            for sign in (-1.0, 1.0):
+                p = xy.copy()
+                p[:, axis] += sign * hh
+                out = out + np.asarray(F(p), dtype=float)
+        return out / hh**2
+
+    return (4.0 * lap(0.5 * h) - lap(h)) / 3.0
+
+
+def richardson_grad_div(F, xy, h):
+    """Gradient of the divergence of a vector evaluator, Richardson swept."""
+
+    def div_at(pts, hh):
+        d = np.zeros(len(pts))
+        for axis in (0, 1):
+            p = pts.copy()
+            p[:, axis] += hh
+            m = pts.copy()
+            m[:, axis] -= hh
+            d += (np.asarray(F(p))[:, axis] - np.asarray(F(m))[:, axis]) / (2.0 * hh)
+        return d
+
+    def gd(hh):
+        out = np.empty((len(xy), 2))
+        for axis in (0, 1):
+            p = xy.copy()
+            p[:, axis] += hh
+            m = xy.copy()
+            m[:, axis] -= hh
+            out[:, axis] = (div_at(p, hh) - div_at(m, hh)) / (2.0 * hh)
+        return out
+
+    return (4.0 * gd(0.5 * h) - gd(h)) / 3.0
+
+
+def fd_source(field, pts):
+    """Nested finite-difference evaluation of iota^2 Delta g - g.
+
+    The inner stage (step 1e-3) differentiates the displacement into g, the
+    outer stage (step 1e-2) differentiates that again for Delta g; both are
+    Richardson extrapolated central stencils.
+    """
+    mat = field.mat
+    u = field.displacement
+
+    def g(xy):
+        return mat.mu * richardson_laplacian(u, xy, 1e-3) + (
+            mat.lam + mat.mu
+        ) * richardson_grad_div(u, xy, 1e-3)
+
+    return mat.iota**2 * richardson_laplacian(g, pts, 1e-2) - g(pts)

@@ -9,7 +9,6 @@ import time
 import numpy as np
 import pytest
 
-from fdcheck import fd_source
 from sgfem.analysis import (
     KORN_BOUND,
     coercivity_check,
@@ -26,8 +25,9 @@ from sgfem.elements import (
     specht_constraint_residual,
     verify_affine_identity,
 )
-from sgfem.manufactured import example_layer, example_smooth, source
-from sgfem.mesh import make_structured, triangle_geometry
+from sgfem.manufactured import example_field, example_layer, source
+from sgfem.mesh import make_structured
+from sgfem.verify import boundary_points, fd_source, random_geometry, random_quartic
 
 KINDS = ("ntw", "specht", "morley")
 
@@ -42,50 +42,6 @@ def final_rate(kind, example, iota):
     rep = convergence_study(kind, example, [iota], 4, make_structured(8))[0]
     wall = time.perf_counter() - start
     return rep.rows[-1].rate, wall
-
-
-def random_geometry(rng):
-    while True:
-        coords = rng.uniform(-1.0, 1.0, size=(3, 2))
-        va, vb = coords[1] - coords[0], coords[2] - coords[0]
-        area = 0.5 * (va[0] * vb[1] - va[1] * vb[0])
-        if area < 0:
-            coords = coords[[0, 2, 1]]
-            area = -area
-        if area < 0.05:
-            continue
-        geom = triangle_geometry(coords)
-        if geom.chunkiness < 12.0:
-            return geom
-
-
-def random_quartic(rng):
-    exps = [(a, b) for a in range(5) for b in range(5 - a)]
-    coeffs = rng.normal(size=len(exps))
-
-    def value(xy):
-        x, y = xy[:, 0], xy[:, 1]
-        return sum(c * x**a * y**b for c, (a, b) in zip(coeffs, exps))
-
-    def grad(xy):
-        x, y = xy[:, 0], xy[:, 1]
-        gx = sum(c * a * x ** max(a - 1, 0) * y**b for c, (a, b) in zip(coeffs, exps))
-        gy = sum(c * b * x**a * y ** max(b - 1, 0) for c, (a, b) in zip(coeffs, exps))
-        return np.stack([gx, gy], axis=-1)
-
-    return value, grad
-
-
-def boundary_points(n):
-    t = np.linspace(0.0, 1.0, n)
-    return np.vstack(
-        [
-            np.column_stack([t, np.zeros_like(t)]),
-            np.column_stack([t, np.ones_like(t)]),
-            np.column_stack([np.zeros_like(t), t]),
-            np.column_stack([np.ones_like(t), t]),
-        ]
-    )
 
 
 def test_criterion_1_smooth_rates_large_iota():
@@ -199,11 +155,7 @@ def test_criterion_8_manufactured_sources():
     worst_rel = 0.0
     for example in ("smooth", "layer"):
         for iota in (1.0, 1e-2):
-            mat = MaterialParams(iota=iota)
-            if example == "smooth":
-                field = example_smooth(mat)
-            else:
-                field = example_layer(iota, mat.lam, mat.mu)
+            field = example_field(example, MaterialParams(iota=iota))
             fa = source(field)(pts)
             fd = fd_source(field, pts)
             rel = np.abs(fa - fd).max() / max(np.abs(fa).max(), 1.0)

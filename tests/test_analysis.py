@@ -202,7 +202,7 @@ class TestJumps:
         mesh = make_structured(2)
         dofmap = build_dofmap(mesh, "morley")
         rng = np.random.default_rng(17)
-        coeffs = local_coefficients(mesh, dofmap, rng.normal(size=dofmap.n_vector))
+        coeffs = local_coefficients(dofmap, rng.normal(size=dofmap.n_vector))
         jumps, scale = edge_mean_jumps(mesh, "morley", coeffs)
         n_interior = int((~mesh.edge_is_boundary).sum())
         assert jumps.shape == (n_interior, 2)

@@ -15,24 +15,9 @@ from sgfem.assembly import (
 from sgfem.elements import ElementKind, build_basis, interpolate
 from sgfem.mesh import element_geometry, make_structured
 from sgfem.quadrature import triangle_rule
+from sgfem.verify import random_geometry
 
 ALL_KINDS = [ElementKind.NTW, ElementKind.SPECHT, ElementKind.MORLEY]
-
-
-def random_triangle_geom(rng):
-    from sgfem.mesh import triangle_geometry
-
-    while True:
-        coords = rng.uniform(-1.0, 1.0, size=(3, 2))
-        va, vb = coords[1] - coords[0], coords[2] - coords[0]
-        area = 0.5 * (va[0] * vb[1] - va[1] * vb[0])
-        if area < 0:
-            coords = coords[[0, 2, 1]]
-            area = -area
-        if area > 0.05:
-            geom = triangle_geometry(coords)
-            if geom.chunkiness < 12.0:
-                return geom
 
 
 def quadratic_field():
@@ -185,7 +170,7 @@ class TestElementKernels:
         rng = np.random.default_rng(17)
         mat = MaterialParams(lam=lam, mu=1.0, iota=0.5)
         for _ in range(5):
-            geom = random_triangle_geom(rng)
+            geom = random_geometry(rng)
             basis = build_basis(kind, geom)
             if kind is ElementKind.MORLEY:
                 K = element_stiffness_morley(basis, mat)
@@ -200,7 +185,7 @@ class TestElementKernels:
     def test_rigid_motion_in_kernel_exactly(self, kind):
         rng = np.random.default_rng(29)
         mat = MaterialParams()
-        geom = random_triangle_geom(rng)
+        geom = random_geometry(rng)
         basis = build_basis(kind, geom)
         K = (
             element_stiffness_morley(basis, mat)
@@ -228,10 +213,10 @@ class TestElementKernels:
 class TestElementLoad:
     def test_morley_constant_load_hand_values(self):
         rng = np.random.default_rng(5)
-        geom = random_triangle_geom(rng)
+        geom = random_geometry(rng)
         basis = build_basis(ElementKind.MORLEY, geom)
         f = lambda xy: np.broadcast_to([2.0, -1.0], xy.shape)
-        b = element_load(basis, f, through_pi1=True)
+        b = element_load(basis, f)
         third = geom.area / 3.0
         expected = np.zeros(12)
         expected[0:6:2] = 2.0 * third
@@ -240,7 +225,7 @@ class TestElementLoad:
 
     def test_load_matches_quadrature_oracle(self):
         rng = np.random.default_rng(11)
-        geom = random_triangle_geom(rng)
+        geom = random_geometry(rng)
         basis = build_basis(ElementKind.NTW, geom)
         f = lambda xy: np.stack([np.sin(xy[:, 0]), np.cos(xy[:, 1])], axis=-1)
         rule = triangle_rule(10)

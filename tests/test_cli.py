@@ -123,6 +123,8 @@ class TestExitCodes:
             ["solve", "--probe", ";"],
             ["solve", "--iota", "1e-2,1e-3"],
             [],
+            ["solve", "--refine", "-1"],
+            ["solve", "--iota", "1.5"],
         ],
     )
     def test_invalid_arguments_return_one(self, argv, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sgfem.mesh import (
@@ -87,7 +89,6 @@ def test_right_triangle_geometry():
     assert_allclose(geom.grad_lambda, [[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]], atol=1e-15)
     assert_allclose(geom.edge_lengths, [SQRT2, 1.0, 1.0])
     assert_allclose(geom.altitudes, [1.0 / SQRT2, 1.0, 1.0])
-    assert_allclose(geom.edge_shifts, [0.0, 0.5, 0.5])
     assert_allclose(geom.normals, [[1 / SQRT2, 1 / SQRT2], [-1.0, 0.0], [0.0, -1.0]], atol=1e-15)
     assert_allclose(geom.midpoints, [[0.5, 0.5], [0.0, 0.5], [0.5, 0.0]])
     assert_allclose(geom.chunkiness, 1.0 + SQRT2, rtol=1e-14)
@@ -95,7 +96,10 @@ def test_right_triangle_geometry():
 
 def test_equilateral_shifts_vanish():
     geom = triangle_geometry(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]]))
-    assert_allclose(geom.edge_shifts, 0.0, atol=1e-14)
+    # Each altitude foot is the edge midpoint: the median is normal to the edge.
+    medians = geom.midpoints - geom.vertices
+    cross = medians[:, 0] * geom.normals[:, 1] - medians[:, 1] * geom.normals[:, 0]
+    assert_allclose(cross, 0.0, atol=1e-14)
     assert_allclose(geom.chunkiness, np.sqrt(3.0), rtol=1e-14)
 
 
@@ -145,6 +149,46 @@ def test_edge_signs_match_outward_normals():
             e = mesh.tri_edges[t, i]
             sign = mesh.tri_edge_signs[t, i]
             assert_allclose(sign * mesh.edge_normals[e], geom.normals[i], atol=1e-13)
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    levels=st.integers(0, 2),
+    amplitude=st.floats(0.0, 0.2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_jittered_refined_mesh_invariants(n, levels, amplitude, seed):
+    base = make_structured(n)
+    rng = np.random.default_rng(seed)
+    jitter = rng.uniform(-amplitude / n, amplitude / n, size=base.vertices.shape)
+    jitter[base.vertex_is_boundary] = 0.0
+    meshes = [Mesh(base.vertices + jitter, base.triangles)]
+    for _ in range(levels):
+        meshes.append(refine(meshes[-1]))
+    mesh = meshes[-1]
+
+    # Interior edges are seen twice with opposite signs, boundary edges once.
+    seen = np.bincount(mesh.tri_edges.ravel(), minlength=mesh.num_edges)
+    sign_sum = np.zeros(mesh.num_edges, dtype=np.int64)
+    np.add.at(sign_sum, mesh.tri_edges.ravel(), mesh.tri_edge_signs.ravel())
+    assert np.array_equal(seen, np.where(mesh.edge_is_boundary, 1, 2))
+    assert np.all(sign_sum[~mesh.edge_is_boundary] == 0)
+
+    n_int = np.count_nonzero(~mesh.edge_is_boundary)
+    assert 3 * mesh.num_triangles == 2 * n_int + (mesh.num_edges - n_int)
+
+    for t in range(mesh.num_triangles):
+        signed = mesh.tri_edge_signs[t][:, None] * mesh.edge_normals[mesh.tri_edges[t]]
+        assert_allclose(signed, element_geometry(mesh, t).normals, atol=1e-12)
+
+    def areas(m):
+        return np.array([element_geometry(m, t).area for t in range(m.num_triangles)])
+
+    # Red refinement stores the four children of parent t at 4t .. 4t+3.
+    for coarse, fine in zip(meshes[:-1], meshes[1:]):
+        assert_allclose(areas(fine).reshape(-1, 4).sum(axis=1), areas(coarse), rtol=1e-12)
+    assert_allclose(mesh_area(mesh), 1.0, rtol=1e-12)
 
 
 def test_load_mesh_round_trip(tmp_path):

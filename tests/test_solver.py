@@ -1,10 +1,12 @@
-"""Tests for the direct and iterative solvers on reduced systems."""
+"""Tests for the checked direct solve of reduced systems."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
+import sgfem.solver
 from sgfem.assembly import MaterialParams, SparseSystem, assemble, build_dofmap
 from sgfem.mesh import make_structured
 from sgfem.solver import SolverError, solve
@@ -25,7 +27,7 @@ def ntw_system():
 
 class TestDirect:
     def test_matches_dense_oracle(self, ntw_system):
-        report = solve(ntw_system, method="direct")
+        report = solve(ntw_system)
         dense = np.linalg.solve(ntw_system.matrix.toarray(), ntw_system.rhs)
         assert_allclose(report.solution, dense, rtol=1e-10, atol=1e-14)
         assert report.method == "direct"
@@ -33,22 +35,12 @@ class TestDirect:
 
     def test_report_fields(self, ntw_system):
         report = solve(ntw_system)
-        assert report.iterations == 0
         assert report.wall_seconds >= 0.0
         assert report.solution.shape == ntw_system.rhs.shape
 
 
-class TestConjugateGradients:
-    def test_agrees_with_direct(self, ntw_system):
-        direct = solve(ntw_system, method="direct")
-        cg = solve(ntw_system, method="cg")
-        assert cg.method == "cg"
-        assert cg.iterations > 0
-        scale = np.abs(direct.solution).max()
-        assert_allclose(cg.solution, direct.solution, atol=1e-7 * scale)
-        assert cg.rel_residual <= 1e-8
-
-    def test_rejects_nonpositive_diagonal(self):
+class TestFailures:
+    def test_singular_matrix_raises(self):
         A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
         system = SparseSystem(
             matrix=A,
@@ -58,7 +50,24 @@ class TestConjugateGradients:
             dofmap=None,
         )
         with pytest.raises(SolverError):
-            solve(system, method="cg")
+            solve(system)
+
+    def test_wrong_lu_solution_raises(self, ntw_system, monkeypatch):
+        class WrongLU:
+            def __init__(self, lu):
+                self._lu = lu
+
+            def solve(self, b):
+                return 1.01 * self._lu.solve(b)
+
+        class FakeSplinalg:
+            @staticmethod
+            def splu(A):
+                return WrongLU(spla.splu(A))
+
+        monkeypatch.setattr(sgfem.solver, "spla", FakeSplinalg)
+        with pytest.raises(SolverError, match="residual"):
+            solve(ntw_system)
 
 
 class TestEdgeCases:
@@ -69,10 +78,6 @@ class TestEdgeCases:
         report = solve(system)
         assert report.solution.shape == (0,)
         assert report.rel_residual == 0.0
-
-    def test_unknown_method(self, ntw_system):
-        with pytest.raises(ValueError):
-            solve(ntw_system, method="banana")
 
     def test_permutation_invariance(self, ntw_system):
         rng = np.random.default_rng(42)
