@@ -20,10 +20,19 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 import scipy.optimize
 
-from .assembly import MaterialParams, assemble, build_dofmap
-from .elements import ElementKind, MonoTables, build_basis, pi1_map
+from .assembly import MaterialParams, assemble, build_dofmap, sum_blocks
+from .elements import (
+    MORLEY_PI1,
+    ElementKind,
+    MonoTables,
+    basis_coefficients,
+    edge_normal_moments,
+    evaluate,
+)
+from .elements import build_basis  # noqa: F401  (bound for the benchmark tracer, which wraps it)
 from .manufactured import ManufacturedField, example_field, source
-from .mesh import Mesh, element_geometry, refine
+from .mesh import ElementGeometry, Mesh, mesh_geometry, refine
+from .mesh import element_geometry  # noqa: F401  (bound for the benchmark tracer, which wraps it)
 from .quadrature import edge_rule, triangle_rule
 from .solver import SolverError, solve
 
@@ -39,11 +48,21 @@ __all__ = [
     "coercivity_check",
     "jump_check",
     "edge_mean_jumps",
+    "edge_means",
+    "gram_blocks",
     "mesh_diameter",
     "local_coefficients",
 ]
 
 KORN_BOUND = 1.0 - 1.0 / np.sqrt(2.0)
+
+_ERROR_RULE = triangle_rule(10)
+_ERROR_TABLES = MonoTables(_ERROR_RULE.points)
+_GRAM_RULE = triangle_rule(8)
+_GRAM_TABLES = MonoTables(_GRAM_RULE.points)
+_EDGE_WEIGHTS = edge_rule(3).weights
+# Weights of the distinct-entry Hessian norm: (1, 2) and (2, 1) count once.
+_DISTINCT = np.array([[1.0, 1.0], [0.0, 1.0]])
 
 
 def mesh_diameter(mesh: Mesh) -> float:
@@ -71,29 +90,24 @@ def energy_error(mesh: Mesh, kind, full_dofs: np.ndarray, field: ManufacturedFie
         raise ValueError(
             f"dof vector has shape {full_dofs.shape}, expected ({dofmap.n_vector},)"
         )
+    geom = mesh_geometry(mesh)
+    coeffs = basis_coefficients(kind, geom, dofmap.signs)
+    # Each displacement component on each element as one polynomial.
+    poly = np.einsum("tac,tam->tcm", local_coefficients(dofmap, full_dofs), coeffs)
+    _, G, H = evaluate(poly, geom.grad_lambda, _ERROR_TABLES)
+    xy = (_ERROR_RULE.points @ geom.vertices).reshape(-1, 2)
+    w = (geom.area[:, None] * _ERROR_RULE.weights).ravel()
+
+    Hu = field.hessian(xy)
+    dh = Hu - H.swapaxes(1, 2).reshape(Hu.shape)
+    err_h = w @ np.einsum("qcjk,qcjk->q", dh, dh)
+    nrm_h = w @ np.einsum("qcjk,qcjk->q", Hu, Hu)
+    Gu = field.gradient(xy)
+    dg = Gu - G.swapaxes(1, 2).reshape(Gu.shape)
+    err_g = w @ np.einsum("qcj,qcj->q", dg, dg)
+    nrm_g = w @ np.einsum("qcj,qcj->q", Gu, Gu)
+
     iota = field.mat.iota
-    rule = triangle_rule(10)
-    tables = MonoTables(rule.points)
-    locals_ = local_coefficients(dofmap, full_dofs)
-
-    err_g = err_h = nrm_g = nrm_h = 0.0
-    for t in range(mesh.num_triangles):
-        geom = element_geometry(mesh, t)
-        basis = build_basis(kind, geom, dofmap.signs[t])
-        _, G, H = basis.eval_all(rule.points, tables)
-        xy = rule.points @ geom.vertices
-        w = geom.area * rule.weights
-        Hu = field.hessian(xy)
-        hess_h = np.einsum("ac,aqjk->qcjk", locals_[t], H)
-        dh = Hu - hess_h
-        err_h += w @ np.einsum("qcjk,qcjk->q", dh, dh)
-        nrm_h += w @ np.einsum("qcjk,qcjk->q", Hu, Hu)
-        Gu = field.gradient(xy)
-        grad_h = np.einsum("ac,aqj->qcj", locals_[t], G)
-        dg = Gu - grad_h
-        err_g += w @ np.einsum("qcj,qcj->q", dg, dg)
-        nrm_g += w @ np.einsum("qcj,qcj->q", Gu, Gu)
-
     absolute = np.sqrt(err_g) + iota * np.sqrt(err_h)
     norm = np.sqrt(nrm_g) + iota * np.sqrt(nrm_h)
     return float(absolute), float(absolute / norm)
@@ -242,46 +256,34 @@ def korn_ratio_min(n_samples: int, seed: int = 0) -> KornSearch:
     )
 
 
+def gram_blocks(coeffs, geom: ElementGeometry, morley: bool):
+    """(T, n, n) element Gram blocks of the broken gradient and of the
+    distinct-entry Hessian inner products; with ``morley`` the gradient is
+    that of the linear vertex interpolant."""
+    _, G, H = evaluate(coeffs, geom.grad_lambda, _GRAM_TABLES)
+    w = geom.area[:, None] * _GRAM_RULE.weights
+    if morley:
+        lin_grad = MORLEY_PI1.T @ geom.grad_lambda
+        g_sc = geom.area[:, None, None] * (lin_grad @ lin_grad.swapaxes(1, 2))
+    else:
+        g_sc = np.einsum("taqk,tbqk,tq->tab", G, G, w, optimize=True)
+    h_sc = np.einsum("taqjk,tbqjk,jk,tq->tab", H, H, _DISTINCT, w, optimize=True)
+    return g_sc, h_sc
+
+
 def _gram_matrices(mesh: Mesh, kind: ElementKind):
     """Reduced Gram matrices of the broken gradient and distinct-entry
     Hessian inner products, assembled with a quadrature rule and a
     contraction independent of the stiffness path."""
-    import scipy.sparse as sp
-
     dofmap = build_dofmap(mesh, kind)
-    rule = triangle_rule(8)
-    tables = MonoTables(rule.points)
-    mask = np.array([[1.0, 1.0], [0.0, 1.0]])
-    nloc = dofmap.nloc
-    morley = kind is ElementKind.MORLEY
-
-    rows_all, cols_all, gdata, hdata = [], [], [], []
-    for t in range(mesh.num_triangles):
-        geom = element_geometry(mesh, t)
-        basis = build_basis(kind, geom, dofmap.signs[t])
-        _, G, H = basis.eval_all(rule.points, tables)
-        w = geom.area * rule.weights
-        if morley:
-            lin_grad = pi1_map(basis).T @ geom.grad_lambda
-            g_sc = geom.area * lin_grad @ lin_grad.T
-        else:
-            g_sc = np.einsum("aqk,bqk,q->ab", G, G, w)
-        h_sc = np.einsum("aqjk,bqjk,jk,q->ab", H, H, mask, w)
-        ids = dofmap.scatter[t]
-        for c in (0, 1):
-            vids = 2 * ids + c
-            rows_all.append(np.repeat(vids, nloc))
-            cols_all.append(np.tile(vids, nloc))
-            gdata.append(g_sc.ravel())
-            hdata.append(h_sc.ravel())
-
-    n = dofmap.n_vector
-    rows = np.concatenate(rows_all)
-    cols = np.concatenate(cols_all)
-    Gm = sp.coo_matrix((np.concatenate(gdata), (rows, cols)), shape=(n, n)).tocsr()
-    Hm = sp.coo_matrix((np.concatenate(hdata), (rows, cols)), shape=(n, n)).tocsr()
+    geom = mesh_geometry(mesh)
+    coeffs = basis_coefficients(kind, geom, dofmap.signs)
     retained = np.flatnonzero(~np.repeat(dofmap.boundary, 2))
-    return Gm[retained][:, retained], Hm[retained][:, retained]
+    # The same scalar block acts on each displacement component.
+    blocks = gram_blocks(coeffs, geom, kind is ElementKind.MORLEY)
+    return tuple(
+        sum_blocks(dofmap, np.kron(block, np.eye(2)))[retained][:, retained] for block in blocks
+    )
 
 
 def coercivity_check(mesh: Mesh, kind, mat: MaterialParams, n_trials: int, seed: int = 0):
@@ -310,6 +312,17 @@ def coercivity_check(mesh: Mesh, kind, mat: MaterialParams, n_trials: int, seed:
     return float(worst)
 
 
+def edge_means(coeffs, geom: ElementGeometry, local_coeffs, normals):
+    """(T, 3, 2) one-sided mean normal derivatives on the local edges.
+
+    Entry ``[t, i, c]`` is the mean over local edge ``i`` of element ``t``
+    of ``grad u_c . normals[t, i]``, where ``u_c`` is component ``c`` of
+    the field with local coefficients ``local_coeffs`` (T, nloc, 2).
+    """
+    poly = np.einsum("tac,tam->tcm", local_coeffs, coeffs)
+    return edge_normal_moments(poly, geom, normals, _EDGE_WEIGHTS).swapaxes(1, 2)
+
+
 def edge_mean_jumps(mesh: Mesh, kind, local_coeffs: np.ndarray):
     """Mean normal-derivative jumps across interior edges.
 
@@ -320,36 +333,17 @@ def edge_mean_jumps(mesh: Mesh, kind, local_coeffs: np.ndarray):
     scale is the largest one-sided mean magnitude.
     """
     kind = ElementKind(kind)
-    rule = edge_rule(3)
-    s = rule.points
-    interior = np.flatnonzero(~mesh.edge_is_boundary)
-    jumps = np.zeros((interior.size, 2))
-    scale = 0.0
-
-    bases = {}
-
-    def basis_of(t):
-        if t not in bases:
-            geom = element_geometry(mesh, t)
-            bases[t] = build_basis(kind, geom, mesh.tri_edge_signs[t])
-        return bases[t]
-
-    for row, e in enumerate(interior):
-        n_glob = mesh.edge_normals[e]
-        sides = []
-        for t in mesh.edge_tris[e]:
-            i = int(np.flatnonzero(mesh.tri_edges[t] == e)[0])
-            j, k = (i + 1) % 3, (i + 2) % 3
-            bary = np.zeros((rule.npoints, 3))
-            bary[:, j] = 1.0 - s
-            bary[:, k] = s
-            basis = basis_of(t)
-            _, G, _ = basis.eval_all(bary)
-            gw = np.einsum("ac,aqj->qcj", local_coeffs[t], G)
-            sides.append(rule.weights @ (gw @ n_glob))
-        jumps[row] = sides[0] - sides[1]
-        scale = max(scale, np.abs(sides[0]).max(), np.abs(sides[1]).max())
-    return jumps, scale
+    geom = mesh_geometry(mesh)
+    coeffs = basis_coefficients(kind, geom, mesh.tri_edge_signs)
+    means = edge_means(coeffs, geom, local_coeffs, mesh.edge_normals[mesh.tri_edges])
+    # Side 0 of an edge is edge_tris[e, 0], side 1 the other triangle.
+    own = np.arange(mesh.num_triangles)[:, None]
+    side = (mesh.edge_tris[mesh.tri_edges, 1] == own).astype(np.int64)
+    by_edge = np.zeros((mesh.num_edges, 2, 2))
+    by_edge[mesh.tri_edges, side] = means
+    interior = by_edge[~mesh.edge_is_boundary]
+    scale = float(np.abs(interior).max()) if len(interior) else 0.0
+    return interior[:, 0] - interior[:, 1], scale
 
 
 def jump_check(mesh: Mesh, kind, n_trials: int, seed: int = 0, corrupt: bool = False):

@@ -29,7 +29,7 @@ from .elements import (
     verify_affine_identity,
 )
 from .manufactured import example_field, example_layer, example_smooth, source
-from .mesh import element_geometry, load_mesh, make_structured, refine
+from .mesh import element_geometry, load_mesh, make_structured, mesh_geometry, refine
 from .solver import SolverError, solve
 from .verify import boundary_points, fd_source, random_geometry, random_quartic
 
@@ -192,29 +192,31 @@ def _parse_probes(text: str) -> np.ndarray:
 
 
 def _evaluate_at(mesh, kind, full_dofs, pts: np.ndarray) -> np.ndarray:
+    """Values of the discrete field at ``pts``, each taken on the first
+    triangle (by index) that contains the point."""
     kind = ElementKind(kind)
     dofmap = build_dofmap(mesh, kind)
     locals_ = local_coefficients(dofmap, full_dofs)
     vertex_stride = 3 if kind is ElementKind.SPECHT else 1
+    geom = mesh_geometry(mesh)
+    # Barycentric coordinates of every point in every triangle, (P, T, 3).
+    offsets = pts[:, None, None, :] - geom.vertices.mean(axis=1)[:, None]
+    bary = 1.0 / 3.0 + (offsets @ geom.grad_lambda.swapaxes(1, 2))[:, :, 0]
+    inside = bary.min(axis=2) >= -1e-9
     out = np.empty_like(pts)
     for row, p in enumerate(pts):
-        found = False
-        for t in range(mesh.num_triangles):
-            geom = element_geometry(mesh, t)
-            bary = geom.to_bary(p[None, :])
-            if bary.min() >= -1e-9:
-                corner = int(bary.argmax())
-                if bary[0, corner] >= 1.0 - 1e-12:
-                    # At a vertex the nodal value dof is the exact value.
-                    out[row] = locals_[t][vertex_stride * corner]
-                else:
-                    basis = build_basis(kind, geom, dofmap.signs[t])
-                    vals = basis.values(bary)[:, 0]
-                    out[row] = locals_[t].T @ vals
-                found = True
-                break
-        if not found:
+        if not inside[row].any():
             raise CliError(f"probe point ({p[0]:g}, {p[1]:g}) not inside the mesh")
+        t = int(inside[row].argmax())
+        geom_t = element_geometry(mesh, t)
+        bary_t = geom_t.to_bary(p[None, :])
+        corner = int(bary_t.argmax())
+        if bary_t[0, corner] >= 1.0 - 1e-12:
+            # At a vertex the nodal value dof is the exact value.
+            out[row] = locals_[t][vertex_stride * corner]
+        else:
+            basis = build_basis(kind, geom_t, dofmap.signs[t])
+            out[row] = locals_[t].T @ basis.values(bary_t)[:, 0]
     return out
 
 

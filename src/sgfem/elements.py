@@ -7,21 +7,27 @@ derivatives with respect to the barycentric coordinates chained with the
 constant gradients ``grad(lambda_i)``, so no finite differencing is involved
 anywhere.
 
+Shapes are built for a batch of ``T`` triangles at once:
+:func:`basis_coefficients` returns a (T, n, 35) coefficient array and
+:func:`evaluate` turns it into values, gradients and Hessians at the points
+of a :class:`MonoTables`.  The per-element :class:`LocalBasis`, used by the
+verification checks, is a batch of one of the same code.
+
 Families
 --------
 ntw
     Nine degrees of freedom: vertex values, edge midpoint values, and mean
     normal derivatives over the edges.  The local space is P2 plus the cubic
-    bubble times P1.
+    bubble times P1.  The coefficients are closed-form in ``grad(lambda)``.
 specht
     Nine degrees of freedom: values and both gradient components at the
     vertices.  The local space is the Zienkiewicz space plus bubble times P1,
     constrained so that the quadratic Legendre moment of the normal
-    derivative vanishes on every edge.  Shapes are built per element by a
-    12 by 12 dual solve.
+    derivative vanishes on every edge.  Shapes come from one batched 12 by
+    12 dual solve.
 morley
     Six degrees of freedom: vertex values and mean normal derivatives.  The
-    local space is P2.
+    local space is P2; shapes come from one batched 6 by 6 dual solve.
 
 Edge-normal degrees of freedom are taken along the mesh-global edge normal;
 the per-element ``signs`` argument (from ``Mesh.tri_edge_signs``) restores
@@ -42,6 +48,11 @@ __all__ = [
     "DofDescriptor",
     "LocalBasis",
     "MonoTables",
+    "MORLEY_PI1",
+    "EDGE_TABLES",
+    "evaluate",
+    "edge_normal_moments",
+    "basis_coefficients",
     "ntw_basis",
     "ntw_affine_basis",
     "specht_basis",
@@ -83,7 +94,8 @@ def _deriv_matrix(var):
     return mat
 
 
-_DERIV = [_deriv_matrix(v) for v in range(3)]
+# Transposed formal derivatives: _DERIV_T[v] @ M differentiates in lambda_v.
+_DERIV_T = np.stack([_deriv_matrix(v).T for v in range(3)])
 
 _EDGE3 = edge_rule(3)
 _EDGE6 = edge_rule(6)
@@ -100,31 +112,38 @@ def _mono_values(bary):
 class MonoTables:
     """Monomial values and formal-derivative values at fixed points.
 
-    Precompute once per quadrature rule and pass to
-    :meth:`LocalBasis.eval_all` to avoid repeating the point-independent
-    work for every element.
+    ``M`` is (nmono, q); ``D1`` is (nmono, q, 3) with the derivative in
+    ``lambda_v`` last, and ``D2`` is (nmono, q, 3, 3).  Built once per point
+    set and shared by every triangle of a batch.
     """
 
     def __init__(self, bary):
         self.bary = np.atleast_2d(np.asarray(bary, dtype=float))
         self.M = _mono_values(self.bary)
-        self.MD = [_DERIV[v].T @ self.M for v in range(3)]
-        self.MDD = [[_DERIV[v].T @ self.MD[w] for w in range(3)] for v in range(3)]
+        first = _DERIV_T @ self.M
+        self.D1 = np.ascontiguousarray(first.transpose(1, 2, 0))
+        self.D2 = np.ascontiguousarray((_DERIV_T[:, None] @ first[None]).transpose(2, 3, 0, 1))
 
 
-def _eval_coeffs(coeffs, grad_lambda, tables):
-    """Values, gradients, Hessians of polynomial rows of ``coeffs``."""
-    vals = coeffs @ tables.M
-    nloc, npts = vals.shape
-    grads = np.zeros((nloc, npts, 2))
-    hess = np.zeros((nloc, npts, 2, 2))
-    for v in range(3):
-        grads += (coeffs @ tables.MD[v])[:, :, None] * grad_lambda[v]
-    for v in range(3):
-        for w in range(3):
-            outer = np.outer(grad_lambda[v], grad_lambda[w])
-            hess += (coeffs @ tables.MDD[v][w])[:, :, None, None] * outer
-    return vals, grads, hess
+def evaluate(coeffs, grad_lambda, tables: MonoTables):
+    """Values, gradients and Hessians of polynomials on a batch of triangles.
+
+    ``coeffs`` is (T, n, nmono), or (1, n, nmono) for polynomials shared by
+    every triangle; ``grad_lambda`` is (T, 3, 2).  Returns values (T, n, q),
+    gradients (T, n, q, 2) and Hessians (T, n, q, 2, 2).
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    batch, n = coeffs.shape[:2]
+    npts = tables.M.shape[1]
+    flat = coeffs.reshape(-1, _NMONO)
+    # Chain rule: d/dx_i = sum_v d/dlambda_v grad_lambda[v, i], and the
+    # Hessian contracts the second derivatives with grad_lambda (x) grad_lambda.
+    d1 = (flat @ tables.D1.reshape(_NMONO, -1)).reshape(batch, n * npts, 3)
+    d2 = (flat @ tables.D2.reshape(_NMONO, -1)).reshape(batch, n * npts, 9)
+    outer = grad_lambda[:, :, None, :, None] * grad_lambda[:, None, :, None, :]
+    grads = (d1 @ grad_lambda).reshape(-1, n, npts, 2)
+    hess = (d2 @ outer.reshape(-1, 9, 4)).reshape(-1, n, npts, 2, 2)
+    return coeffs @ tables.M, grads, hess
 
 
 def _edge_bary(i, t):
@@ -135,6 +154,23 @@ def _edge_bary(i, t):
     bary[:, j] = 1.0 - t
     bary[:, k] = t
     return bary
+
+
+_VERTEX_TABLES = MonoTables(np.eye(3))
+# The three-point Gauss rule on local edges 0, 1, 2, edge-major.
+EDGE_TABLES = MonoTables(np.vstack([_edge_bary(i, _EDGE3.points) for i in range(3)]))
+
+
+def edge_normal_moments(coeffs, geom: ElementGeometry, normals, weights):
+    """Weighted edge sums of normal derivatives, shape (T, n, 3).
+
+    Entry ``[t, a, i]`` is ``sum_p weights[p] * grad(p_a)(x_p) . normals[t, i]``
+    over the three Gauss points ``x_p`` of local edge ``i``.
+    """
+    _, grads, _ = evaluate(coeffs, geom.grad_lambda, EDGE_TABLES)
+    grads = grads.reshape(grads.shape[:2] + (3, _EDGE3.npoints, 2))
+    dn = (grads @ normals[:, None, :, :, None])[..., 0]
+    return dn @ weights
 
 
 class ElementKind(str, Enum):
@@ -176,7 +212,8 @@ class LocalBasis:
         """Values (n, q), gradients (n, q, 2), Hessians (n, q, 2, 2)."""
         if tables is None:
             tables = MonoTables(bary)
-        return _eval_coeffs(self.coeffs, self.geom.grad_lambda, tables)
+        vals, grads, hess = evaluate(self.coeffs[None], self.geom.grad_lambda[None], tables)
+        return vals[0], grads[0], hess[0]
 
     def values(self, bary):
         return self.coeffs @ _mono_values(bary)
@@ -208,51 +245,49 @@ def _unit(i, k=1):
     return _shift((0, 0, 0), i, k)
 
 
-def _bubble_times_ramp(i, scale):
-    """Coefficients of ``scale * b_K * (2 lam_i - 1)``."""
-    return {_shift(_B, i): 2.0 * scale, _B: -scale}
+# b_K (2 lam_i - 1) for i = 0, 1, 2.
+_RAMPS = np.array([_vec({_shift(_B, i): 2.0, _B: -1.0}) for i in range(3)])
+# The ntw vertex shapes without their grad_lambda-dependent correction.
+_NTW_VERTEX = np.array(
+    [_vec({_unit(i, 2): 2.0, _unit(i): -1.0, _shift(_B, i): -12.0, _B: 6.0}) for i in range(3)]
+)
+_NTW_MIDPOINT = np.array(
+    [
+        _vec({_shift(_unit(j), k): 4.0, _B: 12.0, _shift(_B, i): -48.0})
+        for i, (j, k) in enumerate(_EDGE_VERTS)
+    ]
+)
 
 
-def _ntw_vertex_poly(i, grad_lambda):
-    poly = {_unit(i, 2): 2.0, _unit(i): -1.0}
-    for e, c in _bubble_times_ramp(i, -6.0).items():
-        poly[e] = poly.get(e, 0.0) + c
-    for j in range(3):
-        if j == i:
-            continue
-        cij = grad_lambda[i] @ grad_lambda[j] / (grad_lambda[j] @ grad_lambda[j])
-        for e, c in _bubble_times_ramp(j, 6.0 * cij).items():
-            poly[e] = poly.get(e, 0.0) + c
-    return poly
+def _ntw_coeffs(geom: ElementGeometry, signs) -> np.ndarray:
+    gl = geom.grad_lambda
+    dots = gl @ gl.swapaxes(1, 2)
+    # c_ij = grad lam_i . grad lam_j / |grad lam_j|^2 for j != i.
+    ratio = dots / np.diagonal(dots, axis1=1, axis2=2)[:, None, :]
+    ratio[:, [0, 1, 2], [0, 1, 2]] = 0.0
+    coeffs = np.empty((len(gl), 9, _NMONO))
+    coeffs[:, :3] = _NTW_VERTEX + (6.0 * ratio) @ _RAMPS
+    coeffs[:, 3:6] = _NTW_MIDPOINT
+    # 6 b_K (2 lam_i - 1) / |grad lam_i|, oriented by the normal sign.
+    coeffs[:, 6:] = (6.0 * (signs * geom.altitudes))[:, :, None] * _RAMPS
+    return coeffs
 
 
-def _ntw_midpoint_poly(i):
-    j, k = _EDGE_VERTS[i]
-    return {
-        _shift(_unit(j), k): 4.0,
-        _B: 12.0,
-        _shift(_B, i): -48.0,
-    }
+def _dofs(kind, signs):
+    """Degree-of-freedom descriptors in the local order of ``kind``."""
+    if kind is ElementKind.SPECHT:
+        names = ("value", "grad_x", "grad_y")
+        return tuple(DofDescriptor(name, "vertex", v) for v in range(3) for name in names)
+    dofs = [DofDescriptor("value", "vertex", i) for i in range(3)]
+    if kind is ElementKind.NTW:
+        dofs += [DofDescriptor("value", "midpoint", i) for i in range(3)]
+    dofs += [DofDescriptor("normal_moment", "edge", i, sign=float(signs[i])) for i in range(3)]
+    return tuple(dofs)
 
 
 def ntw_basis(geom: ElementGeometry, signs=None) -> LocalBasis:
     """Nine shapes: vertex values, midpoint values, edge normal moments."""
-    if signs is None:
-        signs = np.ones(3)
-    coeffs = np.empty((9, _NMONO))
-    dofs = []
-    for i in range(3):
-        coeffs[i] = _vec(_ntw_vertex_poly(i, geom.grad_lambda))
-        dofs.append(DofDescriptor("value", "vertex", i))
-    for i in range(3):
-        coeffs[3 + i] = _vec(_ntw_midpoint_poly(i))
-        dofs.append(DofDescriptor("value", "midpoint", i))
-    for i in range(3):
-        # 6 b_K (2 lam_i - 1) / |grad lam_i|, oriented by the normal sign.
-        scale = signs[i] * geom.altitudes[i]
-        coeffs[6 + i] = _vec(_bubble_times_ramp(i, 6.0 * scale))
-        dofs.append(DofDescriptor("normal_moment", "edge", i, sign=float(signs[i])))
-    return LocalBasis("ntw", geom, coeffs, tuple(dofs))
+    return build_basis(ElementKind.NTW, geom, signs)
 
 
 def ntw_affine_basis(geom: ElementGeometry) -> LocalBasis:
@@ -264,19 +299,11 @@ def ntw_affine_basis(geom: ElementGeometry) -> LocalBasis:
     interpolants coincide (see :func:`verify_affine_identity`), which is
     what makes the family amenable to scaling arguments.
     """
-    coeffs = np.empty((9, _NMONO))
-    dofs = []
-    for i in range(3):
-        poly = {_unit(i, 2): 2.0, _unit(i): -1.0, _B: 6.0, _shift(_B, i): -6.0}
-        coeffs[i] = _vec(poly)
-        dofs.append(DofDescriptor("value", "vertex", i))
-    for i in range(3):
-        coeffs[3 + i] = _vec(_ntw_midpoint_poly(i))
-        dofs.append(DofDescriptor("value", "midpoint", i))
-    for i in range(3):
-        coeffs[6 + i] = _vec(_bubble_times_ramp(i, 6.0))
-        dofs.append(DofDescriptor("median_moment", "edge", i))
-    return LocalBasis("ntw_affine", geom, coeffs, tuple(dofs))
+    vertex = [{_unit(i, 2): 2.0, _unit(i): -1.0, _B: 6.0, _shift(_B, i): -6.0} for i in range(3)]
+    coeffs = np.vstack([[_vec(p) for p in vertex], _NTW_MIDPOINT, 6.0 * _RAMPS])
+    dofs = _dofs(ElementKind.NTW, np.ones(3))[:6]
+    dofs += tuple(DofDescriptor("median_moment", "edge", i) for i in range(3))
+    return LocalBasis("ntw_affine", geom, coeffs, dofs)
 
 
 def _legendre2(t):
@@ -302,77 +329,77 @@ _MORLEY_GENS = np.array(
     [_vec({_unit(i, 2): 1.0}) for i in range(3)]
     + [_vec({_shift(_unit(i), j): 1.0}) for i, j in ((0, 1), (1, 2), (2, 0))]
 )
+_LEGENDRE_WEIGHTS = _legendre2(_EDGE3.points) * _EDGE3.weights
 
-_VERTEX_BARY = np.eye(3)
+# pi1_map of every morley basis: the vertex-value shapes come first.
+MORLEY_PI1 = np.hstack([np.eye(3), np.zeros((3, 3))])
 
 
-def specht_basis(geom: ElementGeometry) -> LocalBasis:
-    """Nine shapes dual to vertex values and vertex gradient components.
-
-    Built per element by solving the 12 by 12 system that couples the nine
-    degrees of freedom with the three edge constraints
-    ``int_0^1 P2(2t - 1) dn(p) dt = 0``.
-    """
-    tables = MonoTables(_VERTEX_BARY)
-    vals, grads, _ = _eval_coeffs(_SPECHT_GENS, geom.grad_lambda, tables)
-    system = np.empty((12, 12))
-    for v in range(3):
-        system[3 * v] = vals[:, v]
-        system[3 * v + 1] = grads[:, v, 0]
-        system[3 * v + 2] = grads[:, v, 1]
-    leg_w = _legendre2(_EDGE3.points) * _EDGE3.weights
-    for i in range(3):
-        etab = MonoTables(_edge_bary(i, _EDGE3.points))
-        _, egrads, _ = _eval_coeffs(_SPECHT_GENS, geom.grad_lambda, etab)
-        dn = egrads @ geom.normals[i]
-        system[9 + i] = dn @ leg_w
-    rhs = np.zeros((12, 9))
-    rhs[:9, :9] = np.eye(9)
+def _dual_solve(system, rhs, gens, family):
     try:
         sol = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
-        raise ValueError("specht element system is singular for this triangle") from exc
-    coeffs = sol.T @ _SPECHT_GENS
-    dofs = []
-    for v in range(3):
-        dofs.append(DofDescriptor("value", "vertex", v))
-        dofs.append(DofDescriptor("grad_x", "vertex", v))
-        dofs.append(DofDescriptor("grad_y", "vertex", v))
-    return LocalBasis("specht", geom, coeffs, tuple(dofs))
+        raise ValueError(f"{family} element system is singular for this triangle") from exc
+    return sol.swapaxes(1, 2) @ gens
+
+
+def _specht_coeffs(geom: ElementGeometry) -> np.ndarray:
+    """Solve the 12 by 12 systems that couple the nine degrees of freedom
+    with the three edge constraints ``int_0^1 P2(2t - 1) dn(p) dt = 0``."""
+    ntri = len(geom.grad_lambda)
+    vals, grads, _ = evaluate(_SPECHT_GENS[None], geom.grad_lambda, _VERTEX_TABLES)
+    system = np.empty((ntri, 12, 12))
+    # Rows 3 v, 3 v + 1, 3 v + 2: value, grad_x, grad_y at vertex v.
+    system[:, 0:9:3] = vals[0].T
+    system[:, 1:9:3] = grads[..., 0].swapaxes(1, 2)
+    system[:, 2:9:3] = grads[..., 1].swapaxes(1, 2)
+    moments = edge_normal_moments(_SPECHT_GENS[None], geom, geom.normals, _LEGENDRE_WEIGHTS)
+    system[:, 9:] = moments.swapaxes(1, 2)
+    # Dual to the nine dofs, zero on the three edge constraints.
+    return _dual_solve(system, np.eye(12, 9), _SPECHT_GENS, "specht")
+
+
+def _morley_coeffs(geom: ElementGeometry, signs) -> np.ndarray:
+    ntri = len(geom.grad_lambda)
+    vals = _MORLEY_GENS @ _VERTEX_TABLES.M
+    system = np.empty((ntri, 6, 6))
+    system[:, :3] = vals.T
+    moments = edge_normal_moments(_MORLEY_GENS[None], geom, geom.normals, _EDGE3.weights)
+    system[:, 3:] = signs[:, :, None] * moments.swapaxes(1, 2)
+    return _dual_solve(system, np.eye(6), _MORLEY_GENS, "morley")
+
+
+def basis_coefficients(kind, geom: ElementGeometry, signs) -> np.ndarray:
+    """(T, n, nmono) shape coefficients of ``kind`` on a batch of triangles.
+
+    ``geom`` is a batch (see :class:`~sgfem.mesh.ElementGeometry`) and
+    ``signs`` the (T, 3) edge normal signs; specht ignores them.
+    """
+    kind = ElementKind(kind)
+    if kind is ElementKind.NTW:
+        return _ntw_coeffs(geom, signs)
+    if kind is ElementKind.SPECHT:
+        return _specht_coeffs(geom)
+    return _morley_coeffs(geom, signs)
+
+
+def specht_basis(geom: ElementGeometry) -> LocalBasis:
+    """Nine shapes dual to vertex values and vertex gradient components."""
+    return build_basis(ElementKind.SPECHT, geom)
 
 
 def morley_basis(geom: ElementGeometry, signs=None) -> LocalBasis:
     """Six quadratic shapes: vertex values and edge normal moments."""
-    if signs is None:
-        signs = np.ones(3)
-    tables = MonoTables(_VERTEX_BARY)
-    vals, _, _ = _eval_coeffs(_MORLEY_GENS, geom.grad_lambda, tables)
-    system = np.empty((6, 6))
-    system[:3] = vals.T
-    for i in range(3):
-        etab = MonoTables(_edge_bary(i, _EDGE3.points))
-        _, egrads, _ = _eval_coeffs(_MORLEY_GENS, geom.grad_lambda, etab)
-        dn = egrads @ geom.normals[i]
-        system[3 + i] = signs[i] * (dn @ _EDGE3.weights)
-    try:
-        sol = np.linalg.solve(system, np.eye(6))
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("morley element system is singular for this triangle") from exc
-    coeffs = sol.T @ _MORLEY_GENS
-    dofs = [DofDescriptor("value", "vertex", v) for v in range(3)]
-    dofs += [
-        DofDescriptor("normal_moment", "edge", i, sign=float(signs[i])) for i in range(3)
-    ]
-    return LocalBasis("morley", geom, coeffs, tuple(dofs))
+    return build_basis(ElementKind.MORLEY, geom, signs)
 
 
 def build_basis(kind: ElementKind, geom: ElementGeometry, signs=None) -> LocalBasis:
+    """Shapes of ``kind`` on one triangle: a batch of one of
+    :func:`basis_coefficients`."""
     kind = ElementKind(kind)
-    if kind is ElementKind.NTW:
-        return ntw_basis(geom, signs)
-    if kind is ElementKind.SPECHT:
-        return specht_basis(geom)
-    return morley_basis(geom, signs)
+    signs = np.ones(3) if signs is None else np.asarray(signs)
+    coeffs = basis_coefficients(kind, geom.batch_of_one(), signs[None])[0]
+    return LocalBasis(kind.value, geom, coeffs, _dofs(kind, signs))
 
 
 def pi1_map(basis: LocalBasis) -> np.ndarray:

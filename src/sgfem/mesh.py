@@ -24,16 +24,22 @@ __all__ = [
     "load_mesh",
     "refine",
     "element_geometry",
+    "mesh_geometry",
     "triangle_geometry",
 ]
 
-# Local edge i connects local vertices (i+1, i+2) mod 3.
-_EDGE_VERTS = ((1, 2), (2, 0), (0, 1))
+# Local edge i runs from local vertex _TAIL[i] = i+1 to _HEAD[i] = i+2 (mod 3).
+_TAIL = [1, 2, 0]
+_HEAD = [2, 0, 1]
 
 
 @dataclass(frozen=True)
 class ElementGeometry:
-    """Geometric data for one triangle.
+    """Geometric data for one triangle, or for a batch of ``T`` triangles.
+
+    The shapes below are those of one triangle; a batch built from a
+    (T, 3, 2) vertex array carries a leading axis of length ``T`` on every
+    field (``area`` and ``chunkiness`` become arrays of shape (T,)).
 
     Attributes
     ----------
@@ -74,37 +80,42 @@ class ElementGeometry:
         lam = 1.0 / 3.0 + (xy - self.vertices.mean(axis=0)) @ self.grad_lambda.T
         return lam
 
+    def batch_of_one(self) -> "ElementGeometry":
+        """This triangle's geometry as a batch with ``T = 1``."""
+        return triangle_geometry(self.vertices[None])
+
 
 def triangle_geometry(coords: np.ndarray) -> ElementGeometry:
-    """Build :class:`ElementGeometry` from a (3, 2) vertex array."""
-    coords = np.asarray(coords, dtype=float)
-    e1 = coords[1] - coords[0]
-    e2 = coords[2] - coords[0]
-    twice_area = e1[0] * e2[1] - e1[1] * e2[0]
-    if twice_area <= 0.0:
-        raise ValueError("triangle is degenerate or clockwise")
-    area = 0.5 * twice_area
+    """Build :class:`ElementGeometry` from a (3, 2) or (T, 3, 2) vertex array.
 
-    edge_vec = np.array([coords[k] - coords[j] for j, k in _EDGE_VERTS])
-    lengths = np.linalg.norm(edge_vec, axis=1)
-    tangents = edge_vec / lengths[:, None]
+    Raises ``ValueError`` if any triangle is degenerate or clockwise.
+    """
+    coords = np.asarray(coords, dtype=float)
+    e1 = coords[..., 1, :] - coords[..., 0, :]
+    e2 = coords[..., 2, :] - coords[..., 0, :]
+    twice_area = (e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])[()]
+    if not np.all(twice_area > 0.0):
+        raise ValueError("triangle is degenerate or clockwise")
+
+    edge_vec = coords[..., _HEAD, :] - coords[..., _TAIL, :]
+    lengths = np.linalg.norm(edge_vec, axis=-1)
+    tangents = edge_vec / lengths[..., None]
     # Outward normal: clockwise rotation of the ccw travel direction.
-    normals = np.column_stack([tangents[:, 1], -tangents[:, 0]])
+    normals = np.stack([tangents[..., 1], -tangents[..., 0]], axis=-1)
     # grad(lambda_i) is the inward normal of edge i over the altitude,
     # i.e. the ccw rotation of the edge vector divided by twice the area.
-    grad_lambda = np.column_stack([-edge_vec[:, 1], edge_vec[:, 0]]) / twice_area
-    altitudes = twice_area / lengths
-    midpoints = np.array([0.5 * (coords[j] + coords[k]) for j, k in _EDGE_VERTS])
-    inscribed = 2.0 * twice_area / lengths.sum()
+    grad_lambda = np.stack([-edge_vec[..., 1], edge_vec[..., 0]], axis=-1)
+    grad_lambda /= twice_area[..., None, None]
+    inscribed = 2.0 * twice_area / lengths.sum(axis=-1)
     return ElementGeometry(
         vertices=coords,
-        area=area,
+        area=0.5 * twice_area,
         grad_lambda=grad_lambda,
         edge_lengths=lengths,
-        altitudes=altitudes,
+        altitudes=twice_area[..., None] / lengths,
         normals=normals,
-        midpoints=midpoints,
-        chunkiness=lengths.max() / inscribed,
+        midpoints=0.5 * (coords[..., _TAIL, :] + coords[..., _HEAD, :]),
+        chunkiness=lengths.max(axis=-1) / inscribed,
     )
 
 
@@ -155,28 +166,30 @@ class Mesh:
         return len(self.edge_vertices)
 
     def _build_edges(self):
-        index = {}
-        edge_vertices = []
-        edge_tris = []
-        ntri = self.num_triangles
-        self.tri_edges = np.empty((ntri, 3), dtype=np.int64)
-        for t, tri in enumerate(self.triangles):
-            for i, (j, k) in enumerate(_EDGE_VERTS):
-                key = (min(tri[j], tri[k]), max(tri[j], tri[k]))
-                e = index.get(key)
-                if e is None:
-                    e = len(edge_vertices)
-                    index[key] = e
-                    edge_vertices.append(key)
-                    edge_tris.append([t, -1])
-                else:
-                    if edge_tris[e][1] != -1:
-                        raise ValueError(f"edge {key} is shared by more than two triangles")
-                    edge_tris[e][1] = t
-                self.tri_edges[t, i] = e
-        self.edge_vertices = np.array(edge_vertices, dtype=np.int64)
-        self.edge_tris = np.array(edge_tris, dtype=np.int64)
-        self.edge_is_boundary = self.edge_tris[:, 1] == -1
+        # Edges are numbered by first appearance, triangle-major then local
+        # edge; the dof numbering, and with it the LU ordering, follows it.
+        tris = self.triangles
+        tail, head = tris[:, _TAIL].ravel(), tris[:, _HEAD].ravel()
+        low, high = np.minimum(tail, head), np.maximum(tail, head)
+        _, first, inverse, counts = np.unique(
+            low * self.num_vertices + high,
+            return_index=True,
+            return_inverse=True,
+            return_counts=True,
+        )
+        if np.any(counts > 2):
+            bad = first[counts > 2].min()
+            raise ValueError(f"edge ({low[bad]}, {high[bad]}) is shared by more than two triangles")
+        order = np.argsort(first)
+        slots = np.argsort(order)[inverse]
+        self.tri_edges = slots.reshape(-1, 3)
+        self.edge_vertices = np.column_stack([low, high])[first[order]]
+        last = np.zeros(len(first), dtype=np.int64)
+        np.maximum.at(last, slots, np.arange(len(slots)))
+        self.edge_is_boundary = counts[order] == 1
+        self.edge_tris = np.column_stack(
+            [first[order] // 3, np.where(self.edge_is_boundary, -1, last // 3)]
+        )
 
         vec = self.vertices[self.edge_vertices[:, 1]] - self.vertices[self.edge_vertices[:, 0]]
         vec /= np.linalg.norm(vec, axis=1)[:, None]
@@ -185,10 +198,7 @@ class Mesh:
         # Outward normal of triangle t on local edge i is the clockwise
         # rotation of the traversal direction; its sign against the global
         # normal flips with the traversal order of the endpoints.
-        self.tri_edge_signs = np.empty((ntri, 3), dtype=np.int64)
-        for t, tri in enumerate(self.triangles):
-            for i, (j, k) in enumerate(_EDGE_VERTS):
-                self.tri_edge_signs[t, i] = 1 if tri[j] > tri[k] else -1
+        self.tri_edge_signs = np.where(tris[:, _TAIL] > tris[:, _HEAD], 1, -1)
 
         self.vertex_is_boundary = np.zeros(self.num_vertices, dtype=bool)
         bnd = self.edge_vertices[self.edge_is_boundary]
@@ -196,8 +206,7 @@ class Mesh:
 
     def validate(self):
         """Check mesh invariants; raises ValueError on the first violation."""
-        for t in range(self.num_triangles):
-            triangle_geometry(self.vertices[self.triangles[t]])
+        mesh_geometry(self)
         n_int = int(np.count_nonzero(~self.edge_is_boundary))
         n_bnd = self.num_edges - n_int
         if 3 * self.num_triangles != 2 * n_int + n_bnd:
@@ -210,6 +219,11 @@ class Mesh:
 def element_geometry(mesh: Mesh, index: int) -> ElementGeometry:
     """Geometry of triangle ``index`` of ``mesh``."""
     return triangle_geometry(mesh.vertices[mesh.triangles[index]])
+
+
+def mesh_geometry(mesh: Mesh) -> ElementGeometry:
+    """Geometry of every triangle of ``mesh`` as one batch."""
+    return triangle_geometry(mesh.vertices[mesh.triangles])
 
 
 def make_structured(n: int) -> Mesh:
@@ -243,13 +257,11 @@ def refine(mesh: Mesh) -> Mesh:
         mesh.vertices[mesh.edge_vertices[:, 0]] + mesh.vertices[mesh.edge_vertices[:, 1]]
     )
     vertices = np.vstack([mesh.vertices, mid])
-    offset = mesh.num_vertices
-    children = []
-    for t, (v0, v1, v2) in enumerate(mesh.triangles):
-        # m_i is the midpoint of the edge opposite vertex i.
-        m0, m1, m2 = offset + mesh.tri_edges[t]
-        children.extend([[v0, m2, m1], [m2, v1, m0], [m1, m0, v2], [m2, m0, m1]])
-    return Mesh(vertices, np.array(children))
+    v0, v1, v2 = mesh.triangles.T
+    # m_i is the midpoint of the edge opposite vertex i.
+    m0, m1, m2 = (mesh.num_vertices + mesh.tri_edges).T
+    children = np.stack([v0, m2, m1, m2, v1, m0, m1, m0, v2, m2, m0, m1], axis=1)
+    return Mesh(vertices, children.reshape(-1, 3))
 
 
 def load_mesh(path) -> Mesh:

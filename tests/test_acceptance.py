@@ -7,7 +7,6 @@ the tolerance it was judged against.
 import time
 
 import numpy as np
-import pytest
 
 from sgfem.analysis import (
     KORN_BOUND,

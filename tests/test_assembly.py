@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import sgfem.assembly
 from sgfem.assembly import (
+    MAX_ASYMMETRY,
     MaterialParams,
     assemble,
     build_dofmap,
@@ -228,8 +230,8 @@ class TestElementLoad:
         geom = random_geometry(rng)
         basis = build_basis(ElementKind.NTW, geom)
         f = lambda xy: np.stack([np.sin(xy[:, 0]), np.cos(xy[:, 1])], axis=-1)
-        rule = triangle_rule(10)
-        b = element_load(basis, f, rule)
+        rule = triangle_rule(10)  # the rule element_load integrates with
+        b = element_load(basis, f)
         xy = rule.points @ geom.vertices
         vals = basis.eval_all(rule.points)[0]
         F = f(xy)
@@ -250,6 +252,24 @@ class TestGlobalAssembly:
         assert np.abs(asym).max() < 1e-12 * np.abs(A.toarray()).max()
         eigs = np.linalg.eigvalsh(A.toarray())
         assert eigs[0] > 0.0
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_asymmetric_element_matrices_raise(self, kind, monkeypatch):
+        mesh = make_structured(2)
+        mat = MaterialParams(iota=0.5)
+        f = lambda xy: np.ones_like(xy)
+        assert assemble(mesh, kind, mat, f).asymmetry <= MAX_ASYMMETRY
+        original = sgfem.assembly.element_matrices
+        rng = np.random.default_rng(19)
+
+        def skewed(*args):
+            K = original(*args)
+            R = rng.normal(size=K.shape)
+            return K + 1e-9 * np.abs(K).max() * (R - R.swapaxes(1, 2))
+
+        monkeypatch.setattr(sgfem.assembly, "element_matrices", skewed)
+        with pytest.raises(ValueError, match="asymmetry"):
+            assemble(mesh, kind, mat, f)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("iota", [1.0, 0.3])

@@ -5,9 +5,11 @@ import csv
 import numpy as np
 import pytest
 
-from sgfem.analysis import convergence_study
-from sgfem.cli import CSV_HEADER, main
-from sgfem.mesh import make_structured
+from sgfem.analysis import convergence_study, local_coefficients
+from sgfem.assembly import build_dofmap
+from sgfem.cli import CSV_HEADER, CliError, _evaluate_at, main
+from sgfem.elements import ElementKind, build_basis
+from sgfem.mesh import Mesh, element_geometry, make_structured
 
 
 def run_cli(argv, capsys):
@@ -181,3 +183,44 @@ class TestSolveCommand:
         value = float(out.splitlines()[0].split("(")[2].split(",")[0])
         target = (np.exp(-1.0) - np.e) ** 2
         assert value == pytest.approx(target, rel=2e-3)
+
+
+def reference_evaluate_at(mesh, kind, full_dofs, pts):
+    """The per-triangle scan the probe search replaced: the first triangle
+    by index whose barycentric coordinates are all >= -1e-9."""
+    kind = ElementKind(kind)
+    dofmap = build_dofmap(mesh, kind)
+    locals_ = local_coefficients(dofmap, full_dofs)
+    vertex_stride = 3 if kind is ElementKind.SPECHT else 1
+    out = np.empty_like(pts)
+    for row, p in enumerate(pts):
+        for t in range(mesh.num_triangles):
+            geom = element_geometry(mesh, t)
+            bary = geom.to_bary(p[None, :])
+            if bary.min() >= -1e-9:
+                corner = int(bary.argmax())
+                if bary[0, corner] >= 1.0 - 1e-12:
+                    out[row] = locals_[t][vertex_stride * corner]
+                else:
+                    basis = build_basis(kind, geom, dofmap.signs[t])
+                    out[row] = locals_[t].T @ basis.values(bary)[:, 0]
+                break
+        else:
+            raise AssertionError("probe outside the mesh")
+    return out
+
+
+@pytest.mark.parametrize("kind", ["ntw", "specht", "morley"])
+def test_probe_search_matches_per_triangle_scan(kind):
+    base = make_structured(3)
+    rng = np.random.default_rng(8)
+    jitter = rng.uniform(-0.05, 0.05, size=base.vertices.shape)
+    jitter[base.vertex_is_boundary] = 0.0
+    mesh = Mesh(base.vertices + jitter, base.triangles)
+    full = rng.normal(size=build_dofmap(mesh, kind).n_vector)
+    midpoints = mesh.vertices[mesh.edge_vertices].mean(axis=1)
+    pts = np.vstack([mesh.vertices, midpoints, rng.uniform(0.0, 1.0, size=(20, 2))])
+    expected = reference_evaluate_at(mesh, kind, full, pts)
+    assert np.array_equal(_evaluate_at(mesh, kind, full, pts), expected)
+    with pytest.raises(CliError, match="not inside the mesh"):
+        _evaluate_at(mesh, kind, full, np.array([[0.5, 0.5], [1.5, 0.5]]))

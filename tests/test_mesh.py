@@ -18,6 +18,40 @@ from sgfem.mesh import (
 SQRT2 = np.sqrt(2.0)
 
 
+def reference_edges(triangles):
+    """Edge tables by the per-triangle loop that ``Mesh`` replaced with
+    array code: edges numbered by first appearance, triangle-major then
+    local edge.  Returns edge_vertices, edge_tris, tri_edges, tri_edge_signs."""
+    index = {}
+    edge_vertices = []
+    edge_tris = []
+    tri_edges = np.empty((len(triangles), 3), dtype=np.int64)
+    signs = np.empty((len(triangles), 3), dtype=np.int64)
+    for t, tri in enumerate(triangles):
+        for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+            key = (min(tri[j], tri[k]), max(tri[j], tri[k]))
+            e = index.get(key)
+            if e is None:
+                e = len(edge_vertices)
+                index[key] = e
+                edge_vertices.append(key)
+                edge_tris.append([t, -1])
+            else:
+                edge_tris[e][1] = t
+            tri_edges[t, i] = e
+            signs[t, i] = 1 if tri[j] > tri[k] else -1
+    return np.array(edge_vertices), np.array(edge_tris), tri_edges, signs
+
+
+def reference_children(mesh):
+    """Child triangles of red refinement by the per-triangle loop."""
+    children = []
+    for t, (v0, v1, v2) in enumerate(mesh.triangles):
+        m0, m1, m2 = mesh.num_vertices + mesh.tri_edges[t]
+        children.extend([[v0, m2, m1], [m2, v1, m0], [m1, m0, v2], [m2, m0, m1]])
+    return np.array(children)
+
+
 def mesh_area(mesh):
     return sum(element_geometry(mesh, t).area for t in range(mesh.num_triangles))
 
@@ -168,6 +202,15 @@ def test_jittered_refined_mesh_invariants(n, levels, amplitude, seed):
         meshes.append(refine(meshes[-1]))
     mesh = meshes[-1]
 
+    for m in meshes:
+        edge_vertices, edge_tris, tri_edges, signs = reference_edges(m.triangles)
+        assert np.array_equal(m.edge_vertices, edge_vertices)
+        assert np.array_equal(m.edge_tris, edge_tris)
+        assert np.array_equal(m.tri_edges, tri_edges)
+        assert np.array_equal(m.tri_edge_signs, signs)
+    for coarse, fine in zip(meshes[:-1], meshes[1:]):
+        assert np.array_equal(fine.triangles, reference_children(coarse))
+
     # Interior edges are seen twice with opposite signs, boundary edges once.
     seen = np.bincount(mesh.tri_edges.ravel(), minlength=mesh.num_edges)
     sign_sum = np.zeros(mesh.num_edges, dtype=np.int64)
@@ -189,6 +232,14 @@ def test_jittered_refined_mesh_invariants(n, levels, amplitude, seed):
     for coarse, fine in zip(meshes[:-1], meshes[1:]):
         assert_allclose(areas(fine).reshape(-1, 4).sum(axis=1), areas(coarse), rtol=1e-12)
     assert_allclose(mesh_area(mesh), 1.0, rtol=1e-12)
+
+
+def test_edge_shared_by_three_triangles_rejected():
+    # A non-manifold fan: three triangles on the edge (0, 1).
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 0.5]])
+    triangles = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) is shared by more than two triangles"):
+        Mesh(vertices, triangles)
 
 
 def test_load_mesh_round_trip(tmp_path):

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import sgfem.solver
-from sgfem.assembly import MaterialParams, SparseSystem, assemble, build_dofmap
+from sgfem.assembly import MaterialParams, SparseSystem, assemble
 from sgfem.mesh import make_structured
 from sgfem.solver import SolverError, solve
 
