@@ -31,7 +31,7 @@ from .elements import (
 from .manufactured import example_field, example_layer, example_smooth, source
 from .mesh import element_geometry, load_mesh, make_structured, mesh_geometry, refine
 from .solver import SolverError, solve
-from .verify import boundary_points, fd_source, random_geometry, random_quartic
+from .verify import boundary_points, fd_source, random_geometries, random_quartic_samples
 
 __all__ = ["main", "CliError"]
 
@@ -73,9 +73,16 @@ def _parse_mesh(text: str):
     if text.startswith("file:"):
         path = text.split(":", 1)[1]
         try:
-            return load_mesh(path), text
+            mesh = load_mesh(path)
         except (OSError, ValueError) as exc:
             raise CliError(str(exc)) from exc
+        # The manufactured fields are clamped on the unit square only.
+        if np.any(mesh.vertices < -1e-12) or np.any(mesh.vertices > 1.0 + 1e-12):
+            raise CliError(f"{path}: vertices must lie in the unit square")
+        area = mesh_geometry(mesh).area.sum()
+        if abs(area - 1.0) > 1e-12:
+            raise CliError(f"{path}: mesh must cover the unit square (area {area!r})")
+        return mesh, text
     raise CliError(f"mesh must be structured:N or file:PATH, got {text!r}")
 
 
@@ -245,33 +252,18 @@ def _verify_korn(seed):
 
 def _verify_elements(seed):
     rng = np.random.default_rng(seed)
-    worst = {kind: 0.0 for kind in ElementKind}
-    constraint = 0.0
-    for _ in range(200):
-        geom = random_geometry(rng)
-        for kind in ElementKind:
-            basis = build_basis(kind, geom)
-            worst[kind] = max(worst[kind], duality_residual(basis))
-        constraint = max(
-            constraint, specht_constraint_residual(build_basis(ElementKind.SPECHT, geom))
-        )
-    checks = [
-        (
-            f"{kind.value} duality",
-            worst[kind] <= 1e-11,
-            f"max residual {worst[kind]:.2e}",
-        )
-        for kind in ElementKind
-    ]
+    geom = random_geometries(rng, 200)
+    checks = []
+    for kind in ElementKind:
+        worst = duality_residual(kind, geom).max()
+        checks.append((f"{kind.value} duality", worst <= 1e-11, f"max residual {worst:.2e}"))
+    constraint = specht_constraint_residual(geom).max()
     checks.append(
         ("specht edge constraints", constraint <= 1e-12, f"max residual {constraint:.2e}")
     )
-    affine = 0.0
-    for _ in range(100):
-        geom = random_geometry(rng)
-        value, grad = random_quartic(rng)
-        scale = max(1.0, np.abs(value(geom.vertices)).max())
-        affine = max(affine, verify_affine_identity(geom, value, grad) / scale)
+    geom, values, grads = random_quartic_samples(rng, 100)
+    scale = np.maximum(1.0, np.abs(values[:, :3]).max(axis=1))
+    affine = (verify_affine_identity(geom, values, grads) / scale).max()
     checks.append(("ntw affine identity", affine <= 1e-12, f"max deviation {affine:.2e}"))
     return checks
 

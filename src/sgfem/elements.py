@@ -10,8 +10,21 @@ anywhere.
 Shapes are built for a batch of ``T`` triangles at once:
 :func:`basis_coefficients` returns a (T, n, 35) coefficient array and
 :func:`evaluate` turns it into values, gradients and Hessians at the points
-of a :class:`MonoTables`.  The per-element :class:`LocalBasis`, used by the
-verification checks, is a batch of one of the same code.
+of a :class:`MonoTables`.  The per-element :class:`LocalBasis` is a batch
+of one of the same code.
+
+Degrees of freedom read a function at 24 fixed barycentric points,
+:data:`DOF_TABLES`: the three vertices, the three edge midpoints and the
+six-point Gauss rule on each edge.  :func:`apply_dofs` applies a family's
+functionals to values and gradients sampled there, on a batch of
+triangles: vertex values, vertex gradient components and midpoint values
+are slices, and the edge moments are one contraction.  The verification
+checks run on a whole batch of triangles through this one path:
+:func:`duality_residual` applies the functionals to the shapes themselves,
+:func:`specht_constraint_residual` takes the Legendre edge moments of the
+specht shapes at the same points, and :func:`verify_affine_identity`
+interpolates one sampled function per triangle in ntw and its affine
+relative; :func:`interpolate` is a batch of one.
 
 Families
 --------
@@ -59,8 +72,11 @@ __all__ = [
     "morley_basis",
     "build_basis",
     "pi1_map",
-    "apply_dof",
+    "DOF_TABLES",
+    "dof_points",
+    "apply_dofs",
     "interpolate",
+    "dof_matrices",
     "duality_residual",
     "specht_constraint_residual",
     "verify_affine_identity",
@@ -125,6 +141,16 @@ class MonoTables:
         self.D2 = np.ascontiguousarray((_DERIV_T[:, None] @ first[None]).transpose(2, 3, 0, 1))
 
 
+def _values_gradients(coeffs, grad_lambda, tables: MonoTables):
+    """:func:`evaluate` without the Hessians."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    batch, n = coeffs.shape[:2]
+    npts = tables.M.shape[1]
+    # Chain rule: d/dx_i = sum_v d/dlambda_v grad_lambda[v, i].
+    d1 = (coeffs.reshape(-1, _NMONO) @ tables.D1.reshape(_NMONO, -1)).reshape(batch, n * npts, 3)
+    return coeffs @ tables.M, (d1 @ grad_lambda).reshape(-1, n, npts, 2)
+
+
 def evaluate(coeffs, grad_lambda, tables: MonoTables):
     """Values, gradients and Hessians of polynomials on a batch of triangles.
 
@@ -135,15 +161,12 @@ def evaluate(coeffs, grad_lambda, tables: MonoTables):
     coeffs = np.asarray(coeffs, dtype=float)
     batch, n = coeffs.shape[:2]
     npts = tables.M.shape[1]
-    flat = coeffs.reshape(-1, _NMONO)
-    # Chain rule: d/dx_i = sum_v d/dlambda_v grad_lambda[v, i], and the
-    # Hessian contracts the second derivatives with grad_lambda (x) grad_lambda.
-    d1 = (flat @ tables.D1.reshape(_NMONO, -1)).reshape(batch, n * npts, 3)
-    d2 = (flat @ tables.D2.reshape(_NMONO, -1)).reshape(batch, n * npts, 9)
+    vals, grads = _values_gradients(coeffs, grad_lambda, tables)
+    # The Hessian contracts the second derivatives with grad_lambda (x) grad_lambda.
+    d2 = (coeffs.reshape(-1, _NMONO) @ tables.D2.reshape(_NMONO, -1)).reshape(batch, n * npts, 9)
     outer = grad_lambda[:, :, None, :, None] * grad_lambda[:, None, :, None, :]
-    grads = (d1 @ grad_lambda).reshape(-1, n, npts, 2)
     hess = (d2 @ outer.reshape(-1, 9, 4)).reshape(-1, n, npts, 2, 2)
-    return coeffs @ tables.M, grads, hess
+    return vals, grads, hess
 
 
 def _edge_bary(i, t):
@@ -159,6 +182,28 @@ def _edge_bary(i, t):
 _VERTEX_TABLES = MonoTables(np.eye(3))
 # The three-point Gauss rule on local edges 0, 1, 2, edge-major.
 EDGE_TABLES = MonoTables(np.vstack([_edge_bary(i, _EDGE3.points) for i in range(3)]))
+# The points every degree-of-freedom functional reads: the three vertices,
+# the three edge midpoints, then the six-point Gauss rule on local edges
+# 0, 1, 2, edge-major (24 points).
+DOF_TABLES = MonoTables(
+    np.vstack(
+        [np.eye(3)]
+        + [_edge_bary(i, [0.5]) for i in range(3)]
+        + [_edge_bary(i, _EDGE6.points) for i in range(3)]
+    )
+)
+
+
+def _edge_moments(edge_grads, directions, weights):
+    """Weighted edge sums of directional derivatives, shape (T, n, 3).
+
+    ``edge_grads`` (T, n, 3 p, 2) holds gradients at ``p`` points per local
+    edge, edge-major; entry ``[t, a, i]`` is ``sum_p weights[p] *
+    edge_grads[t, a, i, p] . directions[t, i]``.
+    """
+    grads = edge_grads.reshape(edge_grads.shape[:2] + (3, len(weights), 2))
+    dn = (grads @ directions[:, None, :, :, None])[..., 0]
+    return dn @ weights
 
 
 def edge_normal_moments(coeffs, geom: ElementGeometry, normals, weights):
@@ -167,10 +212,8 @@ def edge_normal_moments(coeffs, geom: ElementGeometry, normals, weights):
     Entry ``[t, a, i]`` is ``sum_p weights[p] * grad(p_a)(x_p) . normals[t, i]``
     over the three Gauss points ``x_p`` of local edge ``i``.
     """
-    _, grads, _ = evaluate(coeffs, geom.grad_lambda, EDGE_TABLES)
-    grads = grads.reshape(grads.shape[:2] + (3, _EDGE3.npoints, 2))
-    dn = (grads @ normals[:, None, :, :, None])[..., 0]
-    return dn @ weights
+    _, grads = _values_gradients(coeffs, geom.grad_lambda, EDGE_TABLES)
+    return _edge_moments(grads, normals, weights)
 
 
 class ElementKind(str, Enum):
@@ -186,7 +229,8 @@ class DofDescriptor:
     ``kind`` is one of ``value``, ``grad_x``, ``grad_y``, ``normal_moment``,
     ``median_moment``; ``entity`` is ``vertex``, ``midpoint`` or ``edge``
     with local index ``index``.  For ``normal_moment`` the ``sign`` times
-    the outward normal gives the direction the functional uses.
+    the outward normal gives the direction the functional uses.  The
+    functionals themselves are applied by :func:`apply_dofs`.
     """
 
     kind: str
@@ -197,12 +241,14 @@ class DofDescriptor:
 
 @dataclass(frozen=True)
 class LocalBasis:
-    """Shapes on one element, dual to the listed degrees of freedom."""
+    """Shapes on one element, dual to the listed degrees of freedom;
+    ``signs`` are the edge normal signs of its edge functionals."""
 
     family: str
     geom: ElementGeometry
     coeffs: np.ndarray
     dofs: tuple
+    signs: np.ndarray
 
     @property
     def nloc(self) -> int:
@@ -285,6 +331,16 @@ def _dofs(kind, signs):
     return tuple(dofs)
 
 
+# The ntw_affine shapes do not depend on the triangle.
+_NTW_AFFINE = np.vstack(
+    [
+        [_vec({_unit(i, 2): 2.0, _unit(i): -1.0, _B: 6.0, _shift(_B, i): -6.0}) for i in range(3)],
+        _NTW_MIDPOINT,
+        6.0 * _RAMPS,
+    ]
+)
+
+
 def ntw_basis(geom: ElementGeometry, signs=None) -> LocalBasis:
     """Nine shapes: vertex values, midpoint values, edge normal moments."""
     return build_basis(ElementKind.NTW, geom, signs)
@@ -299,11 +355,9 @@ def ntw_affine_basis(geom: ElementGeometry) -> LocalBasis:
     interpolants coincide (see :func:`verify_affine_identity`), which is
     what makes the family amenable to scaling arguments.
     """
-    vertex = [{_unit(i, 2): 2.0, _unit(i): -1.0, _B: 6.0, _shift(_B, i): -6.0} for i in range(3)]
-    coeffs = np.vstack([[_vec(p) for p in vertex], _NTW_MIDPOINT, 6.0 * _RAMPS])
     dofs = _dofs(ElementKind.NTW, np.ones(3))[:6]
     dofs += tuple(DofDescriptor("median_moment", "edge", i) for i in range(3))
-    return LocalBasis("ntw_affine", geom, coeffs, dofs)
+    return LocalBasis("ntw_affine", geom, _NTW_AFFINE, dofs, np.ones(3))
 
 
 def _legendre2(t):
@@ -347,7 +401,7 @@ def _specht_coeffs(geom: ElementGeometry) -> np.ndarray:
     """Solve the 12 by 12 systems that couple the nine degrees of freedom
     with the three edge constraints ``int_0^1 P2(2t - 1) dn(p) dt = 0``."""
     ntri = len(geom.grad_lambda)
-    vals, grads, _ = evaluate(_SPECHT_GENS[None], geom.grad_lambda, _VERTEX_TABLES)
+    vals, grads = _values_gradients(_SPECHT_GENS[None], geom.grad_lambda, _VERTEX_TABLES)
     system = np.empty((ntri, 12, 12))
     # Rows 3 v, 3 v + 1, 3 v + 2: value, grad_x, grad_y at vertex v.
     system[:, 0:9:3] = vals[0].T
@@ -399,7 +453,7 @@ def build_basis(kind: ElementKind, geom: ElementGeometry, signs=None) -> LocalBa
     kind = ElementKind(kind)
     signs = np.ones(3) if signs is None else np.asarray(signs)
     coeffs = basis_coefficients(kind, geom.batch_of_one(), signs[None])[0]
-    return LocalBasis(kind.value, geom, coeffs, _dofs(kind, signs))
+    return LocalBasis(kind.value, geom, coeffs, _dofs(kind, signs), signs)
 
 
 def pi1_map(basis: LocalBasis) -> np.ndarray:
@@ -416,86 +470,111 @@ def pi1_map(basis: LocalBasis) -> np.ndarray:
     return out
 
 
-def apply_dof(dof: DofDescriptor, geom: ElementGeometry, value_fn, grad_fn):
-    """Apply a degree-of-freedom functional to a smooth scalar function.
+def dof_points(geom: ElementGeometry) -> np.ndarray:
+    """Physical coordinates of the points of :data:`DOF_TABLES`: (24, 2)
+    for one triangle, (T, 24, 2) for a batch."""
+    return DOF_TABLES.bary @ geom.vertices
 
-    ``value_fn(xy)`` and ``grad_fn(xy)`` take points of shape (n, 2) and
-    return values (n,) and gradients (n, 2).  Edge moments use the
-    six-point Gauss rule.
+
+def apply_dofs(family, values, grads, geom: ElementGeometry, signs) -> np.ndarray:
+    """The degree-of-freedom functionals of ``family`` applied to sampled
+    functions, on a batch of ``T`` triangles.
+
+    ``values`` (T, m, 24) and ``grads`` (T, m, 24, 2) sample ``m``
+    functions per triangle at the points of :data:`DOF_TABLES`; ``signs``
+    are the (T, 3) edge normal signs.  ``family`` is an
+    :class:`ElementKind` or ``"ntw_affine"``.  Returns (T, m, n) in the
+    local degree-of-freedom order of ``family``: the coefficients of the
+    interpolants of the ``m`` functions.
     """
-    if dof.entity == "vertex":
-        xy = geom.vertices[dof.index][None, :]
-        if dof.kind == "value":
-            return float(np.asarray(value_fn(xy)).ravel()[0])
-        if dof.kind == "grad_x":
-            return float(np.asarray(grad_fn(xy)).reshape(-1, 2)[0, 0])
-        if dof.kind == "grad_y":
-            return float(np.asarray(grad_fn(xy)).reshape(-1, 2)[0, 1])
-    if dof.entity == "midpoint":
-        xy = geom.midpoints[dof.index][None, :]
-        return float(np.asarray(value_fn(xy)).ravel()[0])
-    if dof.entity == "edge":
-        i = dof.index
-        bary = _edge_bary(i, _EDGE6.points)
-        grads = np.asarray(grad_fn(bary @ geom.vertices)).reshape(-1, 2)
-        if dof.kind == "normal_moment":
-            direction = dof.sign * geom.normals[i]
-        else:  # median_moment: from the opposite vertex to the edge midpoint
-            direction = geom.midpoints[i] - geom.vertices[i]
-        return float((grads @ direction) @ _EDGE6.weights)
-    raise ValueError(f"unhandled dof {dof!r}")
+    vertex = values[..., :3]
+    if family == ElementKind.SPECHT:
+        # Value, grad_x and grad_y at each vertex in turn.
+        parts = np.stack([vertex, grads[..., :3, 0], grads[..., :3, 1]], axis=-1)
+        return parts.reshape(parts.shape[:-2] + (9,))
+    if family == "ntw_affine":
+        # From the opposite vertex to the edge midpoint.
+        directions = geom.midpoints - geom.vertices
+    else:
+        directions = signs[..., None] * geom.normals
+    moments = _edge_moments(grads[..., 6:, :], directions, _EDGE6.weights)
+    if family == ElementKind.MORLEY:
+        return np.concatenate([vertex, moments], axis=-1)
+    return np.concatenate([vertex, values[..., 3:6], moments], axis=-1)
 
 
 def interpolate(basis: LocalBasis, value_fn, grad_fn) -> np.ndarray:
-    """Local coefficient vector of the interpolant of a smooth function."""
-    return np.array([apply_dof(d, basis.geom, value_fn, grad_fn) for d in basis.dofs])
+    """Local coefficient vector of the interpolant of a smooth function.
 
-
-def duality_residual(basis: LocalBasis) -> float:
-    """Max deviation of the dof/shape pairing from the identity matrix."""
-    geom = basis.geom
-    n = basis.nloc
-    M = np.empty((n, n))
-    for a in range(n):
-        value_fn = lambda xy, a=a: basis.values(geom.to_bary(np.atleast_2d(xy)))[a]
-        grad_fn = lambda xy, a=a: basis.gradients(geom.to_bary(np.atleast_2d(xy)))[a]
-        for d, dof in enumerate(basis.dofs):
-            M[d, a] = apply_dof(dof, geom, value_fn, grad_fn)
-    return float(np.abs(M - np.eye(n)).max())
-
-
-def specht_constraint_residual(basis: LocalBasis) -> float:
-    """Largest edge moment of the normal derivative against the quadratic
-    Legendre weight, normalized by the gradient scale on the edges."""
-    geom = basis.geom
-    leg = _legendre2(_EDGE6.points)
-    residual = 0.0
-    gscale = 0.0
-    for i in range(3):
-        bary = _edge_bary(i, _EDGE6.points)
-        grads = basis.gradients(bary)
-        gscale = max(gscale, np.abs(grads).max())
-        dn = grads @ geom.normals[i]
-        residual = max(residual, np.abs((dn * leg) @ _EDGE6.weights).max())
-    return residual / max(gscale, 1.0)
-
-
-# Barycentric sample points of verify_affine_identity: seven per side.
-_SIDE = np.linspace(0.0, 1.0, 7)
-_LATTICE = np.array([(a, b, 1.0 - a - b) for a in _SIDE for b in _SIDE if a + b <= 1.0 + 1e-12])
-
-
-def verify_affine_identity(geom: ElementGeometry, value_fn, grad_fn) -> float:
-    """Max deviation between the ntw interpolant and its affine relative.
-
-    Both interpolants of the same smooth function are evaluated on a
-    barycentric lattice; the two agree identically because the
-    median-derivative moments are linear combinations of the normal moments
-    and the vertex values.
+    ``value_fn(xy)`` and ``grad_fn(xy)`` take points of shape (q, 2) and
+    return values (q,) and gradients (q, 2); they are called once, on the
+    points of :func:`dof_points`.  A batch of one of :func:`apply_dofs`.
     """
-    normal = ntw_basis(geom)
-    affine = ntw_affine_basis(geom)
-    c_normal = interpolate(normal, value_fn, grad_fn)
-    c_affine = interpolate(affine, value_fn, grad_fn)
-    diff = c_normal @ normal.values(_LATTICE) - c_affine @ affine.values(_LATTICE)
-    return float(np.abs(diff).max())
+    xy = dof_points(basis.geom)
+    values = np.asarray(value_fn(xy), dtype=float).reshape(1, 1, -1)
+    grads = np.asarray(grad_fn(xy), dtype=float).reshape(1, 1, -1, 2)
+    one = basis.geom.batch_of_one()
+    return apply_dofs(basis.family, values, grads, one, basis.signs[None])[0, 0]
+
+
+def dof_matrices(family, geom: ElementGeometry, signs=None) -> np.ndarray:
+    """(T, n, n) functionals applied to shapes on a batch of triangles.
+
+    Entry ``[t, d, a]`` is degree of freedom ``d`` of shape ``a`` on
+    triangle ``t``; unisolvence makes every matrix the identity.
+    ``family`` is an :class:`ElementKind` or ``"ntw_affine"``.
+    """
+    if signs is None:
+        signs = np.ones((len(geom.vertices), 3))
+    if family == "ntw_affine":
+        coeffs = _NTW_AFFINE[None]
+    else:
+        coeffs = basis_coefficients(family, geom, signs)
+    vals, grads = _values_gradients(coeffs, geom.grad_lambda, DOF_TABLES)
+    vals = np.broadcast_to(vals, grads.shape[:-1])
+    return apply_dofs(family, vals, grads, geom, signs).swapaxes(1, 2)
+
+
+def duality_residual(family, geom: ElementGeometry, signs=None) -> np.ndarray:
+    """Per triangle of a batch, the max deviation of the dof/shape pairing
+    from the identity matrix; shape (T,)."""
+    mats = dof_matrices(family, geom, signs)
+    return np.abs(mats - np.eye(mats.shape[-1])).max(axis=(1, 2))
+
+
+def specht_constraint_residual(geom: ElementGeometry) -> np.ndarray:
+    """Per triangle of a batch, the largest edge moment of a specht shape's
+    normal derivative against the quadratic Legendre weight, normalized by
+    the gradient scale on the edges (at least 1); shape (T,)."""
+    coeffs = basis_coefficients(ElementKind.SPECHT, geom, None)
+    _, grads = _values_gradients(coeffs, geom.grad_lambda, DOF_TABLES)
+    edge = grads[..., 6:, :]
+    moments = _edge_moments(edge, geom.normals, _legendre2(_EDGE6.points) * _EDGE6.weights)
+    gscale = np.abs(edge).max(axis=(1, 2, 3))
+    return np.abs(moments).max(axis=(1, 2)) / np.maximum(gscale, 1.0)
+
+
+# Monomial values at the barycentric sample points of
+# verify_affine_identity: a lattice of seven points per side.
+_SIDE = np.linspace(0.0, 1.0, 7)
+_LATTICE = _mono_values(
+    [(a, b, 1.0 - a - b) for a in _SIDE for b in _SIDE if a + b <= 1.0 + 1e-12]
+)
+
+
+def verify_affine_identity(geom: ElementGeometry, values, grads) -> np.ndarray:
+    """Per triangle of a batch, the max deviation between the ntw
+    interpolant and its affine relative; shape (T,).
+
+    ``values`` (T, 24) and ``grads`` (T, 24, 2) sample one smooth function
+    per triangle at its :func:`dof_points`.  Both interpolants are
+    evaluated on a barycentric lattice; the two agree identically because
+    the median-derivative moments are linear combinations of the normal
+    moments and the vertex values.
+    """
+    values, grads = values[:, None], grads[:, None]
+    signs = np.ones((len(values), 3))
+    normal = basis_coefficients(ElementKind.NTW, geom, signs)
+    c_normal = apply_dofs(ElementKind.NTW, values, grads, geom, signs) @ normal
+    c_affine = apply_dofs("ntw_affine", values, grads, geom, signs) @ _NTW_AFFINE
+    return np.abs((c_normal - c_affine) @ _LATTICE).max(axis=(1, 2))

@@ -8,12 +8,15 @@ it is used to check.
 
 import numpy as np
 
+from .elements import dof_points
 from .mesh import ElementGeometry, triangle_geometry
 
 __all__ = [
     "boundary_points",
     "random_geometry",
+    "random_geometries",
     "random_quartic",
+    "random_quartic_samples",
     "richardson_laplacian",
     "richardson_grad_div",
     "fd_source",
@@ -48,6 +51,31 @@ def random_geometry(rng) -> ElementGeometry:
         geom = triangle_geometry(coords)
         if geom.chunkiness < 12.0:
             return geom
+
+
+def random_geometries(rng, count: int) -> ElementGeometry:
+    """``count`` triangles of :func:`random_geometry`, drawn in turn, as
+    one batch."""
+    return triangle_geometry(np.stack([random_geometry(rng).vertices for _ in range(count)]))
+
+
+def random_quartic_samples(rng, count: int):
+    """``count`` random triangles, each followed by a random quartic in the
+    draw order, as one batch.
+
+    Returns the batch geometry and each quartic's values (T, 24) and
+    gradients (T, 24, 2) at the degree-of-freedom points of its own
+    triangle (:func:`~sgfem.elements.dof_points`).
+    """
+    vertices, values, grads = [], [], []
+    for _ in range(count):
+        geom = random_geometry(rng)
+        value, grad = random_quartic(rng)
+        xy = dof_points(geom)
+        vertices.append(geom.vertices)
+        values.append(value(xy))
+        grads.append(grad(xy))
+    return triangle_geometry(np.stack(vertices)), np.stack(values), np.stack(grads)
 
 
 def random_quartic(rng):

@@ -20,6 +20,40 @@ def run_cli(argv, capsys):
 
 SMALL = ["--element", "morley", "--mesh", "structured:2"]
 
+VERIFY_ALL_LABELS = [
+    "korn sampled minimum",
+    "korn directed minimum",
+    "korn extremal direction",
+    "ntw duality",
+    "specht duality",
+    "morley duality",
+    "specht edge constraints",
+    "ntw affine identity",
+    "coercivity ntw iota=1",
+    "coercivity ntw iota=0.01",
+    "coercivity ntw iota=1e-06",
+    "coercivity specht iota=1",
+    "coercivity specht iota=0.01",
+    "coercivity specht iota=1e-06",
+    "coercivity morley iota=1",
+    "coercivity morley iota=0.01",
+    "coercivity morley iota=1e-06",
+    "jumps ntw",
+    "jump detector ntw",
+    "jumps specht",
+    "jump detector specht",
+    "jumps morley",
+    "jump detector morley",
+    "clamping smooth",
+    "clamping layer iota=1",
+    "clamping layer iota=1e-2",
+    "clamping layer iota=1e-6",
+    "source smooth iota=1",
+    "source smooth iota=0.01",
+    "source layer iota=1",
+    "source layer iota=0.01",
+]
+
 
 class TestConvergenceCommand:
     def test_csv_header_and_rate_column(self, capsys):
@@ -135,6 +169,36 @@ class TestExitCodes:
         assert rc == 1
 
 
+def write_mesh(path, mesh):
+    lines = [f"{mesh.num_vertices} {mesh.num_triangles}"]
+    lines += [f"{float(x)!r} {float(y)!r}" for x, y in mesh.vertices]
+    lines += [" ".join(map(str, tri)) for tri in mesh.triangles]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestFileMeshes:
+    def test_unit_square_mesh_accepted(self, tmp_path, capsys):
+        path = tmp_path / "square.txt"
+        write_mesh(path, make_structured(2))
+        argv = ["convergence", "--element", "morley", "--mesh", f"file:{path}"]
+        rc, out, _ = run_cli(argv + ["--iota", "0.5", "--levels", "1"], capsys)
+        assert rc == 0
+        assert len(out.strip().splitlines()) == 2
+
+    @pytest.mark.parametrize(
+        "scale, message",
+        [((2.0, 1.0), "unit square"), ((0.5, 1.0), "cover the unit square")],
+    )
+    def test_other_domains_rejected(self, tmp_path, capsys, scale, message):
+        base = make_structured(2)
+        path = tmp_path / "domain.txt"
+        write_mesh(path, Mesh(base.vertices * scale, base.triangles))
+        argv = ["solve", "--element", "ntw", "--mesh", f"file:{path}"]
+        rc, _, err = run_cli(argv, capsys)
+        assert rc == 1
+        assert message in err
+
+
 class TestVerifyCommand:
     def test_korn_suite_reports_bound(self, capsys):
         rc, out, _ = run_cli(["verify", "korn"], capsys)
@@ -142,6 +206,15 @@ class TestVerifyCommand:
         assert "0.292893" in out
         assert out.count("PASS") == 3
         assert "FAIL" not in out
+
+
+    def test_all_suites_print_every_check(self, capsys):
+        """`verify all` prints one PASS line per check, in this order; the
+        benchmark counts 31 of them."""
+        rc, out, _ = run_cli(["verify", "all", "--seed", "0"], capsys)
+        assert rc == 0
+        labels = [line.split(":", 1)[0] for line in out.splitlines()]
+        assert labels == [f"PASS {label}" for label in VERIFY_ALL_LABELS]
 
 
 class TestSolveCommand:

@@ -4,8 +4,8 @@
 example ``sgfem.cli.assemble`` and ``sgfem.solver.spla``) while a traced
 command runs.  A renamed or deleted attribute breaks traced benchmark runs
 only, so these tests run small commands under the tracer.  The spans also
-show whether a per-element loop came back into assembly or the energy
-error.
+show whether a per-element loop came back into assembly, the energy error
+or the element checks.
 """
 
 from pathlib import Path
@@ -52,3 +52,14 @@ def test_study_runs_no_per_element_loops(monkeypatch, capsys, kind):
         while parent >= 0:
             assert spans[parent][0] not in {"assembly.assemble", "analysis.energy_error"}
             parent = spans[parent][3]
+
+
+def test_element_checks_run_as_batches(monkeypatch, capsys):
+    """The elements suite checks all its random triangles in one batch per
+    check: a handful of ``elements.checks`` spans, so the per-layer
+    ``elements.checks_s`` metric still sees them, and no basis built per
+    triangle."""
+    spans = traced_spans(monkeypatch, capsys, ["verify", "elements", "--seed", "0"])
+    names = [span[0] for span in spans]
+    assert 1 <= names.count("elements.checks") <= 5
+    assert "elements.basis" not in names
