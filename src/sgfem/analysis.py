@@ -7,6 +7,11 @@ gradient of the linear vertex interpolant that its membrane form uses.  The
 relative error divides by the same norm of the exact field computed with
 the same quadrature.
 
+Every mesh-level function takes a :class:`~sgfem.assembly.DofMap`, which
+carries the geometry and shape coefficients of one family on one mesh, so
+a study builds them once per mesh and shares them across every ``iota``,
+the solve and the energy error.
+
 The inequality checks certify, numerically and with independently
 assembled right-hand sides, the three structural facts the convergence
 theory rests on: the pointwise bound ``|grad eps(v)|^2 >= (1 - 1/sqrt(2))
@@ -20,18 +25,11 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 import scipy.optimize
 
-from .assembly import MaterialParams, assemble, build_dofmap, sum_blocks
-from .elements import (
-    MORLEY_PI1,
-    ElementKind,
-    MonoTables,
-    basis_coefficients,
-    edge_normal_moments,
-    evaluate,
-)
+from .assembly import DofMap, MaterialParams, assemble, build_dofmap, sum_blocks
+from .elements import MORLEY_PI1, ElementKind, MonoTables, edge_normal_moments, evaluate
 from .elements import build_basis  # noqa: F401  (bound for the benchmark tracer, which wraps it)
 from .manufactured import ManufacturedField, example_field, source
-from .mesh import ElementGeometry, Mesh, mesh_geometry, refine
+from .mesh import ElementGeometry, Mesh, refine
 from .mesh import element_geometry  # noqa: F401  (bound for the benchmark tracer, which wraps it)
 from .quadrature import edge_rule, triangle_rule
 from .solver import SolverError, solve
@@ -77,23 +75,20 @@ def local_coefficients(dofmap, full_dofs: np.ndarray) -> np.ndarray:
     return np.stack([full_dofs[ids], full_dofs[ids + 1]], axis=-1)
 
 
-def energy_error(mesh: Mesh, kind, full_dofs: np.ndarray, field: ManufacturedField):
+def energy_error(dofmap: DofMap, full_dofs: np.ndarray, field: ManufacturedField):
     """Absolute and relative energy error of a discrete solution.
 
     ``full_dofs`` is the full coefficient vector (boundary entries
     included, normally zero).  Returns ``(absolute, relative)``.
     """
-    kind = ElementKind(kind)
-    dofmap = build_dofmap(mesh, kind)
     full_dofs = np.asarray(full_dofs, dtype=float)
     if full_dofs.shape != (dofmap.n_vector,):
         raise ValueError(
             f"dof vector has shape {full_dofs.shape}, expected ({dofmap.n_vector},)"
         )
-    geom = mesh_geometry(mesh)
-    coeffs = basis_coefficients(kind, geom, dofmap.signs)
+    geom = dofmap.geom
     # Each displacement component on each element as one polynomial.
-    poly = np.einsum("tac,tam->tcm", local_coefficients(dofmap, full_dofs), coeffs)
+    poly = np.einsum("tac,tam->tcm", local_coefficients(dofmap, full_dofs), dofmap.coeffs)
     _, G, H = evaluate(poly, geom.grad_lambda, _ERROR_TABLES)
     xy = (_ERROR_RULE.points @ geom.vertices).reshape(-1, 2)
     w = (geom.area[:, None] * _ERROR_RULE.weights).ravel()
@@ -152,20 +147,20 @@ def convergence_study(
     mu: float = 1.0,
     mesh_desc: str = "structured",
 ):
-    """Refine, solve and measure for each iota; one report per iota."""
+    """Refine, solve and measure for each iota; one report per iota.
+
+    Levels are the outer loop: each mesh gets one :class:`DofMap`, shared
+    by every iota's assembly and energy error, and only one level's shape
+    coefficients are alive at a time.
+    """
     kind = ElementKind(kind)
     if levels < 1:
         raise ValueError("levels must be at least 1")
-    meshes = [base_mesh]
-    for _ in range(levels - 1):
-        meshes.append(refine(meshes[-1]))
-
-    reports = []
-    for iota in iotas:
-        mat = MaterialParams(lam=lam, mu=mu, iota=float(iota))
-        field = example_field(example, mat)
-        f = source(field)
-        report = ConvergenceReport(
+    mats = [MaterialParams(lam=lam, mu=mu, iota=float(iota)) for iota in iotas]
+    fields = [example_field(example, mat) for mat in mats]
+    sources = [source(field) for field in fields]
+    reports = [
+        ConvergenceReport(
             kind=kind.value,
             example=example,
             iota=float(iota),
@@ -173,16 +168,20 @@ def convergence_study(
             mu=mu,
             mesh_desc=mesh_desc,
         )
-        errors = []
-        for level, mesh in enumerate(meshes):
-            system = assemble(mesh, kind, mat, f)
+        for iota in iotas
+    ]
+    mesh = base_mesh
+    for level in range(levels):
+        if level:
+            mesh = refine(mesh)
+        dofmap = build_dofmap(mesh, kind)
+        for report, mat, field, f in zip(reports, mats, fields, sources):
+            system = assemble(dofmap, mat, f)
             try:
                 result = solve(system)
             except SolverError as exc:
-                raise SolverError(f"iota={iota} level={level}: {exc}") from exc
-            full = system.expand(result.solution)
-            abs_err, rel_err = energy_error(mesh, kind, full, field)
-            errors.append(rel_err)
+                raise SolverError(f"iota={report.iota} level={level}: {exc}") from exc
+            abs_err, rel_err = energy_error(dofmap, system.expand(result.solution), field)
             report.rows.append(
                 ConvergenceRow(
                     level=level,
@@ -193,9 +192,10 @@ def convergence_study(
                     rate=None,
                 )
             )
-        for row, rate in zip(report.rows, rates_from_errors(errors)):
+    for report in reports:
+        rates = rates_from_errors([row.rel_energy_err for row in report.rows])
+        for row, rate in zip(report.rows, rates):
             row.rate = rate
-        reports.append(report)
     return reports
 
 
@@ -208,8 +208,7 @@ def korn_ratio(D: np.ndarray):
     D = np.asarray(D, dtype=float)
     sym = 0.5 * (D + np.swapaxes(D, -3, -2))
     num = np.einsum("...ijk,...ijk->...", sym, sym)
-    mask = np.array([[1.0, 1.0], [0.0, 1.0]])
-    den = np.einsum("...ijk,...ijk,jk->...", D, D, mask)
+    den = np.einsum("...ijk,...ijk,jk->...", D, D, _DISTINCT)
     return num / den
 
 
@@ -271,22 +270,19 @@ def gram_blocks(coeffs, geom: ElementGeometry, morley: bool):
     return g_sc, h_sc
 
 
-def _gram_matrices(mesh: Mesh, kind: ElementKind):
+def _gram_matrices(dofmap: DofMap):
     """Reduced Gram matrices of the broken gradient and distinct-entry
     Hessian inner products, assembled with a quadrature rule and a
     contraction independent of the stiffness path."""
-    dofmap = build_dofmap(mesh, kind)
-    geom = mesh_geometry(mesh)
-    coeffs = basis_coefficients(kind, geom, dofmap.signs)
     retained = np.flatnonzero(~np.repeat(dofmap.boundary, 2))
     # The same scalar block acts on each displacement component.
-    blocks = gram_blocks(coeffs, geom, kind is ElementKind.MORLEY)
+    blocks = gram_blocks(dofmap.coeffs, dofmap.geom, dofmap.kind is ElementKind.MORLEY)
     return tuple(
         sum_blocks(dofmap, np.kron(block, np.eye(2)))[retained][:, retained] for block in blocks
     )
 
 
-def coercivity_check(mesh: Mesh, kind, mat: MaterialParams, n_trials: int, seed: int = 0):
+def coercivity_check(dofmap: DofMap, mat: MaterialParams, n_trials: int, seed: int = 0):
     """Minimum of a_h(v,v) over the coercivity bound for random fields.
 
     The bound is ``(2 - sqrt(2)) mu (||grad v||^2 + iota^2 ||grad^2 v||^2)``
@@ -294,13 +290,12 @@ def coercivity_check(mesh: Mesh, kind, mat: MaterialParams, n_trials: int, seed:
     constant ``mu/2`` and the vertex-interpolant gradient.  Values at or
     above 1 confirm the inequality.
     """
-    kind = ElementKind(kind)
-    system = assemble(mesh, kind, mat, lambda xy: np.zeros_like(xy))
+    system = assemble(dofmap, mat, lambda xy: np.zeros_like(xy))
     n = system.matrix.shape[0]
     if n == 0:
         return np.inf
-    Gm, Hm = _gram_matrices(mesh, kind)
-    constant = 0.5 if kind is ElementKind.MORLEY else 2.0 - np.sqrt(2.0)
+    Gm, Hm = _gram_matrices(dofmap)
+    constant = 0.5 if dofmap.kind is ElementKind.MORLEY else 2.0 - np.sqrt(2.0)
     i2 = mat.iota**2
     rng = np.random.default_rng(seed)
     worst = np.inf
@@ -323,7 +318,7 @@ def edge_means(coeffs, geom: ElementGeometry, local_coeffs, normals):
     return edge_normal_moments(poly, geom, normals, _EDGE_WEIGHTS).swapaxes(1, 2)
 
 
-def edge_mean_jumps(mesh: Mesh, kind, local_coeffs: np.ndarray):
+def edge_mean_jumps(dofmap: DofMap, local_coeffs: np.ndarray):
     """Mean normal-derivative jumps across interior edges.
 
     ``local_coeffs`` has shape (ntri, nloc, 2); the normal is the fixed
@@ -332,10 +327,9 @@ def edge_mean_jumps(mesh: Mesh, kind, local_coeffs: np.ndarray):
     interior edge and two columns (one per displacement component), and
     scale is the largest one-sided mean magnitude.
     """
-    kind = ElementKind(kind)
-    geom = mesh_geometry(mesh)
-    coeffs = basis_coefficients(kind, geom, mesh.tri_edge_signs)
-    means = edge_means(coeffs, geom, local_coeffs, mesh.edge_normals[mesh.tri_edges])
+    mesh = dofmap.mesh
+    normals = mesh.edge_normals[mesh.tri_edges]
+    means = edge_means(dofmap.coeffs, dofmap.geom, local_coeffs, normals)
     # Side 0 of an edge is edge_tris[e, 0], side 1 the other triangle.
     own = np.arange(mesh.num_triangles)[:, None]
     side = (mesh.edge_tris[mesh.tri_edges, 1] == own).astype(np.int64)
@@ -346,23 +340,21 @@ def edge_mean_jumps(mesh: Mesh, kind, local_coeffs: np.ndarray):
     return interior[:, 0] - interior[:, 1], scale
 
 
-def jump_check(mesh: Mesh, kind, n_trials: int, seed: int = 0, corrupt: bool = False):
+def jump_check(dofmap: DofMap, n_trials: int, seed: int = 0, corrupt: bool = False):
     """Largest normalized mean jump over random conforming fields.
 
     With ``corrupt=True`` one element's coefficients are perturbed
     directly, bypassing the shared degrees of freedom; the result must
     then be far from zero (negative control for the detector).
     """
-    kind = ElementKind(kind)
-    dofmap = build_dofmap(mesh, kind)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_trials):
         full = rng.normal(size=dofmap.n_vector)
         coeffs = local_coefficients(dofmap, full)
         if corrupt:
-            t = int(rng.integers(mesh.num_triangles))
+            t = int(rng.integers(dofmap.mesh.num_triangles))
             coeffs[t] += rng.normal(size=coeffs[t].shape)
-        jumps, scale = edge_mean_jumps(mesh, kind, coeffs)
+        jumps, scale = edge_mean_jumps(dofmap, coeffs)
         worst = max(worst, np.abs(jumps).max() / max(scale, 1.0))
     return float(worst)

@@ -16,14 +16,16 @@ The morley family uses the modified form in which the membrane part acts
 on the elementwise linear interpolant of the arguments and the load pairs
 ``f`` with that interpolant.
 
-Assembly is one batch over all triangles: geometry, shape coefficients,
-element matrices and loads are arrays with a leading triangle axis, ``f``
-is evaluated once on all quadrature points, and one COO to CSR conversion
-sums the blocks.  The per-element functions are batches of one of the same
-kernels.
+A :class:`DofMap` is one family on one mesh: besides the degree-of-freedom
+layout it carries the mesh's geometry and the family's shape coefficients,
+computed once by :func:`build_dofmap` and shared by assembly, the energy
+error, the Gram matrices, the edge jumps and the probes.  Assembly is one
+batch over all triangles: element matrices and loads are arrays with a
+leading triangle axis, ``f`` is evaluated once on all quadrature points,
+and one COO to CSR conversion sums the blocks.  The per-element functions
+are batches of one of the same kernels.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,12 +85,15 @@ class MaterialParams:
 
 @dataclass(frozen=True)
 class DofMap:
-    """Scalar degree-of-freedom layout for one family on one mesh.
+    """One family on one mesh: degree-of-freedom layout, geometry and shapes.
 
     ``scatter[t]`` lists the global scalar ids of element ``t`` in the
     local order of the family basis; ``boundary`` flags the scalar ids
     whose entity lies on the domain boundary; ``signs`` are the per-element
-    edge normal signs that orient moment degrees of freedom.
+    edge normal signs that orient moment degrees of freedom.  ``geom`` is
+    the batched geometry of every triangle of ``mesh`` and ``coeffs`` the
+    (T, nloc, nmono) shape coefficients on it; both are built once, by
+    :func:`build_dofmap`, and every mesh-level computation reads them.
     """
 
     kind: ElementKind
@@ -96,6 +101,9 @@ class DofMap:
     scatter: np.ndarray
     boundary: np.ndarray
     signs: np.ndarray
+    mesh: Mesh
+    geom: ElementGeometry
+    coeffs: np.ndarray
 
     @property
     def nloc(self) -> int:
@@ -107,6 +115,7 @@ class DofMap:
 
 
 def build_dofmap(mesh: Mesh, kind) -> DofMap:
+    """The degree-of-freedom layout, geometry and shapes of ``kind`` on ``mesh``."""
     kind = ElementKind(kind)
     tris = mesh.triangles
     nv, ne = mesh.num_vertices, mesh.num_edges
@@ -124,12 +133,16 @@ def build_dofmap(mesh: Mesh, kind) -> DofMap:
         n_scalar = nv + ne
         scatter = np.hstack([tris, nv + mesh.tri_edges])
         boundary = np.concatenate([mesh.vertex_is_boundary, mesh.edge_is_boundary])
+    geom = mesh_geometry(mesh)
     return DofMap(
         kind=kind,
         n_scalar=n_scalar,
         scatter=scatter.astype(np.int64),
         boundary=boundary,
         signs=mesh.tri_edge_signs,
+        mesh=mesh,
+        geom=geom,
+        coeffs=basis_coefficients(kind, geom, mesh.tri_edge_signs),
     )
 
 
@@ -147,7 +160,6 @@ class SparseSystem:
     retained: np.ndarray
     n_total: int
     dofmap: DofMap
-    assembly_seconds: float = field(default=0.0, compare=False)
     asymmetry: float = field(default=0.0, compare=False)
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
@@ -234,35 +246,20 @@ def sum_blocks(dofmap: DofMap, blocks: np.ndarray) -> sp.csr_matrix:
     return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
-def assemble(
-    mesh: Mesh,
-    kind,
-    mat: MaterialParams,
-    f,
-    clamp: bool = True,
-) -> SparseSystem:
+def assemble(dofmap: DofMap, mat: MaterialParams, f) -> SparseSystem:
     """Assemble the reduced system for one family on one mesh.
 
     ``f(xy)`` maps points of shape (q, 2) to load values of shape (q, 2).
-    With ``clamp=False`` no boundary condition is imposed and every degree
-    of freedom is retained (useful for energy diagnostics).  Raises
-    ``ValueError`` if the element matrices are not symmetric to
+    Raises ``ValueError`` if the element matrices are not symmetric to
     ``MAX_ASYMMETRY``.
     """
-    t0 = time.perf_counter()
-    kind = ElementKind(kind)
-    dofmap = build_dofmap(mesh, kind)
-    geom = mesh_geometry(mesh)
-    coeffs = basis_coefficients(kind, geom, dofmap.signs)
-    morley = kind is ElementKind.MORLEY
-    A = sum_blocks(dofmap, element_matrices(coeffs, geom, mat, morley))
+    morley = dofmap.kind is ElementKind.MORLEY
+    A = sum_blocks(dofmap, element_matrices(dofmap.coeffs, dofmap.geom, mat, morley))
     rhs = np.zeros(dofmap.n_vector)
-    np.add.at(rhs, _vector_ids(dofmap).ravel(), element_loads(coeffs, geom, f, morley).ravel())
+    loads = element_loads(dofmap.coeffs, dofmap.geom, f, morley)
+    np.add.at(rhs, _vector_ids(dofmap).ravel(), loads.ravel())
 
-    if clamp:
-        retained = np.flatnonzero(~np.repeat(dofmap.boundary, 2))
-    else:
-        retained = np.arange(dofmap.n_vector)
+    retained = np.flatnonzero(~np.repeat(dofmap.boundary, 2))
     reduced = A[retained][:, retained]
     asymmetry = float(abs(reduced - reduced.T).max() / abs(reduced).max()) if reduced.nnz else 0.0
     if not asymmetry <= MAX_ASYMMETRY:
@@ -276,6 +273,5 @@ def assemble(
         retained=retained,
         n_total=dofmap.n_vector,
         dofmap=dofmap,
-        assembly_seconds=time.perf_counter() - t0,
         asymmetry=asymmetry,
     )

@@ -68,7 +68,7 @@ class TestEnergyError:
 
         field = LinearField()
         full = interpolate_field(mesh, kind, field.displacement, field.gradient)
-        absolute, _ = energy_error(mesh, kind, full, field)
+        absolute, _ = energy_error(build_dofmap(mesh, kind), full, field)
         assert absolute <= 1e-11
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -76,7 +76,7 @@ class TestEnergyError:
         mesh = make_structured(2)
         field = example_smooth(MaterialParams(iota=0.5))
         dofmap = build_dofmap(mesh, kind)
-        absolute, relative = energy_error(mesh, kind, np.zeros(dofmap.n_vector), field)
+        absolute, relative = energy_error(dofmap, np.zeros(dofmap.n_vector), field)
         assert absolute > 0.0
         assert relative == pytest.approx(1.0, rel=1e-14)
 
@@ -84,7 +84,7 @@ class TestEnergyError:
         mesh = make_structured(2)
         field = example_smooth()
         with pytest.raises(ValueError):
-            energy_error(mesh, "ntw", np.zeros(7), field)
+            energy_error(build_dofmap(mesh, "ntw"), np.zeros(7), field)
 
 
 class TestRates:
@@ -177,32 +177,34 @@ class TestCoercivity:
     def test_random_fields_respect_bound(self, kind):
         mesh = make_structured(4)
         mat = MaterialParams(lam=10.0, mu=1.0, iota=1e-2)
-        worst = coercivity_check(mesh, kind, mat, n_trials=50, seed=3)
+        worst = coercivity_check(build_dofmap(mesh, kind), mat, n_trials=50, seed=3)
         assert worst >= 1.0 - 1e-9
 
     def test_lambda_zero_still_coercive(self):
         mesh = make_structured(4)
         mat = MaterialParams(lam=0.0, mu=1.0, iota=0.5)
-        assert coercivity_check(mesh, "ntw", mat, n_trials=20, seed=7) >= 1.0 - 1e-9
+        dofmap = build_dofmap(mesh, "ntw")
+        assert coercivity_check(dofmap, mat, n_trials=20, seed=7) >= 1.0 - 1e-9
 
 
 class TestJumps:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_conforming_fields_have_no_mean_jump(self, kind):
         mesh = make_structured(2)
-        assert jump_check(mesh, kind, n_trials=5, seed=11) <= 1e-10
+        assert jump_check(build_dofmap(mesh, kind), n_trials=5, seed=11) <= 1e-10
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_corrupted_field_detected(self, kind):
         mesh = make_structured(2)
-        assert jump_check(mesh, kind, n_trials=3, seed=13, corrupt=True) > 1e-6
+        dofmap = build_dofmap(mesh, kind)
+        assert jump_check(dofmap, n_trials=3, seed=13, corrupt=True) > 1e-6
 
     def test_jump_table_shape(self):
         mesh = make_structured(2)
         dofmap = build_dofmap(mesh, "morley")
         rng = np.random.default_rng(17)
         coeffs = local_coefficients(dofmap, rng.normal(size=dofmap.n_vector))
-        jumps, scale = edge_mean_jumps(mesh, "morley", coeffs)
+        jumps, scale = edge_mean_jumps(dofmap, coeffs)
         n_interior = int((~mesh.edge_is_boundary).sum())
         assert jumps.shape == (n_interior, 2)
         assert scale > 0.0

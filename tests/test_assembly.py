@@ -11,8 +11,11 @@ from sgfem.assembly import (
     assemble,
     build_dofmap,
     element_load,
+    element_loads,
+    element_matrices,
     element_stiffness,
     element_stiffness_morley,
+    sum_blocks,
 )
 from sgfem.elements import ElementKind, build_basis, interpolate
 from sgfem.mesh import element_geometry, make_structured
@@ -129,7 +132,7 @@ class TestDofMap:
         mat = MaterialParams()
         expected = {"ntw": 178, "specht": 54, "morley": 98}
         for kind, count in expected.items():
-            system = assemble(mesh, kind, mat, f)
+            system = assemble(build_dofmap(mesh, kind), mat, f)
             assert system.matrix.shape == (count, count)
             assert system.retained.size == count
 
@@ -155,7 +158,7 @@ class TestDofMap:
     def test_expand_round_trip(self):
         mesh = make_structured(2)
         mat = MaterialParams()
-        system = assemble(mesh, "specht", mat, lambda xy: np.ones_like(xy))
+        system = assemble(build_dofmap(mesh, "specht"), mat, lambda xy: np.ones_like(xy))
         x = np.arange(system.retained.size, dtype=float) + 1.0
         full = system.expand(x)
         assert full.shape == (system.n_total,)
@@ -246,7 +249,7 @@ class TestGlobalAssembly:
     def test_matrix_symmetric_and_positive_definite(self, kind):
         mesh = make_structured(2)
         mat = MaterialParams(lam=10.0, mu=1.0, iota=0.5)
-        system = assemble(mesh, kind, mat, lambda xy: np.ones_like(xy))
+        system = assemble(build_dofmap(mesh, kind), mat, lambda xy: np.ones_like(xy))
         A = system.matrix
         asym = (A - A.T).toarray()
         assert np.abs(asym).max() < 1e-12 * np.abs(A.toarray()).max()
@@ -255,10 +258,10 @@ class TestGlobalAssembly:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_asymmetric_element_matrices_raise(self, kind, monkeypatch):
-        mesh = make_structured(2)
+        dofmap = build_dofmap(make_structured(2), kind)
         mat = MaterialParams(iota=0.5)
         f = lambda xy: np.ones_like(xy)
-        assert assemble(mesh, kind, mat, f).asymmetry <= MAX_ASYMMETRY
+        assert assemble(dofmap, mat, f).asymmetry <= MAX_ASYMMETRY
         original = sgfem.assembly.element_matrices
         rng = np.random.default_rng(19)
 
@@ -269,7 +272,7 @@ class TestGlobalAssembly:
 
         monkeypatch.setattr(sgfem.assembly, "element_matrices", skewed)
         with pytest.raises(ValueError, match="asymmetry"):
-            assemble(mesh, kind, mat, f)
+            assemble(dofmap, mat, f)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("iota", [1.0, 0.3])
@@ -285,9 +288,12 @@ class TestGlobalAssembly:
         mesh = make_structured(2)
         mat = MaterialParams(lam=10.0, mu=1.0, iota=iota)
         value, grad, hess = quadratic_field()
-        system = assemble(mesh, kind, mat, lambda xy: np.zeros_like(xy), clamp=False)
+        # The unreduced matrix: no boundary condition, every dof retained.
+        dofmap = build_dofmap(mesh, kind)
+        K = element_matrices(dofmap.coeffs, dofmap.geom, mat, kind is ElementKind.MORLEY)
+        A = sum_blocks(dofmap, K)
         v = global_interpolate(mesh, kind, value, grad)
-        discrete = v @ (system.matrix @ v)
+        discrete = v @ (A @ v)
         exact = exact_energy(
             mesh,
             mat,
@@ -300,16 +306,18 @@ class TestGlobalAssembly:
 
     def test_rhs_assembles_per_component(self):
         mesh = make_structured(2)
-        mat = MaterialParams()
 
         def f(xy):
             out = np.zeros_like(xy)
             out[:, 0] = 1.0
             return out
 
-        system = assemble(mesh, "ntw", mat, f, clamp=False)
-        full = system.rhs
-        assert full.shape == (system.n_total,)
+        # The unreduced load: no boundary condition, every dof retained.
+        dofmap = build_dofmap(mesh, "ntw")
+        loads = element_loads(dofmap.coeffs, dofmap.geom, f, False)
+        ids = np.repeat(2 * dofmap.scatter, 2, axis=1) + np.tile([0, 1], dofmap.nloc)
+        full = np.zeros(dofmap.n_vector)
+        np.add.at(full, ids.ravel(), loads.ravel())
         # Component 1 never sees the load.
         assert np.abs(full[1::2]).max() < 1e-14
         # The value-carrying shapes (vertices and midpoints) partition

@@ -1,7 +1,8 @@
 """The batched element pipeline against its batch-of-one form.
 
 Assembly, the energy error, the Gram matrices and the edge jumps evaluate
-every element quantity for all triangles at once; the per-element API
+every element quantity for all triangles at once, on the geometry and
+shape coefficients a ``DofMap`` carries; the per-element API
 (``build_basis``, ``element_stiffness``, ``element_load``) runs the same
 kernels on one triangle.  Both must agree triangle by triangle, also on
 nearly degenerate triangles.
@@ -22,8 +23,8 @@ from sgfem.assembly import (
     element_stiffness,
     element_stiffness_morley,
 )
-from sgfem.elements import EDGE_TABLES, ElementKind, basis_coefficients, build_basis
-from sgfem.mesh import Mesh, element_geometry, make_structured, mesh_geometry
+from sgfem.elements import EDGE_TABLES, ElementKind, build_basis
+from sgfem.mesh import Mesh, element_geometry, make_structured
 
 
 def assert_close(batched, single, scale=None):
@@ -65,18 +66,17 @@ def jittered_mesh(n, amplitude, squash, seed):
 )
 def test_batch_matches_batch_of_one(n, amplitude, squash, seed):
     mesh = jittered_mesh(n, amplitude, squash, seed)
-    geom = mesh_geometry(mesh)
     mat = MaterialParams(lam=10.0, mu=1.0, iota=0.3)
     signs = mesh.tri_edge_signs
     normals = mesh.edge_normals[mesh.tri_edges]
     rng = np.random.default_rng(seed)
     for kind in ElementKind:
         morley = kind is ElementKind.MORLEY
-        coeffs = basis_coefficients(kind, geom, signs)
+        dofmap = build_dofmap(mesh, kind)
+        coeffs, geom = dofmap.coeffs, dofmap.geom
         K = element_matrices(coeffs, geom, mat, morley)
         b = element_loads(coeffs, geom, load, morley)
         gram_g, gram_h = gram_blocks(coeffs, geom, morley)
-        dofmap = build_dofmap(mesh, kind)
         local = local_coefficients(dofmap, rng.normal(size=dofmap.n_vector))
         means = edge_means(coeffs, geom, local, normals)
         stiffness = element_stiffness_morley if morley else element_stiffness

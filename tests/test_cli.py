@@ -290,10 +290,11 @@ def test_probe_search_matches_per_triangle_scan(kind):
     jitter = rng.uniform(-0.05, 0.05, size=base.vertices.shape)
     jitter[base.vertex_is_boundary] = 0.0
     mesh = Mesh(base.vertices + jitter, base.triangles)
-    full = rng.normal(size=build_dofmap(mesh, kind).n_vector)
+    dofmap = build_dofmap(mesh, kind)
+    full = rng.normal(size=dofmap.n_vector)
     midpoints = mesh.vertices[mesh.edge_vertices].mean(axis=1)
     pts = np.vstack([mesh.vertices, midpoints, rng.uniform(0.0, 1.0, size=(20, 2))])
     expected = reference_evaluate_at(mesh, kind, full, pts)
-    assert np.array_equal(_evaluate_at(mesh, kind, full, pts), expected)
+    assert np.array_equal(_evaluate_at(dofmap, full, pts), expected)
     with pytest.raises(CliError, match="not inside the mesh"):
-        _evaluate_at(mesh, kind, full, np.array([[0.5, 0.5], [1.5, 0.5]]))
+        _evaluate_at(dofmap, full, np.array([[0.5, 0.5], [1.5, 0.5]]))

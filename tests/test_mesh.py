@@ -263,6 +263,42 @@ def test_load_mesh_reorients_clockwise(tmp_path):
     assert element_geometry(mesh, 0).area > 0.0
 
 
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    amplitude=st.floats(0.0, 0.2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_load_mesh_of_permuted_and_flipped_file(tmp_path_factory, n, amplitude, seed):
+    """A jittered structured:n mesh written with its vertices permuted and a
+    random subset of triangles clockwise loads back counter-clockwise, with
+    the same vertices, triangles and edge count."""
+    base = make_structured(n)
+    rng = np.random.default_rng(seed)
+    jitter = rng.uniform(-amplitude / n, amplitude / n, size=base.vertices.shape)
+    jitter[base.vertex_is_boundary] = 0.0
+    mesh = Mesh(base.vertices + jitter, base.triangles)
+    # Vertex i of the file is vertex perm[i] of the mesh.
+    perm = rng.permutation(mesh.num_vertices)
+    triangles = np.argsort(perm)[mesh.triangles]
+    flip = rng.random(mesh.num_triangles) < 0.5
+    triangles[flip] = triangles[flip][:, ::-1]
+    lines = [f"{mesh.num_vertices} {mesh.num_triangles}"]
+    lines += [f"{float(x)!r} {float(y)!r}" for x, y in mesh.vertices[perm]]
+    lines += [f"{i} {j} {k}" for i, j, k in triangles]
+    path = tmp_path_factory.mktemp("mesh") / "mesh.txt"
+    path.write_text("\n".join(lines) + "\n")
+
+    loaded = load_mesh(path)
+    coords = loaded.vertices[loaded.triangles]
+    e1 = coords[:, 1] - coords[:, 0]
+    e2 = coords[:, 2] - coords[:, 0]
+    assert np.all(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] > 0.0)
+    assert np.array_equal(loaded.vertices, mesh.vertices[perm])
+    assert np.array_equal(np.sort(loaded.triangles, axis=1), np.sort(triangles, axis=1))
+    assert loaded.num_edges == mesh.num_edges
+
+
 @pytest.mark.parametrize(
     "body",
     [

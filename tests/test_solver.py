@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import sgfem.solver
-from sgfem.assembly import MaterialParams, SparseSystem, assemble
+from sgfem.assembly import MaterialParams, SparseSystem, assemble, build_dofmap
 from sgfem.mesh import make_structured
 from sgfem.solver import SolverError, solve
 
@@ -22,7 +22,7 @@ def constant_load(xy):
 @pytest.fixture(scope="module")
 def ntw_system():
     mesh = make_structured(2)
-    return assemble(mesh, "ntw", MaterialParams(iota=0.5), constant_load)
+    return assemble(build_dofmap(mesh, "ntw"), MaterialParams(iota=0.5), constant_load)
 
 
 class TestDirect:
@@ -73,7 +73,7 @@ class TestFailures:
 class TestEdgeCases:
     def test_empty_system(self):
         mesh = make_structured(1)
-        system = assemble(mesh, "specht", MaterialParams(), constant_load)
+        system = assemble(build_dofmap(mesh, "specht"), MaterialParams(), constant_load)
         assert system.matrix.shape == (0, 0)
         report = solve(system)
         assert report.solution.shape == (0,)

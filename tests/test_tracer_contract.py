@@ -63,3 +63,28 @@ def test_element_checks_run_as_batches(monkeypatch, capsys):
     names = [span[0] for span in spans]
     assert 1 <= names.count("elements.checks") <= 5
     assert "elements.basis" not in names
+
+
+def test_study_builds_one_dofmap_per_mesh(monkeypatch, capsys):
+    """The geometry and shapes of a mesh are built once and shared by every
+    iota's assembly and energy error."""
+    argv = ["convergence", "--mesh", "structured:2", "--levels", "2", "--iota", "1,1e-2"]
+    names = [span[0] for span in traced_spans(monkeypatch, capsys, argv)]
+    assert names.count("assembly.dofmap") == 2
+
+
+def test_probed_solve_builds_one_dofmap(monkeypatch, capsys):
+    """Assembly, the probes and the energy error of one solve share one
+    dof map; the probes build no per-element geometry or basis."""
+    argv = ["solve", "--element", "specht", "--mesh", "structured:2"]
+    argv += ["--probe", "0.3,0.4;0.5,0.5"]
+    names = [span[0] for span in traced_spans(monkeypatch, capsys, argv)]
+    assert names.count("assembly.dofmap") == 1
+    assert "elements.basis" not in names
+    assert "mesh.geometry" not in names
+
+
+@pytest.mark.parametrize("suite", ["coercivity", "jumps"])
+def test_verify_suites_build_one_dofmap_per_family(monkeypatch, capsys, suite):
+    spans = traced_spans(monkeypatch, capsys, ["verify", suite, "--seed", "0"])
+    assert [span[0] for span in spans].count("assembly.dofmap") == 3
