@@ -8,9 +8,11 @@ relative error divides by the same norm of the exact field computed with
 the same quadrature.
 
 Every mesh-level function takes a :class:`~sgfem.assembly.DofMap`, which
-carries the geometry and shape coefficients of one family on one mesh, so
-a study builds them once per mesh and shares them across every ``iota``,
-the solve and the energy error.
+carries the geometry and shape coefficients of one family on one mesh, and
+keeps the matrix pattern and the two ``iota``-free forms once they are
+built, so a study computes them once per mesh and shares them across every
+``iota``, the solve and the energy error.  The coercivity check reuses the
+same forms, and its Gram matrices are assembled on the same pattern.
 
 The inequality checks certify, numerically and with independently
 assembled right-hand sides, the three structural facts the convergence
@@ -23,9 +25,8 @@ normal-derivative jumps across interior edges.
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.optimize
 
-from .assembly import DofMap, MaterialParams, assemble, build_dofmap, sum_blocks
+from .assembly import DofMap, MaterialParams, assemble, build_dofmap, stiffness_matrix
 from .elements import MORLEY_PI1, ElementKind, MonoTables, edge_normal_moments, evaluate
 from .elements import build_basis  # noqa: F401  (bound for the benchmark tracer, which wraps it)
 from .manufactured import ManufacturedField, example_field, source
@@ -212,15 +213,16 @@ def korn_ratio(D: np.ndarray):
     return num / den
 
 
-def _ratio_from_six(params):
-    """korn_ratio on the 6 distinct entries (D111, D112, D122, D211, D212, D222)."""
+def _from_six(params):
+    """Third-derivative arrays from the 6 distinct entries (D111, D112,
+    D122, D211, D212, D222)."""
     a = np.asarray(params, dtype=float)
     D = np.empty(a.shape[:-1] + (2, 2, 2))
     for i in (0, 1):
         D[..., i, 0, 0] = a[..., 3 * i]
         D[..., i, 0, 1] = D[..., i, 1, 0] = a[..., 3 * i + 1]
         D[..., i, 1, 1] = a[..., 3 * i + 2]
-    return korn_ratio(D)
+    return D
 
 
 @dataclass
@@ -232,25 +234,25 @@ class KornSearch:
 
 
 def korn_ratio_min(n_samples: int, seed: int = 0) -> KornSearch:
-    """Minimum of the algebraic ratio over random samples, then a local
-    minimization started at the worst sample."""
+    """Minimum of the algebraic ratio over random samples, and its exact
+    minimum over all directions.
+
+    In the 6 distinct entries the ratio is a quotient of quadratic forms
+    whose denominator is the squared Euclidean norm, so the minimum over
+    all directions is the smallest eigenvalue of the numerator's matrix.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     rng = np.random.default_rng(seed)
     params = rng.normal(size=(n_samples, 6))
-    ratios = _ratio_from_six(params)
+    ratios = korn_ratio(_from_six(params))
     worst = int(np.argmin(ratios))
-    x0 = params[worst] / np.linalg.norm(params[worst])
-    opt = scipy.optimize.minimize(
-        _ratio_from_six,
-        x0,
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 5000},
-    )
-    directed = min(float(opt.fun), float(ratios[worst]))
+    # Row p: the symmetrized gradient of unit entry p, flattened.
+    D = _from_six(np.eye(6))
+    sym = (0.5 * (D + np.swapaxes(D, -3, -2))).reshape(6, -1)
     return KornSearch(
         min_sampled=float(ratios[worst]),
-        min_directed=directed,
+        min_directed=float(np.linalg.eigvalsh(sym @ sym.T)[0]),
         argmin=params[worst],
     )
 
@@ -272,14 +274,13 @@ def gram_blocks(coeffs, geom: ElementGeometry, morley: bool):
 
 def _gram_matrices(dofmap: DofMap):
     """Reduced Gram matrices of the broken gradient and distinct-entry
-    Hessian inner products, assembled with a quadrature rule and a
-    contraction independent of the stiffness path."""
-    retained = np.flatnonzero(~np.repeat(dofmap.boundary, 2))
+    Hessian inner products, assembled on the stiffness pattern with a
+    quadrature rule and a contraction independent of the stiffness
+    kernels."""
+    pattern = dofmap.pattern
     # The same scalar block acts on each displacement component.
     blocks = gram_blocks(dofmap.coeffs, dofmap.geom, dofmap.kind is ElementKind.MORLEY)
-    return tuple(
-        sum_blocks(dofmap, np.kron(block, np.eye(2)))[retained][:, retained] for block in blocks
-    )
+    return tuple(pattern.matrix(pattern.scatter(np.kron(block, np.eye(2)))) for block in blocks)
 
 
 def coercivity_check(dofmap: DofMap, mat: MaterialParams, n_trials: int, seed: int = 0):
@@ -290,8 +291,8 @@ def coercivity_check(dofmap: DofMap, mat: MaterialParams, n_trials: int, seed: i
     constant ``mu/2`` and the vertex-interpolant gradient.  Values at or
     above 1 confirm the inequality.
     """
-    system = assemble(dofmap, mat, lambda xy: np.zeros_like(xy))
-    n = system.matrix.shape[0]
+    A, _ = stiffness_matrix(dofmap, mat)
+    n = A.shape[0]
     if n == 0:
         return np.inf
     Gm, Hm = _gram_matrices(dofmap)
@@ -301,7 +302,7 @@ def coercivity_check(dofmap: DofMap, mat: MaterialParams, n_trials: int, seed: i
     worst = np.inf
     for _ in range(n_trials):
         v = rng.normal(size=n)
-        num = v @ (system.matrix @ v)
+        num = v @ (A @ v)
         den = constant * mat.mu * (v @ (Gm @ v) + i2 * (v @ (Hm @ v)))
         worst = min(worst, num / den)
     return float(worst)

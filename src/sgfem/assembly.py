@@ -19,14 +19,21 @@ on the elementwise linear interpolant of the arguments and the load pairs
 A :class:`DofMap` is one family on one mesh: besides the degree-of-freedom
 layout it carries the mesh's geometry and the family's shape coefficients,
 computed once by :func:`build_dofmap` and shared by assembly, the energy
-error, the Gram matrices, the edge jumps and the probes.  Assembly is one
-batch over all triangles: element matrices and loads are arrays with a
-leading triangle axis, ``f`` is evaluated once on all quadrature points,
-and one COO to CSR conversion sums the blocks.  The per-element functions
-are batches of one of the same kernels.
+error, the Gram matrices, the edge jumps and the probes.  Element matrices
+and loads are batches over all triangles, with a leading triangle axis.
+
+The form is affine in ``iota**2``: ``A = A_m + iota**2 A_g``.  A dof map
+builds, on first use, the fixed CSR pattern of the reduced matrix (every
+coupling of two retained degrees of freedom inside one element, explicit
+zeros kept) and, per Lame pair, the data of ``A_m`` and ``A_g`` on it.
+:func:`assemble` then only adds the two data arrays for its ``iota``,
+checks and removes their asymmetry through the pattern's transpose
+permutation, and assembles the load.  The matrix structure is the same for
+every ``iota`` and every rounding of the entries.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,14 +48,16 @@ __all__ = [
     "MAX_ASYMMETRY",
     "MaterialParams",
     "DofMap",
+    "FormPattern",
     "SparseSystem",
     "build_dofmap",
+    "element_forms",
     "element_matrices",
     "element_loads",
     "element_stiffness",
     "element_stiffness_morley",
     "element_load",
-    "sum_blocks",
+    "stiffness_matrix",
     "assemble",
 ]
 
@@ -84,6 +93,51 @@ class MaterialParams:
 
 
 @dataclass(frozen=True)
+class FormPattern:
+    """The fixed CSR structure of a reduced matrix of one dof map.
+
+    ``indptr`` and ``indices`` (read-only) hold every coupling of two
+    retained vector degrees of freedom of one element, with sorted column
+    indices; ``data[transpose]`` is the data of the transposed matrix.
+    ``slots[t, i, j]`` is the position in ``data`` of entry ``(i, j)`` of
+    element ``t``'s (2n, 2n) block, or ``nnz`` when the entry touches a
+    boundary degree of freedom.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    transpose: np.ndarray
+    slots: np.ndarray
+    retained: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    def scatter(self, blocks: np.ndarray) -> np.ndarray:
+        """Sum (T, 2n, 2n) element blocks into data on the pattern."""
+        return np.bincount(self.slots.ravel(), blocks.ravel(), self.nnz + 1)[: self.nnz]
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The reduced CSR matrix with ``data`` on the pattern."""
+        n = len(self.retained)
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _pairs(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """``even`` and ``odd`` interleaved into one flat array."""
+    out = np.empty((len(even), 2), dtype=even.dtype)
+    out[:, 0] = even
+    out[:, 1] = odd
+    return out.ravel()
+
+
+@dataclass(frozen=True)
 class DofMap:
     """One family on one mesh: degree-of-freedom layout, geometry and shapes.
 
@@ -94,6 +148,8 @@ class DofMap:
     the batched geometry of every triangle of ``mesh`` and ``coeffs`` the
     (T, nloc, nmono) shape coefficients on it; both are built once, by
     :func:`build_dofmap`, and every mesh-level computation reads them.
+    The reduced matrix pattern and the ``iota``-free forms on it are built
+    on first use (:attr:`pattern`, :meth:`forms`) and kept.
     """
 
     kind: ElementKind
@@ -104,6 +160,7 @@ class DofMap:
     mesh: Mesh
     geom: ElementGeometry
     coeffs: np.ndarray
+    _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def nloc(self) -> int:
@@ -112,6 +169,74 @@ class DofMap:
     @property
     def n_vector(self) -> int:
         return 2 * self.n_scalar
+
+    @cached_property
+    def pattern(self) -> FormPattern:
+        """The reduced matrix structure, built from scalar element pairs.
+
+        Scalar couplings are found once (T n^2 pairs) and each one expands
+        to a 2 x 2 block of vector entries: vector rows ``2 i`` and
+        ``2 i + 1`` both hold, for every scalar column ``j`` of scalar row
+        ``i``, the columns ``2 j`` and ``2 j + 1``.
+        """
+        keep = ~self.boundary
+        n_red = int(keep.sum())
+        reduced = np.full(self.n_scalar, -1, dtype=np.int64)
+        reduced[keep] = np.arange(n_red)
+        loc = reduced[self.scatter]
+        ntri, n = loc.shape
+        pairs = (loc[:, :, None] >= 0) & (loc[:, None, :] >= 0)
+        keys = (loc[:, :, None] * n_red + loc[:, None, :])[pairs]
+        keys, pair_slot = np.unique(keys, return_inverse=True)
+        rows, cols = np.divmod(keys, n_red)
+        nnz = len(keys)
+        row_len = np.bincount(rows, minlength=n_red)
+        row_start = np.cumsum(row_len) - row_len
+        # Vector entry (2 i + a, 2 j + b) of scalar coupling k, in row i,
+        # sits at first[k] + a * step[k] + b.
+        first = 2 * (np.arange(nnz) + row_start[rows])
+        step = 2 * row_len[rows]
+        # The couplings k of each vector row, in storage order, and the
+        # row parity a of each.
+        seg = np.repeat(row_len, 2)
+        parity = np.tile([0, 1], n_red)
+        k = np.arange(2 * nnz) - np.repeat(np.repeat(row_start, 2) + parity * seg, seg)
+        a = np.repeat(parity, seg)
+        indptr = np.concatenate([[0], np.cumsum(2 * seg)])
+        # The pattern is symmetric: sorting the transposed keys maps each
+        # scalar coupling (i, j) to (j, i), and (2 i + a, 2 j + b) goes to
+        # (2 j + b, 2 i + a).
+        mirror = np.argsort(cols * n_red + rows)
+        lo = first[mirror][k] + a
+        # Element entries that touch a boundary dof go to the dump slot 4 nnz.
+        kslot = np.full(pairs.shape, nnz)
+        kslot[pairs] = pair_slot
+        base = np.append(first, 4 * nnz)[kslot]
+        stride = np.append(step, 0)[kslot]
+        slots = np.empty((ntri, n, 2, n, 2), dtype=np.int64)
+        slots[:, :, 0, :, 0] = base
+        slots[:, :, 0, :, 1] = base + 1
+        slots[:, :, 1, :, 0] = base + stride
+        slots[:, :, 1, :, 1] = base + stride + 1
+        np.minimum(slots, 4 * nnz, out=slots)
+        return FormPattern(
+            indptr=_read_only(indptr.astype(np.int32)),
+            indices=_read_only(_pairs(2 * cols[k], 2 * cols[k] + 1).astype(np.int32)),
+            transpose=_pairs(lo, lo + step[mirror][k]),
+            slots=slots.reshape(ntri, 2 * n, 2 * n),
+            retained=_read_only(np.flatnonzero(np.repeat(keep, 2))),
+        )
+
+    def forms(self, lam: float, mu: float):
+        """Data of ``A_m`` and ``A_g`` on :attr:`pattern` for one Lame pair,
+        built on first use and kept: the reduced matrix for ``iota`` has
+        data ``A_m + iota**2 A_g``, before symmetrization."""
+        key = (float(lam), float(mu))
+        if key not in self._forms:
+            morley = self.kind is ElementKind.MORLEY
+            blocks = element_forms(self.coeffs, self.geom, lam, mu, morley)
+            self._forms[key] = tuple(self.pattern.scatter(K) for K in blocks)
+        return self._forms[key]
 
 
 def build_dofmap(mesh: Mesh, kind) -> DofMap:
@@ -169,13 +294,31 @@ class SparseSystem:
         return full
 
 
-def element_matrices(coeffs, geom: ElementGeometry, mat: MaterialParams, morley: bool):
-    """(T, 2n, 2n) element matrices of a batch of triangles, for vector
-    degree of freedom order ``2 a + component``.
+def _lame(S: np.ndarray, lam: float, mu: float) -> np.ndarray:
+    """Element matrices of a Lame pair from (T, 2n, 2n) blocks
+    ``S[t, 2a + i, 2b + j] = sum_q w_q d_i phi_a d_j phi_b`` (or the same
+    with Hessian rows ``d_ik``, ``d_jk`` summed over ``k``)."""
+    ntri, m = S.shape[:2]
+    S = S.reshape(ntri, m // 2, 2, m // 2, 2)
+    s00, s01, s10, s11 = S[:, :, 0, :, 0], S[:, :, 0, :, 1], S[:, :, 1, :, 0], S[:, :, 1, :, 1]
+    # lam div u div v + 2 mu eps(u) : eps(v), on each 2 x 2 component block.
+    K = np.empty_like(S)
+    K[:, :, 0, :, 0] = (lam + 2.0 * mu) * s00 + mu * s11
+    K[:, :, 1, :, 1] = (lam + 2.0 * mu) * s11 + mu * s00
+    K[:, :, 0, :, 1] = lam * s01 + mu * s10
+    K[:, :, 1, :, 0] = lam * s10 + mu * s01
+    return K.reshape(ntri, m, m)
+
+
+def element_forms(coeffs, geom: ElementGeometry, lam: float, mu: float, morley: bool):
+    """(K_m, K_g): (T, 2n, 2n) element matrices of the membrane and the
+    strain gradient parts of a batch of triangles, for vector degree of
+    freedom order ``2 a + component``; the element matrix at ``iota`` is
+    ``K_m + iota**2 K_g``.
 
     ``coeffs`` are the (T, n, nmono) shape coefficients on the batch
     ``geom``.  With ``morley`` the membrane part acts on the linear vertex
-    interpolant (the modified form); the strain gradient part is unchanged.
+    interpolant (the modified form).
     """
     _, G, H = evaluate(coeffs, geom.grad_lambda, _STIFFNESS_TABLES)
     w = geom.area[:, None] * _STIFFNESS_RULE.weights
@@ -189,13 +332,14 @@ def element_matrices(coeffs, geom: ElementGeometry, mat: MaterialParams, morley:
     grad_outer = (rows * wg[:, None]) @ rows.swapaxes(1, 2)
     rows = H.swapaxes(2, 3).reshape(ntri, 2 * n, -1)
     hess_rows = (rows * np.repeat(w, 2, axis=1)[:, None]) @ rows.swapaxes(1, 2)
-    # S[t, a, i, b, j] = sum_q w_q (d_i phi_a d_j phi_b + iota^2 d_ik phi_a d_jk phi_b)
-    S = (grad_outer + mat.iota**2 * hess_rows).reshape(ntri, n, 2, n, 2)
-    K = mat.lam * S + mat.mu * S.transpose(0, 1, 4, 3, 2)
-    diag = mat.mu * (S[:, :, 0, :, 0] + S[:, :, 1, :, 1])
-    K[:, :, 0, :, 0] += diag
-    K[:, :, 1, :, 1] += diag
-    return K.reshape(ntri, 2 * n, 2 * n)
+    return _lame(grad_outer, lam, mu), _lame(hess_rows, lam, mu)
+
+
+def element_matrices(coeffs, geom: ElementGeometry, mat: MaterialParams, morley: bool):
+    """(T, 2n, 2n) element matrices ``K_m + iota**2 K_g`` of a batch of
+    triangles (:func:`element_forms`)."""
+    K_m, K_g = element_forms(coeffs, geom, mat.lam, mat.mu, morley)
+    return K_m + mat.iota**2 * K_g
 
 
 def element_loads(coeffs, geom: ElementGeometry, f, morley: bool):
@@ -231,19 +375,22 @@ def element_load(basis: LocalBasis, f) -> np.ndarray:
     return element_loads(basis.coeffs[None], basis.geom.batch_of_one(), f, morley)[0]
 
 
-def _vector_ids(dofmap: DofMap) -> np.ndarray:
-    """(T, 2n) global vector degree of freedom ids of every element."""
-    return np.repeat(2 * dofmap.scatter, 2, axis=1) + np.tile([0, 1], dofmap.nloc)
+def stiffness_matrix(dofmap: DofMap, mat: MaterialParams):
+    """The symmetrized reduced matrix for ``mat`` and its asymmetry
+    ``max|A - A^T| / max|A|`` before symmetrization.
 
-
-def sum_blocks(dofmap: DofMap, blocks: np.ndarray) -> sp.csr_matrix:
-    """Sum (T, 2n, 2n) element blocks into the global CSR matrix."""
-    vids = _vector_ids(dofmap)
-    nvec = vids.shape[1]
-    rows = np.repeat(vids, nvec, axis=1).ravel()
-    cols = np.tile(vids, (1, nvec)).ravel()
-    n = dofmap.n_vector
-    return sp.coo_matrix((blocks.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    Raises ``ValueError`` if the asymmetry exceeds ``MAX_ASYMMETRY``.
+    """
+    pattern = dofmap.pattern
+    A_m, A_g = dofmap.forms(mat.lam, mat.mu)
+    data = A_m + mat.iota**2 * A_g
+    data_t = data[pattern.transpose]
+    asymmetry = float(np.abs(data - data_t).max() / np.abs(data).max()) if data.size else 0.0
+    if not asymmetry <= MAX_ASYMMETRY:
+        raise ValueError(
+            f"assembled matrix asymmetry {asymmetry:.2e} exceeds {MAX_ASYMMETRY:.0e}"
+        )
+    return pattern.matrix(0.5 * (data + data_t)), asymmetry
 
 
 def assemble(dofmap: DofMap, mat: MaterialParams, f) -> SparseSystem:
@@ -253,22 +400,13 @@ def assemble(dofmap: DofMap, mat: MaterialParams, f) -> SparseSystem:
     Raises ``ValueError`` if the element matrices are not symmetric to
     ``MAX_ASYMMETRY``.
     """
-    morley = dofmap.kind is ElementKind.MORLEY
-    A = sum_blocks(dofmap, element_matrices(dofmap.coeffs, dofmap.geom, mat, morley))
-    rhs = np.zeros(dofmap.n_vector)
-    loads = element_loads(dofmap.coeffs, dofmap.geom, f, morley)
-    np.add.at(rhs, _vector_ids(dofmap).ravel(), loads.ravel())
-
-    retained = np.flatnonzero(~np.repeat(dofmap.boundary, 2))
-    reduced = A[retained][:, retained]
-    asymmetry = float(abs(reduced - reduced.T).max() / abs(reduced).max()) if reduced.nnz else 0.0
-    if not asymmetry <= MAX_ASYMMETRY:
-        raise ValueError(
-            f"assembled matrix asymmetry {asymmetry:.2e} exceeds {MAX_ASYMMETRY:.0e}"
-        )
-    reduced = (0.5 * (reduced + reduced.T)).tocsr()
+    matrix, asymmetry = stiffness_matrix(dofmap, mat)
+    loads = element_loads(dofmap.coeffs, dofmap.geom, f, dofmap.kind is ElementKind.MORLEY)
+    vids = np.repeat(2 * dofmap.scatter, 2, axis=1) + np.tile([0, 1], dofmap.nloc)
+    rhs = np.bincount(vids.ravel(), loads.ravel(), dofmap.n_vector)
+    retained = dofmap.pattern.retained
     return SparseSystem(
-        matrix=reduced,
+        matrix=matrix,
         rhs=rhs[retained],
         retained=retained,
         n_total=dofmap.n_vector,

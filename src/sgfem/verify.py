@@ -23,6 +23,10 @@ __all__ = [
 ]
 
 
+# Exponents (a, b) of the 15 monomials x**a * y**b of degree at most 4.
+_QUARTIC_X, _QUARTIC_Y = np.array([(a, b) for a in range(5) for b in range(5 - a)]).T
+
+
 def boundary_points(n: int) -> np.ndarray:
     """``n`` points on each side of the unit square, corners included."""
     t = np.linspace(0.0, 1.0, n)
@@ -78,20 +82,23 @@ def random_quartic_samples(rng, count: int):
     return triangle_geometry(np.stack(vertices)), np.stack(values), np.stack(grads)
 
 
+def _monomials(xy, px, py):
+    """(q, m) table of ``x**px * y**py`` at the points ``xy``."""
+    powers = xy[:, :, None] ** np.arange(5)
+    return powers[:, 0, px] * powers[:, 1, py]
+
+
 def random_quartic(rng):
     """Value and gradient evaluators of a bivariate quartic with normal
     random coefficients."""
-    exps = [(a, b) for a in range(5) for b in range(5 - a)]
-    coeffs = rng.normal(size=len(exps))
+    coeffs = rng.normal(size=len(_QUARTIC_X))
 
     def value(xy):
-        x, y = xy[:, 0], xy[:, 1]
-        return sum(c * x**a * y**b for c, (a, b) in zip(coeffs, exps))
+        return _monomials(xy, _QUARTIC_X, _QUARTIC_Y) @ coeffs
 
     def grad(xy):
-        x, y = xy[:, 0], xy[:, 1]
-        gx = sum(c * a * x ** max(a - 1, 0) * y**b for c, (a, b) in zip(coeffs, exps))
-        gy = sum(c * b * x**a * y ** max(b - 1, 0) for c, (a, b) in zip(coeffs, exps))
+        gx = _monomials(xy, np.maximum(_QUARTIC_X - 1, 0), _QUARTIC_Y) @ (_QUARTIC_X * coeffs)
+        gy = _monomials(xy, _QUARTIC_X, np.maximum(_QUARTIC_Y - 1, 0)) @ (_QUARTIC_Y * coeffs)
         return np.stack([gx, gy], axis=-1)
 
     return value, grad

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import sgfem.assembly
 from sgfem.analysis import (
     KORN_BOUND,
     coercivity_check,
@@ -119,6 +120,22 @@ class TestConvergenceStudy:
     def test_unknown_example_rejected(self):
         with pytest.raises(ValueError):
             convergence_study("ntw", "bogus", [1.0], 2, make_structured(2))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_element_forms_computed_once_per_level(self, kind, monkeypatch):
+        """Every iota of a level reuses the level's two forms."""
+        original = sgfem.assembly.element_forms
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(sgfem.assembly, "element_forms", counted)
+        iotas = [1.0, 1e-2, 1e-4, 1e-6]
+        reports = convergence_study(kind, "layer", iotas, 3, make_structured(2))
+        assert [len(report.rows) for report in reports] == [3] * 4
+        assert calls == [8, 32, 128]
 
 
 class TestKorn:

@@ -6,9 +6,13 @@ shape coefficients a ``DofMap`` carries; the per-element API
 (``build_basis``, ``element_stiffness``, ``element_load``) runs the same
 kernels on one triangle.  Both must agree triangle by triangle, also on
 nearly degenerate triangles.
+
+The reduced matrix, combined per ``iota`` from the two forms on the dof
+map's fixed pattern, is checked against the unsplit assembly it replaced.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -16,6 +20,7 @@ from numpy.testing import assert_allclose
 from sgfem.analysis import edge_means, gram_blocks, local_coefficients
 from sgfem.assembly import (
     MaterialParams,
+    assemble,
     build_dofmap,
     element_load,
     element_loads,
@@ -95,3 +100,54 @@ def test_batch_matches_batch_of_one(n, amplitude, squash, seed):
             # compared on the scale of that gradient.
             grads = np.einsum("ac,aqj->cqj", local[t], basis.gradients(EDGE_TABLES.bary))
             assert_close(means[t], m1[0], scale=np.abs(grads).max())
+
+
+def unsplit_system(dofmap, mat, f):
+    """The reduced matrix and load assembled without the split: element
+    matrices at ``mat.iota`` summed by one COO to CSR conversion, boundary
+    rows and columns dropped, then ``0.5 (A + A^T)``."""
+    morley = dofmap.kind is ElementKind.MORLEY
+    K = element_matrices(dofmap.coeffs, dofmap.geom, mat, morley)
+    vids = np.repeat(2 * dofmap.scatter, 2, axis=1) + np.tile([0, 1], dofmap.nloc)
+    m = vids.shape[1]
+    rows = np.repeat(vids, m, axis=1).ravel()
+    cols = np.tile(vids, (1, m)).ravel()
+    n = dofmap.n_vector
+    A = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    rhs = np.zeros(n)
+    np.add.at(rhs, vids.ravel(), element_loads(dofmap.coeffs, dofmap.geom, f, morley).ravel())
+    retained = np.flatnonzero(~np.repeat(dofmap.boundary, 2))
+    A = A[retained][:, retained]
+    return 0.5 * (A + A.T), rhs[retained]
+
+
+@settings(max_examples=12, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    amplitude=st.floats(0.0, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+    iotas=st.lists(st.floats(1e-8, 1.0), min_size=2, max_size=4),
+    lam=st.floats(0.0, 100.0),
+    mu=st.floats(1e-2, 10.0),
+)
+def test_split_forms_match_unsplit_assembly(n, amplitude, seed, iotas, lam, mu):
+    """Entry by entry, within 1e-14 of the largest entry, for every iota of
+    one dof map; the CSR structure is the dof map's pattern every time."""
+    mesh = jittered_mesh(n, amplitude, 1.0, seed)
+    rng = np.random.default_rng(seed)
+    for kind in ElementKind:
+        dofmap = build_dofmap(mesh, kind)
+        pattern = dofmap.pattern
+        data = rng.normal(size=pattern.nnz)
+        transposed = pattern.matrix(data).T.toarray()
+        assert np.array_equal(pattern.matrix(data[pattern.transpose]).toarray(), transposed)
+        for iota in iotas:
+            mat = MaterialParams(lam=lam, mu=mu, iota=iota)
+            system = assemble(dofmap, mat, load)
+            A, rhs = unsplit_system(dofmap, mat, load)
+            assert np.array_equal(system.matrix.indptr, pattern.indptr)
+            assert np.array_equal(system.matrix.indices, pattern.indices)
+            assert system.matrix.nnz == pattern.nnz >= A.nnz
+            scale = np.abs(A).max()
+            assert np.abs(system.matrix - A).max() <= 1e-14 * scale
+            assert_allclose(system.rhs, rhs, rtol=0.0, atol=1e-14 * np.abs(rhs).max())

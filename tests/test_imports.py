@@ -1,4 +1,5 @@
-"""No module-level import in ``src/sgfem`` goes unused.
+"""No module-level import in ``src/sgfem`` goes unused, or costs every
+command a module it never calls.
 
 An AST scan of each module: a name bound by a module-level ``import`` must
 be read somewhere in the module, or be listed in ``__all__``.  Imports
@@ -8,6 +9,9 @@ longer call.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +54,14 @@ def test_scan_finds_unused_imports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    """``scipy.optimize`` adds about 0.3 s to the import of every command."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = "import sys, sgfem.cli; print('scipy.optimize' in sys.modules)"
+    child = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"

@@ -39,6 +39,23 @@ class TestDirect:
         assert report.solution.shape == ntw_system.rhs.shape
 
 
+    def test_factors_in_symmetric_mode(self, ntw_system, monkeypatch):
+        """The SPD matrix is factored with diagonal pivots and the
+        ordering applied symmetrically."""
+        seen = []
+
+        class RecordingSplinalg:
+            @staticmethod
+            def splu(A, **options):
+                seen.append(options)
+                return spla.splu(A, **options)
+
+        monkeypatch.setattr(sgfem.solver, "spla", RecordingSplinalg)
+        report = solve(ntw_system)
+        assert report.rel_residual <= 1e-8
+        assert seen == [{"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}]
+
+
 class TestFailures:
     def test_singular_matrix_raises(self):
         A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
@@ -62,8 +79,8 @@ class TestFailures:
 
         class FakeSplinalg:
             @staticmethod
-            def splu(A):
-                return WrongLU(spla.splu(A))
+            def splu(A, **options):
+                return WrongLU(spla.splu(A, **options))
 
         monkeypatch.setattr(sgfem.solver, "spla", FakeSplinalg)
         with pytest.raises(SolverError, match="residual"):
