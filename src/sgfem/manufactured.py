@@ -9,6 +9,11 @@ of 1D derivative chains and the source
 
 expands into those chains with no numerical differentiation.
 
+Each factor is one derivative chain: ``chain(t, k)`` returns orders
+``0..k`` and evaluates every sine, cosine and exponential it needs once, so
+the gradient, the Hessian and the source read one chain per factor, at
+orders 1, 2 and 4.
+
 The second example adds boundary correctors built from ratios of
 exponentials.  They are evaluated in an overflow-safe form (every
 exponential argument is nonpositive on [0, 1]) and stay finite down to
@@ -16,6 +21,7 @@ exponential argument is nonpositive on [0, 1]) and stay finite down to
 the endpoints.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,56 +42,66 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class Separable1D:
-    """A univariate factor with evaluators for derivative orders 0..4."""
+    """A univariate factor given by its derivative chain.
 
-    funcs: tuple
+    ``chain(t, k)`` returns the list of derivatives of orders ``0..k`` at
+    ``t`` (``k <= 4``) and evaluates each transcendental function once.
+    """
+
+    chain: Callable
 
     def __call__(self, t, order: int = 0):
-        return self.funcs[order](np.asarray(t, dtype=float))
+        return self.chain(np.asarray(t, dtype=float), order)[order]
 
 
 def factor_exp_cos(omega: float) -> Separable1D:
     """exp(cos(omega t)) - e, clamped to zero slope and value at t = 0."""
     e = np.e
 
-    def d0(t):
-        return np.exp(np.cos(omega * t)) - e
+    def chain(t, k):
+        wt = omega * t
+        c = np.cos(wt)
+        ec = np.exp(c)
+        out = [ec - e]
+        if k >= 1:
+            s = np.sin(wt)
+            out.append(-omega * s * ec)
+        if k >= 2:
+            ss = s * s
+            out.append(omega**2 * ec * (ss - c))
+        if k >= 3:
+            cubic = 3.0 * c + 1.0 - ss
+            out.append(omega**3 * ec * s * cubic)
+        if k >= 4:
+            out.append(omega**4 * ec * ((c - ss) * cubic - ss * (3.0 + 2.0 * c)))
+        return out
 
-    def d1(t):
-        return -omega * np.sin(omega * t) * np.exp(np.cos(omega * t))
-
-    def d2(t):
-        c, s = np.cos(omega * t), np.sin(omega * t)
-        return omega**2 * np.exp(c) * (s * s - c)
-
-    def d3(t):
-        c, s = np.cos(omega * t), np.sin(omega * t)
-        return omega**3 * np.exp(c) * s * (3.0 * c + 1.0 - s * s)
-
-    def d4(t):
-        c, s = np.cos(omega * t), np.sin(omega * t)
-        return omega**4 * np.exp(c) * (
-            (c - s * s) * (3.0 * c + 1.0 - s * s) - s * s * (3.0 + 2.0 * c)
-        )
-
-    return Separable1D((d0, d1, d2, d3, d4))
+    return Separable1D(chain)
 
 
 def factor_cos(omega: float) -> Separable1D:
     """cos(omega t) - 1."""
-    return Separable1D(
-        (
-            lambda t: np.cos(omega * t) - 1.0,
-            lambda t: -omega * np.sin(omega * t),
-            lambda t: -(omega**2) * np.cos(omega * t),
-            lambda t: omega**3 * np.sin(omega * t),
-            lambda t: omega**4 * np.cos(omega * t),
-        )
-    )
+
+    def chain(t, k):
+        wt = omega * t
+        c = np.cos(wt)
+        out = [c - 1.0]
+        if k >= 1:
+            s = np.sin(wt)
+            out.append(-omega * s)
+        if k >= 2:
+            out.append(-(omega**2) * c)
+        if k >= 3:
+            out.append(omega**3 * s)
+        if k >= 4:
+            out.append(omega**4 * c)
+        return out
+
+    return Separable1D(chain)
 
 
 def _corrector_chain(iota: float):
-    """Derivatives 0..4 of the boundary corrector
+    """Derivative chain of the boundary corrector
 
         L(t) = pi iota [coth(1/(2 iota)) - cosh((2t-1)/(2 iota)) / sinh(1/(2 iota))]
 
@@ -96,62 +112,74 @@ def _corrector_chain(iota: float):
     den = 1.0 - q
     coth = (1.0 + q) / den
 
-    def even(t):
-        return (np.exp((t - 1.0) / iota) + np.exp(-t / iota)) / den
+    def chain(t, k):
+        right, left = np.exp((t - 1.0) / iota), np.exp(-t / iota)
+        even = (right + left) / den
+        out = [np.pi * iota * (coth - even)]
+        if k >= 1:
+            odd = (right - left) / den
+            out.append(-np.pi * odd)
+        if k >= 2:
+            out.append(-(np.pi / iota) * even)
+        if k >= 3:
+            out.append(-(np.pi / iota**2) * odd)
+        if k >= 4:
+            out.append(-(np.pi / iota**3) * even)
+        return out
 
-    def odd(t):
-        return (np.exp((t - 1.0) / iota) - np.exp(-t / iota)) / den
-
-    d0 = lambda t: np.pi * iota * (coth - even(t))
-    d1 = lambda t: -np.pi * odd(t)
-    d2 = lambda t: -(np.pi / iota) * even(t)
-    d3 = lambda t: -(np.pi / iota**2) * odd(t)
-    d4 = lambda t: -(np.pi / iota**3) * even(t)
-    return d0, d1, d2, d3, d4
+    return chain
 
 
 def factor_exp_sin_layer(iota: float) -> Separable1D:
     """exp(sin(pi t)) - 1 - L(t)."""
     p = np.pi
-    L = _corrector_chain(iota)
+    corrector = _corrector_chain(iota)
 
-    def d0(t):
-        return np.exp(np.sin(p * t)) - 1.0 - L[0](t)
+    def chain(t, k):
+        L = corrector(t, k)
+        pt = p * t
+        s = np.sin(pt)
+        es = np.exp(s)
+        out = [es - 1.0 - L[0]]
+        if k >= 1:
+            c = np.cos(pt)
+            out.append(p * c * es - L[1])
+        if k >= 2:
+            cc = c * c
+            out.append(p**2 * es * (cc - s) - L[2])
+        if k >= 3:
+            cubic = cc - 3.0 * s - 1.0
+            out.append(p**3 * es * c * cubic - L[3])
+        if k >= 4:
+            smooth = p**4 * es * ((cc - s) * cubic - cc * (2.0 * s + 3.0))
+            out.append(smooth - L[4])
+        return out
 
-    def d1(t):
-        return p * np.cos(p * t) * np.exp(np.sin(p * t)) - L[1](t)
-
-    def d2(t):
-        s, c = np.sin(p * t), np.cos(p * t)
-        return p**2 * np.exp(s) * (c * c - s) - L[2](t)
-
-    def d3(t):
-        s, c = np.sin(p * t), np.cos(p * t)
-        return p**3 * np.exp(s) * c * (c * c - 3.0 * s - 1.0) - L[3](t)
-
-    def d4(t):
-        s, c = np.sin(p * t), np.cos(p * t)
-        smooth = p**4 * np.exp(s) * (
-            (c * c - s) * (c * c - 3.0 * s - 1.0) - c * c * (2.0 * s + 3.0)
-        )
-        return smooth - L[4](t)
-
-    return Separable1D((d0, d1, d2, d3, d4))
+    return Separable1D(chain)
 
 
 def factor_sin_layer(iota: float) -> Separable1D:
     """sin(pi t) - L(t)."""
     p = np.pi
-    L = _corrector_chain(iota)
-    return Separable1D(
-        (
-            lambda t: np.sin(p * t) - L[0](t),
-            lambda t: p * np.cos(p * t) - L[1](t),
-            lambda t: -(p**2) * np.sin(p * t) - L[2](t),
-            lambda t: -(p**3) * np.cos(p * t) - L[3](t),
-            lambda t: p**4 * np.sin(p * t) - L[4](t),
-        )
-    )
+    corrector = _corrector_chain(iota)
+
+    def chain(t, k):
+        L = corrector(t, k)
+        pt = p * t
+        s = np.sin(pt)
+        out = [s - L[0]]
+        if k >= 1:
+            c = np.cos(pt)
+            out.append(p * c - L[1])
+        if k >= 2:
+            out.append(-(p**2) * s - L[2])
+        if k >= 3:
+            out.append(-(p**3) * c - L[3])
+        if k >= 4:
+            out.append(p**4 * s - L[4])
+        return out
+
+    return Separable1D(chain)
 
 
 @dataclass(frozen=True)
@@ -172,23 +200,27 @@ class ManufacturedField:
     def gradient(self, xy):
         """(n, 2, 2) array with entry [i, j] = d_j u_i."""
         x, y = xy[:, 0], xy[:, 1]
+        x1, y1 = self.x1.chain(x, 1), self.y1.chain(y, 1)
+        x2, y2 = self.x2.chain(x, 1), self.y2.chain(y, 1)
         g = np.empty(xy.shape[:1] + (2, 2))
-        g[:, 0, 0] = self.x1(x, 1) * self.y1(y)
-        g[:, 0, 1] = self.x1(x) * self.y1(y, 1)
-        g[:, 1, 0] = self.x2(x, 1) * self.y2(y)
-        g[:, 1, 1] = self.x2(x) * self.y2(y, 1)
+        g[:, 0, 0] = x1[1] * y1[0]
+        g[:, 0, 1] = x1[0] * y1[1]
+        g[:, 1, 0] = x2[1] * y2[0]
+        g[:, 1, 1] = x2[0] * y2[1]
         return g
 
     def hessian(self, xy):
         """(n, 2, 2, 2) array with entry [i, j, k] = d_j d_k u_i."""
         x, y = xy[:, 0], xy[:, 1]
+        x1, y1 = self.x1.chain(x, 2), self.y1.chain(y, 2)
+        x2, y2 = self.x2.chain(x, 2), self.y2.chain(y, 2)
         h = np.empty(xy.shape[:1] + (2, 2, 2))
-        h[:, 0, 0, 0] = self.x1(x, 2) * self.y1(y)
-        h[:, 0, 0, 1] = h[:, 0, 1, 0] = self.x1(x, 1) * self.y1(y, 1)
-        h[:, 0, 1, 1] = self.x1(x) * self.y1(y, 2)
-        h[:, 1, 0, 0] = self.x2(x, 2) * self.y2(y)
-        h[:, 1, 0, 1] = h[:, 1, 1, 0] = self.x2(x, 1) * self.y2(y, 1)
-        h[:, 1, 1, 1] = self.x2(x) * self.y2(y, 2)
+        h[:, 0, 0, 0] = x1[2] * y1[0]
+        h[:, 0, 0, 1] = h[:, 0, 1, 0] = x1[1] * y1[1]
+        h[:, 0, 1, 1] = x1[0] * y1[2]
+        h[:, 1, 0, 0] = x2[2] * y2[0]
+        h[:, 1, 0, 1] = h[:, 1, 1, 0] = x2[1] * y2[1]
+        h[:, 1, 1, 1] = x2[0] * y2[2]
         return h
 
 
@@ -230,17 +262,16 @@ def example_field(example: str, mat: MaterialParams) -> ManufacturedField:
 def source(field: ManufacturedField):
     """Pointwise f = iota^2 Delta g - g as a vectorized evaluator.
 
-    Returns ``f(xy) -> (n, 2)`` expanded into products of the 1D chains.
+    Returns ``f(xy) -> (n, 2)`` expanded into products of the 1D chains;
+    each call evaluates every factor's chain once, through order 4.
     """
     lam, mu, i2 = field.mat.lam, field.mat.mu, field.mat.iota**2
     lm = lam + mu
 
     def f(xy):
         x, y = xy[:, 0], xy[:, 1]
-        x1 = [field.x1(x, k) for k in range(5)]
-        y1 = [field.y1(y, k) for k in range(5)]
-        x2 = [field.x2(x, k) for k in range(5)]
-        y2 = [field.y2(y, k) for k in range(5)]
+        x1, y1 = field.x1.chain(x, 4), field.y1.chain(y, 4)
+        x2, y2 = field.x2.chain(x, 4), field.y2.chain(y, 4)
 
         g1 = mu * (x1[2] * y1[0] + x1[0] * y1[2]) + lm * (x1[2] * y1[0] + x2[1] * y2[1])
         g2 = mu * (x2[2] * y2[0] + x2[0] * y2[2]) + lm * (x1[1] * y1[1] + x2[0] * y2[2])

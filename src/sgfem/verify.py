@@ -3,7 +3,9 @@
 The ``sgfem verify`` suites and the test suite draw their random triangles
 and quartics here.  The finite-difference oracle differentiates black-box
 evaluators only, so it stays independent of the analytic derivative chains
-it is used to check.
+it is used to check.  Each Richardson stencil stacks all its shifted point
+sets and calls its evaluator once, so the nested source oracle evaluates
+the displacement four times per call.
 """
 
 import numpy as np
@@ -15,7 +17,6 @@ __all__ = [
     "boundary_points",
     "random_geometry",
     "random_geometries",
-    "random_quartic",
     "random_quartic_samples",
     "richardson_laplacian",
     "richardson_grad_div",
@@ -64,22 +65,29 @@ def random_geometries(rng, count: int) -> ElementGeometry:
 
 
 def random_quartic_samples(rng, count: int):
-    """``count`` random triangles, each followed by a random quartic in the
-    draw order, as one batch.
+    """``count`` random triangles, each followed by the normal random
+    coefficients of a quartic, drawn in turn and evaluated as one batch.
 
     Returns the batch geometry and each quartic's values (T, 24) and
     gradients (T, 24, 2) at the degree-of-freedom points of its own
     triangle (:func:`~sgfem.elements.dof_points`).
     """
-    vertices, values, grads = [], [], []
+    vertices, coeffs = [], []
     for _ in range(count):
-        geom = random_geometry(rng)
-        value, grad = random_quartic(rng)
-        xy = dof_points(geom)
-        vertices.append(geom.vertices)
-        values.append(value(xy))
-        grads.append(grad(xy))
-    return triangle_geometry(np.stack(vertices)), np.stack(values), np.stack(grads)
+        vertices.append(random_geometry(rng).vertices)
+        coeffs.append(rng.normal(size=len(_QUARTIC_X)))
+    geom = triangle_geometry(np.stack(vertices))
+    coeffs = np.stack(coeffs)
+    xy = dof_points(geom).reshape(-1, 2)
+    shape = (count, -1, len(_QUARTIC_X))
+
+    def sample(px, py, c):
+        return np.matmul(_monomials(xy, px, py).reshape(shape), c[:, :, None])[..., 0]
+
+    values = sample(_QUARTIC_X, _QUARTIC_Y, coeffs)
+    gx = sample(np.maximum(_QUARTIC_X - 1, 0), _QUARTIC_Y, _QUARTIC_X * coeffs)
+    gy = sample(_QUARTIC_X, np.maximum(_QUARTIC_Y - 1, 0), _QUARTIC_Y * coeffs)
+    return geom, values, np.stack([gx, gy], axis=-1)
 
 
 def _monomials(xy, px, py):
@@ -88,61 +96,73 @@ def _monomials(xy, px, py):
     return powers[:, 0, px] * powers[:, 1, py]
 
 
-def random_quartic(rng):
-    """Value and gradient evaluators of a bivariate quartic with normal
-    random coefficients."""
-    coeffs = rng.normal(size=len(_QUARTIC_X))
+def _shifted(xy, axis, step):
+    """A copy of ``xy`` with ``step`` added to coordinate ``axis``."""
+    p = xy.copy()
+    p[:, axis] += step
+    return p
 
-    def value(xy):
-        return _monomials(xy, _QUARTIC_X, _QUARTIC_Y) @ coeffs
 
-    def grad(xy):
-        gx = _monomials(xy, np.maximum(_QUARTIC_X - 1, 0), _QUARTIC_Y) @ (_QUARTIC_X * coeffs)
-        gy = _monomials(xy, _QUARTIC_X, np.maximum(_QUARTIC_Y - 1, 0)) @ (_QUARTIC_Y * coeffs)
-        return np.stack([gx, gy], axis=-1)
-
-    return value, grad
+def _evaluate_stacked(F, point_sets):
+    """``F`` on every (n, 2) point set in one call, as a (k, n, ...) array."""
+    values = np.asarray(F(np.concatenate(point_sets)), dtype=float)
+    return values.reshape((len(point_sets), len(point_sets[0])) + values.shape[1:])
 
 
 def richardson_laplacian(F, xy, h):
-    """Componentwise Laplacian of F(xy) with one Richardson sweep."""
+    """Componentwise Laplacian of F(xy) with one Richardson sweep.
 
-    def lap(hh):
-        out = -4.0 * np.asarray(F(xy), dtype=float)
-        for axis in (0, 1):
-            for sign in (-1.0, 1.0):
-                p = xy.copy()
-                p[:, axis] += sign * hh
-                out = out + np.asarray(F(p), dtype=float)
+    F is called once, on the center and its four neighbours at the steps
+    h/2 and h stacked together.
+    """
+    steps = (0.5 * h, h)
+    shifted = [
+        _shifted(xy, axis, sign * hh) for hh in steps for axis in (0, 1) for sign in (-1.0, 1.0)
+    ]
+    values = _evaluate_stacked(F, [xy] + shifted)
+    center, neighbours = values[0], values[1:].reshape((2, 4) + values.shape[1:])
+
+    def lap(i, hh):
+        out = -4.0 * center
+        for value in neighbours[i]:
+            out = out + value
         return out / hh**2
 
-    return (4.0 * lap(0.5 * h) - lap(h)) / 3.0
+    return (4.0 * lap(0, steps[0]) - lap(1, steps[1])) / 3.0
 
 
 def richardson_grad_div(F, xy, h):
-    """Gradient of the divergence of a vector evaluator, Richardson swept."""
+    """Gradient of the divergence of a vector evaluator, Richardson swept.
 
-    def div_at(pts, hh):
-        d = np.zeros(len(pts))
-        for axis in (0, 1):
-            p = pts.copy()
-            p[:, axis] += hh
-            m = pts.copy()
-            m[:, axis] -= hh
-            d += (np.asarray(F(p))[:, axis] - np.asarray(F(m))[:, axis]) / (2.0 * hh)
+    F is called once, on all 2 x 16 points of the nested central stencils
+    (each point is moved along axis ``a``, then along axis ``b``).
+    """
+    steps = (0.5 * h, h)
+    point_sets = [
+        _shifted(_shifted(xy, a, sa * hh), b, sb * hh)
+        for hh in steps
+        for a in (0, 1)
+        for sa in (1.0, -1.0)
+        for b in (0, 1)
+        for sb in (1.0, -1.0)
+    ]
+    # Index [step, a, sign along a, b, sign along b].
+    values = _evaluate_stacked(F, point_sets).reshape((2, 2, 2, 2, 2) + xy.shape)
+
+    def div_at(v, hh):
+        d = np.zeros(len(xy))
+        for b in (0, 1):
+            d += (v[b, 0][:, b] - v[b, 1][:, b]) / (2.0 * hh)
         return d
 
-    def gd(hh):
+    def gd(i, hh):
         out = np.empty((len(xy), 2))
-        for axis in (0, 1):
-            p = xy.copy()
-            p[:, axis] += hh
-            m = xy.copy()
-            m[:, axis] -= hh
-            out[:, axis] = (div_at(p, hh) - div_at(m, hh)) / (2.0 * hh)
+        for a in (0, 1):
+            plus, minus = values[i, a]
+            out[:, a] = (div_at(plus, hh) - div_at(minus, hh)) / (2.0 * hh)
         return out
 
-    return (4.0 * gd(0.5 * h) - gd(h)) / 3.0
+    return (4.0 * gd(0, steps[0]) - gd(1, steps[1])) / 3.0
 
 
 def fd_source(field, pts):

@@ -29,7 +29,9 @@ from sgfem.assembly import (
     element_stiffness_morley,
 )
 from sgfem.elements import EDGE_TABLES, ElementKind, build_basis
-from sgfem.mesh import Mesh, element_geometry, make_structured
+from sgfem.mesh import element_geometry
+
+from random_meshes import jittered_mesh
 
 
 def assert_close(batched, single, scale=None):
@@ -41,25 +43,6 @@ def assert_close(batched, single, scale=None):
 
 def load(xy):
     return np.stack([np.sin(3.0 * xy[:, 0]) + xy[:, 1], xy[:, 0] * xy[:, 1]], axis=-1)
-
-
-def jittered_mesh(n, amplitude, squash, seed):
-    """structured:n with interior vertices moved by up to ``amplitude / n``
-    and the y axis scaled by ``squash``.  The jitter is halved until every
-    triangle is counter-clockwise, so the largest ones leave some triangles
-    nearly flat."""
-    base = make_structured(n)
-    rng = np.random.default_rng(seed)
-    jitter = rng.uniform(-amplitude / n, amplitude / n, size=base.vertices.shape)
-    jitter[base.vertex_is_boundary] = 0.0
-    while True:
-        coords = (base.vertices + jitter)[base.triangles]
-        e1 = coords[:, 1] - coords[:, 0]
-        e2 = coords[:, 2] - coords[:, 0]
-        if np.all(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] > 1e-8 / n**2):
-            break
-        jitter *= 0.5
-    return Mesh((base.vertices + jitter) * [1.0, squash], base.triangles)
 
 
 @settings(max_examples=15, derandomize=True, database=None, deadline=None)

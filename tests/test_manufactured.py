@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sgfem.assembly import MaterialParams
@@ -18,6 +20,81 @@ from sgfem.verify import boundary_points, fd_source
 
 def all_factors(field):
     return {"x1": field.x1, "y1": field.y1, "x2": field.x2, "y2": field.y2}
+
+
+def reference_laplacian(F, xy, h):
+    """Richardson swept five-point Laplacian, one evaluator call per point
+    set: the loop form that ``richardson_laplacian`` batches."""
+
+    def lap(hh):
+        out = -4.0 * np.asarray(F(xy), dtype=float)
+        for axis in (0, 1):
+            for sign in (-1.0, 1.0):
+                p = xy.copy()
+                p[:, axis] += sign * hh
+                out = out + np.asarray(F(p), dtype=float)
+        return out / hh**2
+
+    return (4.0 * lap(0.5 * h) - lap(h)) / 3.0
+
+
+def reference_grad_div(F, xy, h):
+    """Loop form of ``richardson_grad_div``."""
+
+    def div_at(pts, hh):
+        d = np.zeros(len(pts))
+        for axis in (0, 1):
+            p = pts.copy()
+            p[:, axis] += hh
+            m = pts.copy()
+            m[:, axis] -= hh
+            d += (np.asarray(F(p))[:, axis] - np.asarray(F(m))[:, axis]) / (2.0 * hh)
+        return d
+
+    def gd(hh):
+        out = np.empty((len(xy), 2))
+        for axis in (0, 1):
+            p = xy.copy()
+            p[:, axis] += hh
+            m = xy.copy()
+            m[:, axis] -= hh
+            out[:, axis] = (div_at(p, hh) - div_at(m, hh)) / (2.0 * hh)
+        return out
+
+    return (4.0 * gd(0.5 * h) - gd(h)) / 3.0
+
+
+def reference_fd_source(field, pts):
+    """``fd_source`` built on the loop stencils."""
+    mat = field.mat
+    u = field.displacement
+
+    def g(xy):
+        return mat.mu * reference_laplacian(u, xy, 1e-3) + (
+            mat.lam + mat.mu
+        ) * reference_grad_div(u, xy, 1e-3)
+
+    return mat.iota**2 * reference_laplacian(g, pts, 1e-2) - g(pts)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    iota=st.floats(1e-6, 1.0),
+    t=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+)
+def test_truncated_chain_is_a_prefix(iota, t):
+    """``chain(t, k)`` computes orders 0..k exactly as the full chain does."""
+    t = np.array(t)
+    for field in (example_smooth(MaterialParams(iota=iota)), example_layer(iota)):
+        for name, factor in all_factors(field).items():
+            full = factor.chain(t, 4)
+            assert len(full) == 5
+            for k in range(4):
+                part = factor.chain(t, k)
+                assert len(part) == k + 1
+                for order in range(k + 1):
+                    assert np.array_equal(part[order], full[order]), (field.name, name, k)
+                    assert np.array_equal(factor(t, order), full[order])
 
 
 class TestFactorChains:
@@ -141,11 +218,44 @@ class TestDerivativeTensors:
 
 class TestSource:
     def test_zero_field_gives_zero_source(self):
-        zero = lambda t: np.zeros_like(t)
-        flat = Separable1D((zero,) * 5)
+        flat = Separable1D(lambda t, k: [np.zeros_like(t)] * (k + 1))
         field = ManufacturedField("null", flat, flat, flat, flat, MaterialParams())
         f = source(field)(np.random.default_rng(1).uniform(size=(20, 2)))
         assert_allclose(f, 0.0, atol=1e-300)
+
+    @pytest.mark.parametrize("example", ["smooth", "layer"])
+    def test_evaluates_each_chain_once(self, example):
+        """The source reads every factor's chain once, through order 4; the
+        gradient and the Hessian read it once through orders 1 and 2."""
+        field = example_field(example, MaterialParams(iota=1e-2))
+        calls = []
+
+        def counted(name, factor):
+            def chain(t, k):
+                calls.append((name, k))
+                return factor.chain(t, k)
+
+            return Separable1D(chain)
+
+        factors = {name: counted(name, f) for name, f in all_factors(field).items()}
+        counting = ManufacturedField(field.name, mat=field.mat, **factors)
+        pts = np.random.default_rng(2).uniform(size=(30, 2))
+        f = source(counting)(pts)
+        assert sorted(calls) == [("x1", 4), ("x2", 4), ("y1", 4), ("y2", 4)]
+        assert np.array_equal(f, source(field)(pts))
+        for order, method in ((1, "gradient"), (2, "hessian")):
+            calls.clear()
+            value = getattr(counting, method)(pts)
+            assert sorted(calls) == [(name, order) for name in ("x1", "x2", "y1", "y2")]
+            assert np.array_equal(value, getattr(field, method)(pts))
+
+    @pytest.mark.parametrize("iota", [1.0, 1e-2])
+    @pytest.mark.parametrize("example", ["smooth", "layer"])
+    def test_batched_oracle_equals_loop_stencils(self, example, iota):
+        """One evaluator call per stencil set gives the loop's bits."""
+        field = example_field(example, MaterialParams(iota=iota))
+        pts = np.random.default_rng(29).uniform(0.1, 0.9, size=(7, 2))
+        assert np.array_equal(fd_source(field, pts), reference_fd_source(field, pts))
 
     @pytest.mark.parametrize("iota", [1.0, 1e-2])
     @pytest.mark.parametrize("example", ["smooth", "layer"])

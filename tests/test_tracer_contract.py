@@ -5,7 +5,7 @@ example ``sgfem.cli.assemble`` and ``sgfem.solver.spla``) while a traced
 command runs.  A renamed or deleted attribute breaks traced benchmark runs
 only, so these tests run small commands under the tracer.  The spans also
 show whether a per-element loop came back into assembly, the energy error
-or the element checks.
+or the element checks, or a per-stencil loop into the source oracle.
 """
 
 from pathlib import Path
@@ -88,3 +88,13 @@ def test_probed_solve_builds_one_dofmap(monkeypatch, capsys):
 def test_verify_suites_build_one_dofmap_per_family(monkeypatch, capsys, suite):
     spans = traced_spans(monkeypatch, capsys, ["verify", suite, "--seed", "0"])
     assert [span[0] for span in spans].count("assembly.dofmap") == 3
+
+
+def test_source_oracle_calls_the_field_once_per_stencil_set(monkeypatch, capsys):
+    """Each finite-difference stencil evaluates the displacement once on all
+    its shifted points, so the manufactured suite makes a few dozen field
+    calls (four per source check), and one source span per assembly still
+    holds for a study (``test_study_runs_no_per_element_loops``)."""
+    spans = traced_spans(monkeypatch, capsys, ["verify", "manufactured", "--seed", "0"])
+    names = [span[0] for span in spans]
+    assert 0 < names.count("manufactured.field") <= 40
