@@ -32,7 +32,7 @@ from .elements import build_basis  # noqa: F401  (bound for the benchmark tracer
 from .manufactured import ManufacturedField, example_field, source
 from .mesh import ElementGeometry, Mesh, refine
 from .mesh import element_geometry  # noqa: F401  (bound for the benchmark tracer, which wraps it)
-from .quadrature import edge_rule, triangle_rule
+from .quadrature import triangle_rule
 from .solver import SolverError, solve
 
 __all__ = [
@@ -59,7 +59,6 @@ _ERROR_RULE = triangle_rule(10)
 _ERROR_TABLES = MonoTables(_ERROR_RULE.points)
 _GRAM_RULE = triangle_rule(8)
 _GRAM_TABLES = MonoTables(_GRAM_RULE.points)
-_EDGE_WEIGHTS = edge_rule(3).weights
 # Weights of the distinct-entry Hessian norm: (1, 2) and (2, 1) count once.
 _DISTINCT = np.array([[1.0, 1.0], [0.0, 1.0]])
 
@@ -134,7 +133,6 @@ class ConvergenceReport:
     iota: float
     lam: float
     mu: float
-    mesh_desc: str
     rows: list = dataclass_field(default_factory=list)
 
 
@@ -146,7 +144,6 @@ def convergence_study(
     base_mesh: Mesh,
     lam: float = 10.0,
     mu: float = 1.0,
-    mesh_desc: str = "structured",
 ):
     """Refine, solve and measure for each iota; one report per iota.
 
@@ -161,14 +158,7 @@ def convergence_study(
     fields = [example_field(example, mat) for mat in mats]
     sources = [source(field) for field in fields]
     reports = [
-        ConvergenceReport(
-            kind=kind.value,
-            example=example,
-            iota=float(iota),
-            lam=lam,
-            mu=mu,
-            mesh_desc=mesh_desc,
-        )
+        ConvergenceReport(kind=kind.value, example=example, iota=float(iota), lam=lam, mu=mu)
         for iota in iotas
     ]
     mesh = base_mesh
@@ -229,8 +219,6 @@ def _from_six(params):
 class KornSearch:
     min_sampled: float
     min_directed: float
-    argmin: np.ndarray
-    bound: float = KORN_BOUND
 
 
 def korn_ratio_min(n_samples: int, seed: int = 0) -> KornSearch:
@@ -246,14 +234,12 @@ def korn_ratio_min(n_samples: int, seed: int = 0) -> KornSearch:
     rng = np.random.default_rng(seed)
     params = rng.normal(size=(n_samples, 6))
     ratios = korn_ratio(_from_six(params))
-    worst = int(np.argmin(ratios))
     # Row p: the symmetrized gradient of unit entry p, flattened.
     D = _from_six(np.eye(6))
     sym = (0.5 * (D + np.swapaxes(D, -3, -2))).reshape(6, -1)
     return KornSearch(
-        min_sampled=float(ratios[worst]),
+        min_sampled=float(ratios.min()),
         min_directed=float(np.linalg.eigvalsh(sym @ sym.T)[0]),
-        argmin=params[worst],
     )
 
 
@@ -316,7 +302,7 @@ def edge_means(coeffs, geom: ElementGeometry, local_coeffs, normals):
     the field with local coefficients ``local_coeffs`` (T, nloc, 2).
     """
     poly = np.einsum("tac,tam->tcm", local_coeffs, coeffs)
-    return edge_normal_moments(poly, geom, normals, _EDGE_WEIGHTS).swapaxes(1, 2)
+    return edge_normal_moments(poly, geom, normals).swapaxes(1, 2)
 
 
 def edge_mean_jumps(dofmap: DofMap, local_coeffs: np.ndarray):

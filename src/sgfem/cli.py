@@ -71,7 +71,7 @@ def _parse_mesh(text: str):
             raise CliError(f"bad mesh argument {text!r}") from exc
         if n < 1:
             raise CliError("structured mesh needs n >= 1")
-        return make_structured(n), text
+        return make_structured(n)
     if text.startswith("file:"):
         path = text.split(":", 1)[1]
         try:
@@ -84,7 +84,7 @@ def _parse_mesh(text: str):
         area = mesh_geometry(mesh).area.sum()
         if abs(area - 1.0) > 1e-12:
             raise CliError(f"{path}: mesh must cover the unit square (area {area!r})")
-        return mesh, text
+        return mesh
     raise CliError(f"mesh must be structured:N or file:PATH, got {text!r}")
 
 
@@ -136,7 +136,7 @@ def cmd_convergence(args) -> int:
     materials = _parse_materials(args)
     if args.levels < 1:
         raise CliError("levels must be at least 1")
-    base_mesh, desc = _parse_mesh(args.mesh)
+    base_mesh = _parse_mesh(args.mesh)
     reports = convergence_study(
         args.element,
         args.example,
@@ -145,7 +145,6 @@ def cmd_convergence(args) -> int:
         base_mesh,
         lam=args.lam,
         mu=args.mu,
-        mesh_desc=desc,
     )
     text = format_csv(reports) if args.format == "csv" else format_markdown(reports)
     _write_output(text, args.out)
@@ -158,7 +157,7 @@ def cmd_solve(args) -> int:
         raise CliError("solve takes a single iota")
     if args.refine < 0:
         raise CliError("refine must be nonnegative")
-    mesh, _ = _parse_mesh(args.mesh)
+    mesh = _parse_mesh(args.mesh)
     for _ in range(args.refine):
         mesh = refine(mesh)
     probes = _parse_probes(args.probe)

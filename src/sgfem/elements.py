@@ -18,11 +18,15 @@ Degrees of freedom read a function at 24 fixed barycentric points,
 six-point Gauss rule on each edge.  :func:`apply_dofs` applies a family's
 functionals to values and gradients sampled there, on a batch of
 triangles: vertex values, vertex gradient components and midpoint values
-are slices, and the edge moments are one contraction.  The verification
-checks run on a whole batch of triangles through this one path:
-:func:`duality_residual` applies the functionals to the shapes themselves,
-:func:`specht_constraint_residual` takes the Legendre edge moments of the
-specht shapes at the same points, and :func:`verify_affine_identity`
+are slices, and the edge moments are one contraction.  It is the one
+implementation of the functionals: the specht and morley dual solves take
+it of their generators sampled at the same points (specht adds its
+Legendre edge moments there), and :func:`edge_normal_moments` reads the
+same edge points and weights.  The verification checks run on a whole
+batch of triangles through this one path: :func:`duality_residual`
+applies the functionals to the shapes themselves,
+:func:`specht_constraint_residual` takes the specht shapes' Legendre edge
+moments with the builder's constraint, and :func:`verify_affine_identity`
 interpolates one sampled function per triangle in ntw and its affine
 relative; :func:`interpolate` is a batch of one.
 
@@ -37,7 +41,7 @@ specht
     vertices.  The local space is the Zienkiewicz space plus bubble times P1,
     constrained so that the quadratic Legendre moment of the normal
     derivative vanishes on every edge.  Shapes come from one batched 12 by
-    12 dual solve.
+    12 dual solve: nine functionals and three edge constraints.
 morley
     Six degrees of freedom: vertex values and mean normal derivatives.  The
     local space is P2; shapes come from one batched 6 by 6 dual solve.
@@ -62,7 +66,6 @@ __all__ = [
     "LocalBasis",
     "MonoTables",
     "MORLEY_PI1",
-    "EDGE_TABLES",
     "evaluate",
     "edge_normal_moments",
     "basis_coefficients",
@@ -113,7 +116,6 @@ def _deriv_matrix(var):
 # Transposed formal derivatives: _DERIV_T[v] @ M differentiates in lambda_v.
 _DERIV_T = np.stack([_deriv_matrix(v).T for v in range(3)])
 
-_EDGE3 = edge_rule(3)
 _EDGE6 = edge_rule(6)
 
 
@@ -179,9 +181,6 @@ def _edge_bary(i, t):
     return bary
 
 
-_VERTEX_TABLES = MonoTables(np.eye(3))
-# The three-point Gauss rule on local edges 0, 1, 2, edge-major.
-EDGE_TABLES = MonoTables(np.vstack([_edge_bary(i, _EDGE3.points) for i in range(3)]))
 # The points every degree-of-freedom functional reads: the three vertices,
 # the three edge midpoints, then the six-point Gauss rule on local edges
 # 0, 1, 2, edge-major (24 points).
@@ -201,19 +200,31 @@ def _edge_moments(edge_grads, directions, weights):
     edge, edge-major; entry ``[t, a, i]`` is ``sum_p weights[p] *
     edge_grads[t, a, i, p] . directions[t, i]``.
     """
-    grads = edge_grads.reshape(edge_grads.shape[:2] + (3, len(weights), 2))
-    dn = (grads @ directions[:, None, :, :, None])[..., 0]
-    return dn @ weights
+    batch, n = edge_grads.shape[:2]
+    npts = len(weights)
+    # Edge-major, (T, 3, n p, 2): one matrix-vector product per edge and
+    # triangle, not one per function and edge.
+    grads = edge_grads.reshape(batch, n, 3, npts, 2).swapaxes(1, 2).reshape(batch, 3, -1, 2)
+    dn = (grads @ directions[..., None])[..., 0]
+    return (dn.reshape(dn.shape[:2] + (n, npts)) @ weights).swapaxes(1, 2)
 
 
-def edge_normal_moments(coeffs, geom: ElementGeometry, normals, weights):
-    """Weighted edge sums of normal derivatives, shape (T, n, 3).
+def _sample(coeffs, geom: ElementGeometry):
+    """Values (T, m, 24) and gradients (T, m, 24, 2) of polynomials at the
+    points of :data:`DOF_TABLES`, where the functionals read them."""
+    vals, grads = _values_gradients(coeffs, geom.grad_lambda, DOF_TABLES)
+    return np.broadcast_to(vals, grads.shape[:-1]), grads
 
-    Entry ``[t, a, i]`` is ``sum_p weights[p] * grad(p_a)(x_p) . normals[t, i]``
-    over the three Gauss points ``x_p`` of local edge ``i``.
+
+def edge_normal_moments(coeffs, geom: ElementGeometry, normals):
+    """Mean normal derivatives on the local edges, shape (T, n, 3).
+
+    Entry ``[t, a, i]`` is the mean of ``grad(p_a) . normals[t, i]`` over
+    local edge ``i``, read at the edge points of :data:`DOF_TABLES` with
+    the weights of the edge functionals.
     """
-    _, grads = _values_gradients(coeffs, geom.grad_lambda, EDGE_TABLES)
-    return _edge_moments(grads, normals, weights)
+    _, grads = _sample(coeffs, geom)
+    return _edge_moments(grads[..., 6:, :], normals, _EDGE6.weights)
 
 
 class ElementKind(str, Enum):
@@ -360,11 +371,6 @@ def ntw_affine_basis(geom: ElementGeometry) -> LocalBasis:
     return LocalBasis("ntw_affine", geom, _NTW_AFFINE, dofs, np.ones(3))
 
 
-def _legendre2(t):
-    xi = 2.0 * np.asarray(t) - 1.0
-    return 0.5 * (3.0 * xi**2 - 1.0)
-
-
 def _specht_generators():
     gens = []
     for i in range(3):
@@ -383,44 +389,41 @@ _MORLEY_GENS = np.array(
     [_vec({_unit(i, 2): 1.0}) for i in range(3)]
     + [_vec({_shift(_unit(i), j): 1.0}) for i, j in ((0, 1), (1, 2), (2, 0))]
 )
-_LEGENDRE_WEIGHTS = _legendre2(_EDGE3.points) * _EDGE3.weights
+# The quadratic Legendre polynomial P2(2t - 1) times the edge weights.
+_LEGENDRE_WEIGHTS = 0.5 * (3.0 * (2.0 * _EDGE6.points - 1.0) ** 2 - 1.0) * _EDGE6.weights
 
 # pi1_map of every morley basis: the vertex-value shapes come first.
 MORLEY_PI1 = np.hstack([np.eye(3), np.zeros((3, 3))])
 
 
-def _dual_solve(system, rhs, gens, family):
+def _legendre_moments(grads, geom: ElementGeometry):
+    """(T, m, 3) edge moments ``int_0^1 P2(2t - 1) dn(p) dt`` of the specht
+    constraint, from gradients sampled by :func:`_sample`."""
+    return _edge_moments(grads[..., 6:, :], geom.normals, _LEGENDRE_WEIGHTS)
+
+
+def _dual_solve(rows, rhs, gens, family):
+    """Shapes dual to the functional values ``rows`` (T, m, m) of the
+    ``m`` generators: entry ``[t, g, d]`` is functional ``d`` of ``gens[g]``."""
     try:
-        sol = np.linalg.solve(system, rhs)
+        sol = np.linalg.solve(rows.swapaxes(1, 2), rhs)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"{family} element system is singular for this triangle") from exc
     return sol.swapaxes(1, 2) @ gens
 
 
 def _specht_coeffs(geom: ElementGeometry) -> np.ndarray:
-    """Solve the 12 by 12 systems that couple the nine degrees of freedom
-    with the three edge constraints ``int_0^1 P2(2t - 1) dn(p) dt = 0``."""
-    ntri = len(geom.grad_lambda)
-    vals, grads = _values_gradients(_SPECHT_GENS[None], geom.grad_lambda, _VERTEX_TABLES)
-    system = np.empty((ntri, 12, 12))
-    # Rows 3 v, 3 v + 1, 3 v + 2: value, grad_x, grad_y at vertex v.
-    system[:, 0:9:3] = vals[0].T
-    system[:, 1:9:3] = grads[..., 0].swapaxes(1, 2)
-    system[:, 2:9:3] = grads[..., 1].swapaxes(1, 2)
-    moments = edge_normal_moments(_SPECHT_GENS[None], geom, geom.normals, _LEGENDRE_WEIGHTS)
-    system[:, 9:] = moments.swapaxes(1, 2)
-    # Dual to the nine dofs, zero on the three edge constraints.
-    return _dual_solve(system, np.eye(12, 9), _SPECHT_GENS, "specht")
+    """Dual to the nine degrees of freedom and zero on the three edge
+    constraints: one 12 by 12 system per triangle."""
+    vals, grads = _sample(_SPECHT_GENS[None], geom)
+    dofs = apply_dofs(ElementKind.SPECHT, vals, grads, geom, None)
+    rows = np.concatenate([dofs, _legendre_moments(grads, geom)], axis=-1)
+    return _dual_solve(rows, np.eye(12, 9), _SPECHT_GENS, "specht")
 
 
 def _morley_coeffs(geom: ElementGeometry, signs) -> np.ndarray:
-    ntri = len(geom.grad_lambda)
-    vals = _MORLEY_GENS @ _VERTEX_TABLES.M
-    system = np.empty((ntri, 6, 6))
-    system[:, :3] = vals.T
-    moments = edge_normal_moments(_MORLEY_GENS[None], geom, geom.normals, _EDGE3.weights)
-    system[:, 3:] = signs[:, :, None] * moments.swapaxes(1, 2)
-    return _dual_solve(system, np.eye(6), _MORLEY_GENS, "morley")
+    rows = apply_dofs(ElementKind.MORLEY, *_sample(_MORLEY_GENS[None], geom), geom, signs)
+    return _dual_solve(rows, np.eye(6), _MORLEY_GENS, "morley")
 
 
 def basis_coefficients(kind, geom: ElementGeometry, signs) -> np.ndarray:
@@ -530,9 +533,7 @@ def dof_matrices(family, geom: ElementGeometry, signs=None) -> np.ndarray:
         coeffs = _NTW_AFFINE[None]
     else:
         coeffs = basis_coefficients(family, geom, signs)
-    vals, grads = _values_gradients(coeffs, geom.grad_lambda, DOF_TABLES)
-    vals = np.broadcast_to(vals, grads.shape[:-1])
-    return apply_dofs(family, vals, grads, geom, signs).swapaxes(1, 2)
+    return apply_dofs(family, *_sample(coeffs, geom), geom, signs).swapaxes(1, 2)
 
 
 def duality_residual(family, geom: ElementGeometry, signs=None) -> np.ndarray:
@@ -547,10 +548,9 @@ def specht_constraint_residual(geom: ElementGeometry) -> np.ndarray:
     normal derivative against the quadratic Legendre weight, normalized by
     the gradient scale on the edges (at least 1); shape (T,)."""
     coeffs = basis_coefficients(ElementKind.SPECHT, geom, None)
-    _, grads = _values_gradients(coeffs, geom.grad_lambda, DOF_TABLES)
-    edge = grads[..., 6:, :]
-    moments = _edge_moments(edge, geom.normals, _legendre2(_EDGE6.points) * _EDGE6.weights)
-    gscale = np.abs(edge).max(axis=(1, 2, 3))
+    _, grads = _sample(coeffs, geom)
+    moments = _legendre_moments(grads, geom)
+    gscale = np.abs(grads[..., 6:, :]).max(axis=(1, 2, 3))
     return np.abs(moments).max(axis=(1, 2)) / np.maximum(gscale, 1.0)
 
 

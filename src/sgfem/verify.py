@@ -41,9 +41,10 @@ def boundary_points(n: int) -> np.ndarray:
     )
 
 
-def random_geometry(rng) -> ElementGeometry:
-    """A counter-clockwise triangle in [-1, 1]^2 with area at least 0.05
-    and chunkiness below 12, drawn by rejection."""
+def _random_vertices(rng) -> np.ndarray:
+    """The (3, 2) vertices of :func:`random_geometry`; each candidate is
+    judged from its own vertices, with the arithmetic of
+    :func:`~sgfem.mesh.triangle_geometry`."""
     while True:
         coords = rng.uniform(-1.0, 1.0, size=(3, 2))
         va, vb = coords[1] - coords[0], coords[2] - coords[0]
@@ -53,15 +54,22 @@ def random_geometry(rng) -> ElementGeometry:
             area = -area
         if area < 0.05:
             continue
-        geom = triangle_geometry(coords)
-        if geom.chunkiness < 12.0:
-            return geom
+        lengths = np.linalg.norm(coords[[2, 0, 1]] - coords[[1, 2, 0]], axis=-1)
+        inscribed = 4.0 * area / lengths.sum()
+        if lengths.max() / inscribed < 12.0:
+            return coords
+
+
+def random_geometry(rng) -> ElementGeometry:
+    """A counter-clockwise triangle in [-1, 1]^2 with area at least 0.05
+    and chunkiness below 12, drawn by rejection."""
+    return triangle_geometry(_random_vertices(rng))
 
 
 def random_geometries(rng, count: int) -> ElementGeometry:
     """``count`` triangles of :func:`random_geometry`, drawn in turn, as
     one batch."""
-    return triangle_geometry(np.stack([random_geometry(rng).vertices for _ in range(count)]))
+    return triangle_geometry(np.stack([_random_vertices(rng) for _ in range(count)]))
 
 
 def random_quartic_samples(rng, count: int):
@@ -74,7 +82,7 @@ def random_quartic_samples(rng, count: int):
     """
     vertices, coeffs = [], []
     for _ in range(count):
-        vertices.append(random_geometry(rng).vertices)
+        vertices.append(_random_vertices(rng))
         coeffs.append(rng.normal(size=len(_QUARTIC_X)))
     geom = triangle_geometry(np.stack(vertices))
     coeffs = np.stack(coeffs)

@@ -11,6 +11,7 @@ The reduced matrix, combined per ``iota`` from the two forms on the dof
 map's fixed pattern, is checked against the unsplit assembly it replaced.
 """
 
+import hypothesis
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import given, settings
@@ -28,10 +29,24 @@ from sgfem.assembly import (
     element_stiffness,
     element_stiffness_morley,
 )
-from sgfem.elements import EDGE_TABLES, ElementKind, build_basis
+from sgfem.elements import DOF_TABLES, ElementKind, build_basis
 from sgfem.mesh import element_geometry
 
 from random_meshes import jittered_mesh
+
+# Hypothesis seeds of the derandomized property tests below.  Derandomized
+# examples are seeded from a test's source text; fixed seeds keep each test
+# on the same examples when its body is edited.
+BATCH_OF_ONE_SEED = int(
+    "a9518275eac74b94d04ffa68a9ebe2bc3ccc4eb6450a9dd4"
+    "80e4e69721183668bf8c548a88fc4e3a4095990769d15c7a",
+    16,
+)
+SPLIT_FORMS_SEED = int(
+    "cc7f179a9825e2995ad1304df96e99d4b8bd0bdd5bc0ac99"
+    "fed0846b18cae0ed9e2d6614cd20b3e74d128ec0c067afe4",
+    16,
+)
 
 
 def assert_close(batched, single, scale=None):
@@ -45,6 +60,7 @@ def load(xy):
     return np.stack([np.sin(3.0 * xy[:, 0]) + xy[:, 1], xy[:, 0] * xy[:, 1]], axis=-1)
 
 
+@hypothesis.seed(BATCH_OF_ONE_SEED)
 @settings(max_examples=15, derandomize=True, database=None, deadline=None)
 @given(
     n=st.integers(1, 3),
@@ -81,7 +97,7 @@ def test_batch_matches_batch_of_one(n, amplitude, squash, seed):
             # On flat triangles a mean normal derivative can be O(1) while
             # the gradient it projects is O(1/flatness), so the means are
             # compared on the scale of that gradient.
-            grads = np.einsum("ac,aqj->cqj", local[t], basis.gradients(EDGE_TABLES.bary))
+            grads = np.einsum("ac,aqj->cqj", local[t], basis.gradients(DOF_TABLES.bary[6:]))
             assert_close(means[t], m1[0], scale=np.abs(grads).max())
 
 
@@ -104,6 +120,7 @@ def unsplit_system(dofmap, mat, f):
     return 0.5 * (A + A.T), rhs[retained]
 
 
+@hypothesis.seed(SPLIT_FORMS_SEED)
 @settings(max_examples=12, derandomize=True, database=None, deadline=None)
 @given(
     n=st.integers(2, 4),

@@ -1,11 +1,15 @@
-"""No module-level import in ``src/sgfem`` goes unused, or costs every
-command a module it never calls.
+"""No module-level import in ``src/sgfem`` goes unused, reaches into
+another module's private names, or costs every command a module it never
+calls.
 
 An AST scan of each module: a name bound by a module-level ``import`` must
 be read somewhere in the module, or be listed in ``__all__``.  Imports
 marked ``# noqa: F401`` are exempt; they bind the names the benchmark
 tracer wraps (``perfbench/tracing.py``), which the module itself may no
-longer call.
+longer call.  A module takes only public names from the other ``sgfem``
+modules, so that each helper has one owner: for example, the
+degree-of-freedom functionals are reached through ``elements.apply_dofs``
+and ``elements.edge_normal_moments`` only.
 """
 
 import ast
@@ -39,6 +43,20 @@ def unused_imports(source: str) -> list:
     return sorted(imported - read - exported)
 
 
+def private_imports(source: str) -> list:
+    """Underscore-prefixed names that ``source`` imports from a sibling
+    module (``from .x import _y``) or from ``sgfem`` by absolute path."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "sgfem":
+            continue
+        found += [alias.name for alias in node.names if alias.name.startswith("_")]
+    return sorted(found)
+
+
 def test_scan_finds_unused_imports():
     source = (
         "import os\n"
@@ -54,6 +72,24 @@ def test_scan_finds_unused_imports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_scan_finds_private_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "from collections import _sentinel\n"
+        "from .elements import DOF_TABLES, _edge_moments\n"
+        "from . import _private_module\n"
+        "from sgfem.mesh import _TAIL as tail\n"
+        "def f():\n"
+        "    from .quadrature import _gauss\n"
+    )
+    assert private_imports(source) == ["_TAIL", "_edge_moments", "_gauss", "_private_module"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_private_cross_module_imports(path):
+    assert private_imports(path.read_text()) == []
 
 
 def test_cli_import_leaves_out_scipy_optimize():

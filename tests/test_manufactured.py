@@ -1,5 +1,6 @@
 """Tests for the closed-form solutions and their synthesized sources."""
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,16 @@ from sgfem.manufactured import (
     source,
 )
 from sgfem.verify import boundary_points, fd_source
+
+
+# Hypothesis seed of the derandomized property test below.  Derandomized
+# examples are seeded from a test's source text; a fixed seed keeps the test
+# on the same examples when its body is edited.
+TRUNCATED_CHAIN_SEED = int(
+    "b8df75b4c21ddace53cc0553c0993db6bef237e5946b710e"
+    "7e1b1d00db016d129082d0f443eac86c2c8d8aa3bfbef703",
+    16,
+)
 
 
 def all_factors(field):
@@ -77,6 +88,7 @@ def reference_fd_source(field, pts):
     return mat.iota**2 * reference_laplacian(g, pts, 1e-2) - g(pts)
 
 
+@hypothesis.seed(TRUNCATED_CHAIN_SEED)
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(
     iota=st.floats(1e-6, 1.0),
