@@ -10,8 +10,9 @@ anywhere.
 Shapes are built for a batch of ``T`` triangles at once:
 :func:`basis_coefficients` returns a (T, n, 35) coefficient array and
 :func:`evaluate` turns it into values, gradients and Hessians at the points
-of a :class:`MonoTables`.  The per-element :class:`LocalBasis` is a batch
-of one of the same code.
+of a :class:`MonoTables`.  The per-element :class:`LocalBasis` of every
+family comes from :func:`build_basis`, a batch of one of the same code;
+the affine relative of ntw has its own :func:`ntw_affine_basis`.
 
 Degrees of freedom read a function at 24 fixed barycentric points,
 :data:`DOF_TABLES`: the three vertices, the three edge midpoints and the
@@ -22,13 +23,15 @@ are slices, and the edge moments are one contraction.  It is the one
 implementation of the functionals: the specht and morley dual solves take
 it of their generators sampled at the same points (specht adds its
 Legendre edge moments there), and :func:`edge_normal_moments` reads the
-same edge points and weights.  The verification checks run on a whole
-batch of triangles through this one path: :func:`duality_residual`
-applies the functionals to the shapes themselves,
+same edge points and weights; :func:`interpolate` is a batch of one.  The
+verification checks run on a whole batch of triangles:
+:func:`duality_residual` applies each functional to the shapes as its
+:class:`DofDescriptor` states it, independently of :func:`apply_dofs`, so
+that a wrong functional shows instead of being inverted by the dual solve;
 :func:`specht_constraint_residual` takes the specht shapes' Legendre edge
 moments with the builder's constraint, and :func:`verify_affine_identity`
 interpolates one sampled function per triangle in ntw and its affine
-relative; :func:`interpolate` is a batch of one.
+relative.
 
 Families
 --------
@@ -69,12 +72,8 @@ __all__ = [
     "evaluate",
     "edge_normal_moments",
     "basis_coefficients",
-    "ntw_basis",
     "ntw_affine_basis",
-    "specht_basis",
-    "morley_basis",
     "build_basis",
-    "pi1_map",
     "DOF_TABLES",
     "dof_points",
     "apply_dofs",
@@ -241,7 +240,8 @@ class DofDescriptor:
     ``median_moment``; ``entity`` is ``vertex``, ``midpoint`` or ``edge``
     with local index ``index``.  For ``normal_moment`` the ``sign`` times
     the outward normal gives the direction the functional uses.  The
-    functionals themselves are applied by :func:`apply_dofs`.
+    functionals are applied by :func:`apply_dofs`, and one descriptor at a
+    time by the :func:`dof_matrices` check.
     """
 
     kind: str
@@ -330,15 +330,19 @@ def _ntw_coeffs(geom: ElementGeometry, signs) -> np.ndarray:
     return coeffs
 
 
-def _dofs(kind, signs):
-    """Degree-of-freedom descriptors in the local order of ``kind``."""
-    if kind is ElementKind.SPECHT:
+def _dofs(family, signs):
+    """Degree-of-freedom descriptors in the local order of ``family``, an
+    :class:`ElementKind` or ``"ntw_affine"``."""
+    if family == ElementKind.SPECHT:
         names = ("value", "grad_x", "grad_y")
         return tuple(DofDescriptor(name, "vertex", v) for v in range(3) for name in names)
     dofs = [DofDescriptor("value", "vertex", i) for i in range(3)]
-    if kind is ElementKind.NTW:
+    if family != ElementKind.MORLEY:
         dofs += [DofDescriptor("value", "midpoint", i) for i in range(3)]
-    dofs += [DofDescriptor("normal_moment", "edge", i, sign=float(signs[i])) for i in range(3)]
+    if family == "ntw_affine":
+        dofs += [DofDescriptor("median_moment", "edge", i) for i in range(3)]
+    else:
+        dofs += [DofDescriptor("normal_moment", "edge", i, float(signs[i])) for i in range(3)]
     return tuple(dofs)
 
 
@@ -352,11 +356,6 @@ _NTW_AFFINE = np.vstack(
 )
 
 
-def ntw_basis(geom: ElementGeometry, signs=None) -> LocalBasis:
-    """Nine shapes: vertex values, midpoint values, edge normal moments."""
-    return build_basis(ElementKind.NTW, geom, signs)
-
-
 def ntw_affine_basis(geom: ElementGeometry) -> LocalBasis:
     """Affine relative of the ntw family.
 
@@ -366,9 +365,8 @@ def ntw_affine_basis(geom: ElementGeometry) -> LocalBasis:
     interpolants coincide (see :func:`verify_affine_identity`), which is
     what makes the family amenable to scaling arguments.
     """
-    dofs = _dofs(ElementKind.NTW, np.ones(3))[:6]
-    dofs += tuple(DofDescriptor("median_moment", "edge", i) for i in range(3))
-    return LocalBasis("ntw_affine", geom, _NTW_AFFINE, dofs, np.ones(3))
+    signs = np.ones(3)
+    return LocalBasis("ntw_affine", geom, _NTW_AFFINE, _dofs("ntw_affine", signs), signs)
 
 
 def _specht_generators():
@@ -392,7 +390,9 @@ _MORLEY_GENS = np.array(
 # The quadratic Legendre polynomial P2(2t - 1) times the edge weights.
 _LEGENDRE_WEIGHTS = 0.5 * (3.0 * (2.0 * _EDGE6.points - 1.0) ** 2 - 1.0) * _EDGE6.weights
 
-# pi1_map of every morley basis: the vertex-value shapes come first.
+# Sends morley local coefficients to vertex values (the vertex-value shapes
+# come first).  Composed with the barycentric coordinates it gives the linear
+# interpolant that the morley scheme uses in its membrane term and load.
 MORLEY_PI1 = np.hstack([np.eye(3), np.zeros((3, 3))])
 
 
@@ -440,16 +440,6 @@ def basis_coefficients(kind, geom: ElementGeometry, signs) -> np.ndarray:
     return _morley_coeffs(geom, signs)
 
 
-def specht_basis(geom: ElementGeometry) -> LocalBasis:
-    """Nine shapes dual to vertex values and vertex gradient components."""
-    return build_basis(ElementKind.SPECHT, geom)
-
-
-def morley_basis(geom: ElementGeometry, signs=None) -> LocalBasis:
-    """Six quadratic shapes: vertex values and edge normal moments."""
-    return build_basis(ElementKind.MORLEY, geom, signs)
-
-
 def build_basis(kind: ElementKind, geom: ElementGeometry, signs=None) -> LocalBasis:
     """Shapes of ``kind`` on one triangle: a batch of one of
     :func:`basis_coefficients`."""
@@ -457,20 +447,6 @@ def build_basis(kind: ElementKind, geom: ElementGeometry, signs=None) -> LocalBa
     signs = np.ones(3) if signs is None else np.asarray(signs)
     coeffs = basis_coefficients(kind, geom.batch_of_one(), signs[None])[0]
     return LocalBasis(kind.value, geom, coeffs, _dofs(kind, signs), signs)
-
-
-def pi1_map(basis: LocalBasis) -> np.ndarray:
-    """Matrix (3, nloc) sending local coefficients to vertex values.
-
-    Composing with the barycentric coordinates gives the linear interpolant
-    of the local function, which the morley scheme uses in its membrane
-    term and load functional.
-    """
-    out = np.zeros((3, basis.nloc))
-    for a, dof in enumerate(basis.dofs):
-        if dof.kind == "value" and dof.entity == "vertex":
-            out[dof.index, a] = 1.0
-    return out
 
 
 def dof_points(geom: ElementGeometry) -> np.ndarray:
@@ -525,7 +501,10 @@ def dof_matrices(family, geom: ElementGeometry, signs=None) -> np.ndarray:
 
     Entry ``[t, d, a]`` is degree of freedom ``d`` of shape ``a`` on
     triangle ``t``; unisolvence makes every matrix the identity.
-    ``family`` is an :class:`ElementKind` or ``"ntw_affine"``.
+    ``family`` is an :class:`ElementKind` or ``"ntw_affine"``.  Each
+    functional is applied as its :class:`DofDescriptor` states it, apart
+    from :func:`apply_dofs`, which the specht and morley shapes invert: a
+    wrong functional there shows here instead of cancelling.
     """
     if signs is None:
         signs = np.ones((len(geom.vertices), 3))
@@ -533,7 +512,26 @@ def dof_matrices(family, geom: ElementGeometry, signs=None) -> np.ndarray:
         coeffs = _NTW_AFFINE[None]
     else:
         coeffs = basis_coefficients(family, geom, signs)
-    return apply_dofs(family, *_sample(coeffs, geom), geom, signs).swapaxes(1, 2)
+    vals, grads = _sample(coeffs, geom)
+    rows = []
+    # The descriptors give the structure; ``signs`` holds each triangle's own
+    # normal signs.
+    for dof in _dofs(family, np.ones(3)):
+        i = dof.index
+        if dof.entity == "vertex" and dof.kind == "value":
+            rows.append(vals[..., i])
+        elif dof.entity == "vertex":
+            rows.append(grads[..., i, ("grad_x", "grad_y").index(dof.kind)])
+        elif dof.entity == "midpoint":
+            rows.append(vals[..., 3 + i])
+        else:
+            if dof.kind == "normal_moment":
+                direction = signs[:, i, None] * geom.normals[:, i]
+            else:  # median_moment: from the opposite vertex to the edge midpoint
+                direction = geom.midpoints[:, i] - geom.vertices[:, i]
+            edge = grads[..., 6 + 6 * i : 12 + 6 * i, :]
+            rows.append((edge @ direction[:, None, :, None])[..., 0] @ _EDGE6.weights)
+    return np.stack(rows, axis=1)
 
 
 def duality_residual(family, geom: ElementGeometry, signs=None) -> np.ndarray:

@@ -9,16 +9,17 @@ of 1D derivative chains and the source
 
 expands into those chains with no numerical differentiation.
 
-Each factor is one derivative chain: ``chain(t, k)`` returns orders
-``0..k`` and evaluates every sine, cosine and exponential it needs once, so
-the gradient, the Hessian and the source read one chain per factor, at
-orders 1, 2 and 4.
+Each factor is its derivative chain: a function ``chain(t, k)`` that
+returns the list of orders ``0..k`` (``k <= 4``) at ``t`` and evaluates
+every sine, cosine and exponential it needs once, so the displacement, the
+gradient, the Hessian and the source read one chain per factor, at orders
+0, 1, 2 and 4.
 
-The second example adds boundary correctors built from ratios of
-exponentials.  They are evaluated in an overflow-safe form (every
-exponential argument is nonpositive on [0, 1]) and stay finite down to
-``iota = 1e-6``; the corrector and its first derivative cancel exactly at
-the endpoints.
+The second example subtracts a boundary corrector, built from ratios of
+exponentials, from both of its factors.  It is evaluated in an
+overflow-safe form (every exponential argument is nonpositive on [0, 1])
+and stays finite down to ``iota = 1e-6``; the corrector and its first
+derivative cancel exactly at the endpoints.
 """
 
 from collections.abc import Callable
@@ -29,7 +30,6 @@ import numpy as np
 from .assembly import MaterialParams
 
 __all__ = [
-    "Separable1D",
     "ManufacturedField",
     "example_smooth",
     "example_layer",
@@ -40,21 +40,7 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 
-@dataclass(frozen=True)
-class Separable1D:
-    """A univariate factor given by its derivative chain.
-
-    ``chain(t, k)`` returns the list of derivatives of orders ``0..k`` at
-    ``t`` (``k <= 4``) and evaluates each transcendental function once.
-    """
-
-    chain: Callable
-
-    def __call__(self, t, order: int = 0):
-        return self.chain(np.asarray(t, dtype=float), order)[order]
-
-
-def factor_exp_cos(omega: float) -> Separable1D:
+def factor_exp_cos(omega: float) -> Callable:
     """exp(cos(omega t)) - e, clamped to zero slope and value at t = 0."""
     e = np.e
 
@@ -76,10 +62,10 @@ def factor_exp_cos(omega: float) -> Separable1D:
             out.append(omega**4 * ec * ((c - ss) * cubic - ss * (3.0 + 2.0 * c)))
         return out
 
-    return Separable1D(chain)
+    return chain
 
 
-def factor_cos(omega: float) -> Separable1D:
+def factor_cos(omega: float) -> Callable:
     """cos(omega t) - 1."""
 
     def chain(t, k):
@@ -97,7 +83,7 @@ def factor_cos(omega: float) -> Separable1D:
             out.append(omega**4 * c)
         return out
 
-    return Separable1D(chain)
+    return chain
 
 
 def _corrector_chain(iota: float):
@@ -130,78 +116,77 @@ def _corrector_chain(iota: float):
     return chain
 
 
-def factor_exp_sin_layer(iota: float) -> Separable1D:
-    """exp(sin(pi t)) - 1 - L(t)."""
+def _exp_sin(t, k):
+    """Derivative chain of exp(sin(pi t)) - 1."""
     p = np.pi
+    pt = p * t
+    s = np.sin(pt)
+    es = np.exp(s)
+    out = [es - 1.0]
+    if k >= 1:
+        c = np.cos(pt)
+        out.append(p * c * es)
+    if k >= 2:
+        cc = c * c
+        out.append(p**2 * es * (cc - s))
+    if k >= 3:
+        cubic = cc - 3.0 * s - 1.0
+        out.append(p**3 * es * c * cubic)
+    if k >= 4:
+        out.append(p**4 * es * ((cc - s) * cubic - cc * (2.0 * s + 3.0)))
+    return out
+
+
+def _sin(t, k):
+    """Derivative chain of sin(pi t)."""
+    p = np.pi
+    pt = p * t
+    s = np.sin(pt)
+    out = [s]
+    if k >= 1:
+        c = np.cos(pt)
+        out.append(p * c)
+    if k >= 2:
+        out.append(-(p**2) * s)
+    if k >= 3:
+        out.append(-(p**3) * c)
+    if k >= 4:
+        out.append(p**4 * s)
+    return out
+
+
+def _minus_corrector(smooth, iota: float) -> Callable:
+    """The chain of the layer factor ``smooth(t) - L(t)``, order by order."""
     corrector = _corrector_chain(iota)
 
     def chain(t, k):
-        L = corrector(t, k)
-        pt = p * t
-        s = np.sin(pt)
-        es = np.exp(s)
-        out = [es - 1.0 - L[0]]
-        if k >= 1:
-            c = np.cos(pt)
-            out.append(p * c * es - L[1])
-        if k >= 2:
-            cc = c * c
-            out.append(p**2 * es * (cc - s) - L[2])
-        if k >= 3:
-            cubic = cc - 3.0 * s - 1.0
-            out.append(p**3 * es * c * cubic - L[3])
-        if k >= 4:
-            smooth = p**4 * es * ((cc - s) * cubic - cc * (2.0 * s + 3.0))
-            out.append(smooth - L[4])
-        return out
+        return [a - b for a, b in zip(smooth(t, k), corrector(t, k))]
 
-    return Separable1D(chain)
-
-
-def factor_sin_layer(iota: float) -> Separable1D:
-    """sin(pi t) - L(t)."""
-    p = np.pi
-    corrector = _corrector_chain(iota)
-
-    def chain(t, k):
-        L = corrector(t, k)
-        pt = p * t
-        s = np.sin(pt)
-        out = [s - L[0]]
-        if k >= 1:
-            c = np.cos(pt)
-            out.append(p * c - L[1])
-        if k >= 2:
-            out.append(-(p**2) * s - L[2])
-        if k >= 3:
-            out.append(-(p**3) * c - L[3])
-        if k >= 4:
-            out.append(p**4 * s - L[4])
-        return out
-
-    return Separable1D(chain)
+    return chain
 
 
 @dataclass(frozen=True)
 class ManufacturedField:
-    """u = (X1(x) Y1(y), X2(x) Y2(y)) with the material it was built for."""
+    """u = (X1(x) Y1(y), X2(x) Y2(y)) with the material it was built for;
+    each factor is its derivative chain ``chain(t, k)``."""
 
     name: str
-    x1: Separable1D
-    y1: Separable1D
-    x2: Separable1D
-    y2: Separable1D
+    x1: Callable
+    y1: Callable
+    x2: Callable
+    y2: Callable
     mat: MaterialParams
 
     def displacement(self, xy):
         x, y = xy[:, 0], xy[:, 1]
-        return np.stack([self.x1(x) * self.y1(y), self.x2(x) * self.y2(y)], axis=-1)
+        u1 = self.x1(x, 0)[0] * self.y1(y, 0)[0]
+        return np.stack([u1, self.x2(x, 0)[0] * self.y2(y, 0)[0]], axis=-1)
 
     def gradient(self, xy):
         """(n, 2, 2) array with entry [i, j] = d_j u_i."""
         x, y = xy[:, 0], xy[:, 1]
-        x1, y1 = self.x1.chain(x, 1), self.y1.chain(y, 1)
-        x2, y2 = self.x2.chain(x, 1), self.y2.chain(y, 1)
+        x1, y1 = self.x1(x, 1), self.y1(y, 1)
+        x2, y2 = self.x2(x, 1), self.y2(y, 1)
         g = np.empty(xy.shape[:1] + (2, 2))
         g[:, 0, 0] = x1[1] * y1[0]
         g[:, 0, 1] = x1[0] * y1[1]
@@ -212,8 +197,8 @@ class ManufacturedField:
     def hessian(self, xy):
         """(n, 2, 2, 2) array with entry [i, j, k] = d_j d_k u_i."""
         x, y = xy[:, 0], xy[:, 1]
-        x1, y1 = self.x1.chain(x, 2), self.y1.chain(y, 2)
-        x2, y2 = self.x2.chain(x, 2), self.y2.chain(y, 2)
+        x1, y1 = self.x1(x, 2), self.y1(y, 2)
+        x2, y2 = self.x2(x, 2), self.y2(y, 2)
         h = np.empty(xy.shape[:1] + (2, 2, 2))
         h[:, 0, 0, 0] = x1[2] * y1[0]
         h[:, 0, 0, 1] = h[:, 0, 1, 0] = x1[1] * y1[1]
@@ -242,10 +227,10 @@ def example_layer(iota: float, lam: float = 10.0, mu: float = 1.0) -> Manufactur
     mat = MaterialParams(lam=lam, mu=mu, iota=iota)
     return ManufacturedField(
         name="layer",
-        x1=factor_exp_sin_layer(iota),
-        y1=factor_exp_sin_layer(iota),
-        x2=factor_sin_layer(iota),
-        y2=factor_sin_layer(iota),
+        x1=_minus_corrector(_exp_sin, iota),
+        y1=_minus_corrector(_exp_sin, iota),
+        x2=_minus_corrector(_sin, iota),
+        y2=_minus_corrector(_sin, iota),
         mat=mat,
     )
 
@@ -270,8 +255,8 @@ def source(field: ManufacturedField):
 
     def f(xy):
         x, y = xy[:, 0], xy[:, 1]
-        x1, y1 = field.x1.chain(x, 4), field.y1.chain(y, 4)
-        x2, y2 = field.x2.chain(x, 4), field.y2.chain(y, 4)
+        x1, y1 = field.x1(x, 4), field.y1(y, 4)
+        x2, y2 = field.x2(x, 4), field.y2(y, 4)
 
         g1 = mu * (x1[2] * y1[0] + x1[0] * y1[2]) + lm * (x1[2] * y1[0] + x2[1] * y2[1])
         g2 = mu * (x2[2] * y2[0] + x2[0] * y2[2]) + lm * (x1[1] * y1[1] + x2[0] * y2[2])

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import sgfem.elements
 from sgfem.elements import (
     _MORLEY_GENS,
     _SPECHT_GENS,
+    MORLEY_PI1,
     ElementKind,
     MonoTables,
     basis_coefficients,
@@ -19,11 +21,7 @@ from sgfem.elements import (
     duality_residual,
     evaluate,
     interpolate,
-    morley_basis,
     ntw_affine_basis,
-    ntw_basis,
-    pi1_map,
-    specht_basis,
     verify_affine_identity,
 )
 from sgfem.mesh import make_structured, element_geometry, triangle_geometry
@@ -141,6 +139,10 @@ def dof_matrix(basis):
 FAMILIES = ["ntw", "specht", "morley", "ntw_affine"]
 
 
+def basis_id(family):
+    return f"{family}_basis"
+
+
 def local_basis(family, geom, signs):
     if family == "ntw_affine":
         return ntw_affine_basis(geom)
@@ -236,25 +238,44 @@ def test_dual_solves_match_hand_built_systems():
         assert np.all(deviation <= 1e-13 * geom.chunkiness * scale), family
 
 
-@pytest.mark.parametrize("builder", [ntw_basis, ntw_affine_basis, specht_basis, morley_basis])
-def test_kronecker_duality(builder):
+@pytest.mark.parametrize("family", FAMILIES, ids=basis_id)
+def test_kronecker_duality(family):
     rng = np.random.default_rng(11)
     for _ in range(20):
-        basis = builder(random_triangle(rng))
+        basis = local_basis(family, random_triangle(rng), None)
         assert_allclose(dof_matrix(basis), np.eye(basis.nloc), atol=1e-11)
 
 
 def test_duality_with_flipped_normal_signs():
     rng = np.random.default_rng(12)
     signs = np.array([1.0, -1.0, -1.0])
-    for builder in (ntw_basis, morley_basis):
-        basis = builder(random_triangle(rng), signs)
+    for kind in (ElementKind.NTW, ElementKind.MORLEY):
+        basis = build_basis(kind, random_triangle(rng), signs)
         assert_allclose(dof_matrix(basis), np.eye(basis.nloc), atol=1e-11)
+
+
+def test_duality_check_sees_a_wrong_functional(monkeypatch):
+    """The specht dual solve inverts ``apply_dofs``.  With its gradient rows
+    swapped, the shapes are dual to the wrong functionals, and the duality
+    check, which applies the functionals as their descriptors state them,
+    must report it."""
+    original = sgfem.elements.apply_dofs
+
+    def swapped(family, values, grads, geom, signs):
+        out = original(family, values, grads, geom, signs)
+        if family == ElementKind.SPECHT:
+            out = out[..., [0, 2, 1, 3, 5, 4, 6, 8, 7]]
+        return out
+
+    monkeypatch.setattr(sgfem.elements, "apply_dofs", swapped)
+    rng = np.random.default_rng(14)
+    geom = triangle_geometry(np.stack([random_triangle(rng).vertices for _ in range(5)]))
+    assert np.all(duality_residual(ElementKind.SPECHT, geom) > 1e-6)
 
 
 def test_ntw_moment_shape_values_at_barycenter():
     center = np.array([[1 / 3, 1 / 3, 1 / 3]])
-    basis = ntw_basis(RIGHT)
+    basis = build_basis(ElementKind.NTW, RIGHT)
     # psi_1 = 6 b (2 l1 - 1) / |grad l1| with b = 1/27 and |grad l1| = sqrt(2).
     assert_allclose(basis.values(center)[6, 0], -2.0 / (27.0 * np.sqrt(2.0)), rtol=1e-14)
     affine = ntw_affine_basis(RIGHT)
@@ -287,7 +308,7 @@ def test_quadratic_reproduction(kind):
 def test_ntw_reproduces_bubble_times_linear():
     rng = np.random.default_rng(23)
     geom = random_triangle(rng)
-    basis = ntw_basis(geom)
+    basis = build_basis(ElementKind.NTW, geom)
 
     def value(xy):
         lam = geom.to_bary(xy)
@@ -317,18 +338,18 @@ def test_specht_edge_constraints():
     legendre = 0.5 * (3.0 * xi**2 - 1.0)
     for _ in range(20):
         geom = random_triangle(rng)
-        basis = specht_basis(geom)
+        basis = build_basis(ElementKind.SPECHT, geom)
         for i in range(3):
             dn = basis.gradients(edge_bary(i, gauss.points)) @ geom.normals[i]
             residual = (dn * legendre) @ gauss.weights
             assert np.abs(residual).max() < 1e-12 * max(1.0, np.abs(dn).max())
 
 
-@pytest.mark.parametrize("builder", [ntw_basis, specht_basis, morley_basis])
-def test_gradients_match_finite_differences(builder):
+@pytest.mark.parametrize("kind", ["ntw", "specht", "morley"], ids=basis_id)
+def test_gradients_match_finite_differences(kind):
     rng = np.random.default_rng(41)
     geom = random_triangle(rng)
-    basis = builder(geom)
+    basis = build_basis(kind, geom)
     pts = 0.7 * rng.dirichlet([2.0] * 3, size=8) + 0.1
     xy = pts @ geom.vertices
     h = 1e-4
@@ -355,7 +376,7 @@ def test_eval_all_with_shared_tables():
     geom = random_triangle(rng)
     pts = rng.dirichlet([1.0] * 3, size=6)
     tables = MonoTables(pts)
-    basis = specht_basis(geom)
+    basis = build_basis(ElementKind.SPECHT, geom)
     direct = basis.eval_all(pts)
     shared = basis.eval_all(None, tables=tables)
     for a, b in zip(direct, shared):
@@ -411,12 +432,10 @@ def test_shared_edge_traces_agree(kind):
 
 
 def test_morley_pi1_map():
+    """``MORLEY_PI1`` sends morley local coefficients to vertex values."""
     rng = np.random.default_rng(71)
     geom = random_triangle(rng)
-    basis = morley_basis(geom)
-    p = pi1_map(basis)
-    assert p.shape == (3, 6)
-    assert_allclose(p, np.hstack([np.eye(3), np.zeros((3, 3))]), atol=0.0)
+    basis = build_basis(ElementKind.MORLEY, geom)
     coeffs = rng.normal(size=6)
     vertex_values = (coeffs @ basis.values(np.eye(3))).ravel()
-    assert_allclose(p @ coeffs, vertex_values, atol=1e-12)
+    assert_allclose(MORLEY_PI1 @ coeffs, vertex_values, atol=1e-12)

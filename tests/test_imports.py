@@ -1,6 +1,6 @@
 """No module-level import in ``src/sgfem`` goes unused, reaches into
 another module's private names, or costs every command a module it never
-calls.
+calls, and every name a module exports in ``__all__`` exists.
 
 An AST scan of each module: a name bound by a module-level ``import`` must
 be read somewhere in the module, or be listed in ``__all__``.  Imports
@@ -13,9 +13,11 @@ and ``elements.edge_normal_moments`` only.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -90,6 +92,23 @@ def test_scan_finds_private_imports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_private_cross_module_imports(path):
     assert private_imports(path.read_text()) == []
+
+
+def unresolved_exports(module) -> list:
+    """Names listed in ``module.__all__`` that the module does not bind."""
+    return sorted(name for name in getattr(module, "__all__", ()) if not hasattr(module, name))
+
+
+def test_scan_finds_unresolved_exports():
+    stale = types.ModuleType("stale")
+    exec("__all__ = ['kept', 'EDGE_TABLES']\nkept = 1\n", stale.__dict__)
+    assert unresolved_exports(stale) == ["EDGE_TABLES"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_every_export_resolves(path):
+    name = "sgfem" if path.stem == "__init__" else f"sgfem.{path.stem}"
+    assert unresolved_exports(importlib.import_module(name)) == []
 
 
 def test_cli_import_leaves_out_scipy_optimize():

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 from sgfem.assembly import MaterialParams
 from sgfem.manufactured import (
     ManufacturedField,
-    Separable1D,
     example_field,
     example_layer,
     example_smooth,
@@ -99,14 +98,13 @@ def test_truncated_chain_is_a_prefix(iota, t):
     t = np.array(t)
     for field in (example_smooth(MaterialParams(iota=iota)), example_layer(iota)):
         for name, factor in all_factors(field).items():
-            full = factor.chain(t, 4)
+            full = factor(t, 4)
             assert len(full) == 5
             for k in range(4):
-                part = factor.chain(t, k)
+                part = factor(t, k)
                 assert len(part) == k + 1
                 for order in range(k + 1):
                     assert np.array_equal(part[order], full[order]), (field.name, name, k)
-                    assert np.array_equal(factor(t, order), full[order])
 
 
 class TestFactorChains:
@@ -124,8 +122,9 @@ class TestFactorChains:
         h = 1e-4
         for name, factor in all_factors(field).items():
             for order in range(1, 5):
-                fd = (factor(t + h, order - 1) - factor(t - h, order - 1)) / (2.0 * h)
-                exact = factor(t, order)
+                below = order - 1
+                fd = (factor(t + h, below)[below] - factor(t - h, below)[below]) / (2.0 * h)
+                exact = factor(t, order)[order]
                 scale = np.abs(exact).max()
                 assert np.abs(fd - exact).max() < 1e-6 * max(scale, 1.0), (name, order)
 
@@ -230,7 +229,9 @@ class TestDerivativeTensors:
 
 class TestSource:
     def test_zero_field_gives_zero_source(self):
-        flat = Separable1D(lambda t, k: [np.zeros_like(t)] * (k + 1))
+        def flat(t, k):
+            return [np.zeros_like(t)] * (k + 1)
+
         field = ManufacturedField("null", flat, flat, flat, flat, MaterialParams())
         f = source(field)(np.random.default_rng(1).uniform(size=(20, 2)))
         assert_allclose(f, 0.0, atol=1e-300)
@@ -245,9 +246,9 @@ class TestSource:
         def counted(name, factor):
             def chain(t, k):
                 calls.append((name, k))
-                return factor.chain(t, k)
+                return factor(t, k)
 
-            return Separable1D(chain)
+            return chain
 
         factors = {name: counted(name, f) for name, f in all_factors(field).items()}
         counting = ManufacturedField(field.name, mat=field.mat, **factors)
