@@ -70,9 +70,9 @@ def mesh_diameter(mesh: Mesh) -> float:
 
 
 def local_coefficients(dofmap, full_dofs: np.ndarray) -> np.ndarray:
-    """Per-element (nloc, 2) coefficient blocks extracted from the full vector."""
-    ids = 2 * dofmap.scatter
-    return np.stack([full_dofs[ids], full_dofs[ids + 1]], axis=-1)
+    """Per-element (nloc, 2) coefficient blocks copied out of the full
+    vector, whose entry ``2 s + c`` is component ``c`` of scalar dof ``s``."""
+    return full_dofs.reshape(-1, 2)[dofmap.scatter]
 
 
 def energy_error(dofmap: DofMap, full_dofs: np.ndarray, field: ManufacturedField):

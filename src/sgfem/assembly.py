@@ -96,12 +96,13 @@ class MaterialParams:
 class FormPattern:
     """The fixed CSR structure of a reduced matrix of one dof map.
 
-    ``indptr`` and ``indices`` (read-only) hold every coupling of two
-    retained vector degrees of freedom of one element, with sorted column
-    indices; ``data[transpose]`` is the data of the transposed matrix.
+    ``indptr`` and ``indices`` hold every coupling of two retained vector
+    degrees of freedom of one element, with sorted column indices;
+    ``data[transpose]`` is the data of the transposed matrix.
     ``slots[t, i, j]`` is the position in ``data`` of entry ``(i, j)`` of
     element ``t``'s (2n, 2n) block, or ``nnz`` when the entry touches a
-    boundary degree of freedom.
+    boundary degree of freedom.  Every array is read-only: one pattern is
+    shared by every ``iota``, the forms and the Gram matrices.
     """
 
     indptr: np.ndarray
@@ -222,8 +223,8 @@ class DofMap:
         return FormPattern(
             indptr=_read_only(indptr.astype(np.int32)),
             indices=_read_only(_pairs(2 * cols[k], 2 * cols[k] + 1).astype(np.int32)),
-            transpose=_pairs(lo, lo + step[mirror][k]),
-            slots=slots.reshape(ntri, 2 * n, 2 * n),
+            transpose=_read_only(_pairs(lo, lo + step[mirror][k])),
+            slots=_read_only(slots.reshape(ntri, 2 * n, 2 * n)),
             retained=_read_only(np.flatnonzero(np.repeat(keep, 2))),
         )
 

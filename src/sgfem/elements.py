@@ -29,7 +29,8 @@ verification checks run on a whole batch of triangles:
 :class:`DofDescriptor` states it, independently of :func:`apply_dofs`, so
 that a wrong functional shows instead of being inverted by the dual solve;
 :func:`specht_constraint_residual` takes the specht shapes' Legendre edge
-moments with the builder's constraint, and :func:`verify_affine_identity`
+moments on a three-point edge rule of its own, so that a wrong constraint
+in the dual solve shows, and :func:`verify_affine_identity`
 interpolates one sampled function per triangle in ntw and its affine
 relative.
 
@@ -265,21 +266,11 @@ class LocalBasis:
     def nloc(self) -> int:
         return len(self.coeffs)
 
-    def eval_all(self, bary, tables: MonoTables | None = None):
+    def eval_all(self, bary):
         """Values (n, q), gradients (n, q, 2), Hessians (n, q, 2, 2)."""
-        if tables is None:
-            tables = MonoTables(bary)
+        tables = MonoTables(bary)
         vals, grads, hess = evaluate(self.coeffs[None], self.geom.grad_lambda[None], tables)
         return vals[0], grads[0], hess[0]
-
-    def values(self, bary):
-        return self.coeffs @ _mono_values(bary)
-
-    def gradients(self, bary):
-        return self.eval_all(bary)[1]
-
-    def hessians(self, bary):
-        return self.eval_all(bary)[2]
 
 
 def _vec(poly: dict) -> np.ndarray:
@@ -396,12 +387,6 @@ _LEGENDRE_WEIGHTS = 0.5 * (3.0 * (2.0 * _EDGE6.points - 1.0) ** 2 - 1.0) * _EDGE
 MORLEY_PI1 = np.hstack([np.eye(3), np.zeros((3, 3))])
 
 
-def _legendre_moments(grads, geom: ElementGeometry):
-    """(T, m, 3) edge moments ``int_0^1 P2(2t - 1) dn(p) dt`` of the specht
-    constraint, from gradients sampled by :func:`_sample`."""
-    return _edge_moments(grads[..., 6:, :], geom.normals, _LEGENDRE_WEIGHTS)
-
-
 def _dual_solve(rows, rhs, gens, family):
     """Shapes dual to the functional values ``rows`` (T, m, m) of the
     ``m`` generators: entry ``[t, g, d]`` is functional ``d`` of ``gens[g]``."""
@@ -417,7 +402,9 @@ def _specht_coeffs(geom: ElementGeometry) -> np.ndarray:
     constraints: one 12 by 12 system per triangle."""
     vals, grads = _sample(_SPECHT_GENS[None], geom)
     dofs = apply_dofs(ElementKind.SPECHT, vals, grads, geom, None)
-    rows = np.concatenate([dofs, _legendre_moments(grads, geom)], axis=-1)
+    # The constraints: edge moments int_0^1 P2(2t - 1) dn(p) dt.
+    legendre = _edge_moments(grads[..., 6:, :], geom.normals, _LEGENDRE_WEIGHTS)
+    rows = np.concatenate([dofs, legendre], axis=-1)
     return _dual_solve(rows, np.eye(12, 9), _SPECHT_GENS, "specht")
 
 
@@ -541,14 +528,22 @@ def duality_residual(family, geom: ElementGeometry, signs=None) -> np.ndarray:
     return np.abs(mats - np.eye(mats.shape[-1])).max(axis=(1, 2))
 
 
+# The three-point Gauss rule on each local edge, edge-major, and the
+# quadratic Legendre weights on it, apart from the six-point moments that
+# the specht dual solve inverts.
+_GAUSS3 = edge_rule(3)
+_GAUSS3_TABLES = MonoTables(np.vstack([_edge_bary(i, _GAUSS3.points) for i in range(3)]))
+_P2_GAUSS3 = 0.5 * (3.0 * (2.0 * _GAUSS3.points - 1.0) ** 2 - 1.0) * _GAUSS3.weights
+
+
 def specht_constraint_residual(geom: ElementGeometry) -> np.ndarray:
     """Per triangle of a batch, the largest edge moment of a specht shape's
-    normal derivative against the quadratic Legendre weight, normalized by
-    the gradient scale on the edges (at least 1); shape (T,)."""
+    normal derivative against the quadratic Legendre polynomial, normalized
+    by the gradient scale on the edges (at least 1); shape (T,)."""
     coeffs = basis_coefficients(ElementKind.SPECHT, geom, None)
-    _, grads = _sample(coeffs, geom)
-    moments = _legendre_moments(grads, geom)
-    gscale = np.abs(grads[..., 6:, :]).max(axis=(1, 2, 3))
+    _, grads = _values_gradients(coeffs, geom.grad_lambda, _GAUSS3_TABLES)
+    moments = _edge_moments(grads, geom.normals, _P2_GAUSS3)
+    gscale = np.abs(grads).max(axis=(1, 2, 3))
     return np.abs(moments).max(axis=(1, 2)) / np.maximum(gscale, 1.0)
 
 

@@ -70,10 +70,6 @@ class ElementGeometry:
     midpoints: np.ndarray
     chunkiness: float
 
-    def to_xy(self, bary: np.ndarray) -> np.ndarray:
-        """Map barycentric points (n, 3) to physical coordinates (n, 2)."""
-        return np.asarray(bary) @ self.vertices
-
     def to_bary(self, xy: np.ndarray) -> np.ndarray:
         """Map physical points (n, 2) to barycentric coordinates (n, 3)."""
         xy = np.atleast_2d(xy)

@@ -1,28 +1,32 @@
 """Quadrature rules for triangles and for the reference edge [0, 1].
 
-Triangle rules are symmetric positive-weight rules stored in barycentric
-coordinates with weights that sum to one, so the integral of f over a
-triangle K is ``area(K) * sum(w_q * f(x_q))``.  Edge rules are Gauss
-rules mapped to [0, 1] with the same unit-weight convention.
+The schemes integrate with three triangle rules, exact to degrees 6
+(stiffness), 8 (Gram matrices) and 10 (loads and energy errors), and with
+Gauss rules on edges.  Triangle rules are symmetric positive-weight rules
+stored in barycentric coordinates with weights that sum to one, so the
+integral of f over a triangle K is ``area(K) * (f(x_q) @ weights)``.  Edge
+rules are Gauss rules mapped to [0, 1] with the same unit-weight
+convention.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TriangleRule", "EdgeRule", "triangle_rule", "edge_rule"]
+__all__ = ["Rule", "triangle_rule", "edge_rule"]
 
 
 @dataclass(frozen=True)
-class TriangleRule:
-    """Symmetric quadrature rule on a reference triangle.
+class Rule:
+    """A quadrature rule on a reference triangle or on [0, 1].
 
     Attributes
     ----------
     degree : int
         Highest polynomial degree integrated exactly.
-    points : ndarray, shape (n, 3)
-        Barycentric coordinates of the quadrature points.
+    points : ndarray, shape (n, 3) or (n,)
+        Barycentric coordinates of triangle points; parameters of edge
+        points.
     weights : ndarray, shape (n,)
         Positive weights summing to one.
     """
@@ -31,49 +35,13 @@ class TriangleRule:
     points: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, values: np.ndarray, area: float):
-        """Integrate sampled values over a triangle of the given area.
-
-        ``values`` holds samples at ``self.points`` along its last axis.
-        """
-        return area * (np.asarray(values) @ self.weights)
-
-
-@dataclass(frozen=True)
-class EdgeRule:
-    """Gauss rule on [0, 1] with weights summing to one."""
-
-    npoints: int
-    points: np.ndarray
-    weights: np.ndarray
-
-    def integrate(self, values: np.ndarray, length: float = 1.0):
-        """Integrate sampled values over an edge of the given length."""
-        return length * (np.asarray(values) @ self.weights)
-
 
 # Symmetric triangle rules encoded as S3 orbits: (weight, generator) where the
 # generator is one barycentric point and the orbit is its set of distinct
 # permutations (1 point for the centroid, 3 when two coordinates coincide,
-# 6 otherwise).  Only rules with all-positive weights and interior points are
-# kept, which is why degrees 3 and 7 are absent; requests for those degrees
-# are served by the next rule up.
+# 6 otherwise).  Only the degrees the schemes use are kept; a request for a
+# lower degree is served by the next rule up.
 _ORBIT_RULES = {
-    1: [
-        (1.0, (1 / 3, 1 / 3, 1 / 3)),
-    ],
-    2: [
-        (1 / 3, (2 / 3, 1 / 6, 1 / 6)),
-    ],
-    4: [
-        (0.223381589678011, (0.108103018168070, 0.445948490915965, 0.445948490915965)),
-        (0.109951743655322, (0.816847572980459, 0.091576213509771, 0.091576213509771)),
-    ],
-    5: [
-        (0.225, (1 / 3, 1 / 3, 1 / 3)),
-        (0.132394152788506, (0.059715871789770, 0.470142064105115, 0.470142064105115)),
-        (0.125939180544827, (0.797426985353087, 0.101286507323456, 0.101286507323456)),
-    ],
     6: [
         (0.116786275726379, (0.501426509658179, 0.249286745170910, 0.249286745170910)),
         (0.050844906370207, (0.873821971016996, 0.063089014491502, 0.063089014491502)),
@@ -85,14 +53,6 @@ _ORBIT_RULES = {
         (0.103217370534718, (0.658861384496480, 0.170569307751760, 0.170569307751760)),
         (0.032458497623198, (0.898905543365938, 0.050547228317031, 0.050547228317031)),
         (0.027230314174435, (0.008394777409958, 0.263112829634638, 0.728492392955404)),
-    ],
-    9: [
-        (0.097135796282799, (1 / 3, 1 / 3, 1 / 3)),
-        (0.031334700227139, (0.020634961602525, 0.489682519198738, 0.489682519198738)),
-        (0.077827541004774, (0.125820817014127, 0.437089591492937, 0.437089591492937)),
-        (0.079647738927210, (0.623592928761935, 0.188203535619033, 0.188203535619033)),
-        (0.025577675658698, (0.910540973211095, 0.044729513394453, 0.044729513394453)),
-        (0.043283539377289, (0.036838412054736, 0.221962989160766, 0.741198598784498)),
     ],
     10: [
         (0.090817990382754, (1 / 3, 1 / 3, 1 / 3)),
@@ -120,7 +80,7 @@ def _expand_orbits(orbits):
     return np.array(points), np.array(weights)
 
 
-def triangle_rule(min_degree: int) -> TriangleRule:
+def triangle_rule(min_degree: int) -> Rule:
     """Return a symmetric positive-weight rule exact to at least ``min_degree``.
 
     Parameters
@@ -132,15 +92,13 @@ def triangle_rule(min_degree: int) -> TriangleRule:
         raise ValueError(f"min_degree must be in [1, 10], got {min_degree}")
     degree = min(d for d in _ORBIT_RULES if d >= min_degree)
     points, weights = _expand_orbits(_ORBIT_RULES[degree])
-    return TriangleRule(degree=degree, points=points, weights=weights)
+    return Rule(degree=degree, points=points, weights=weights)
 
 
-def edge_rule(npoints: int) -> EdgeRule:
-    """Return the ``npoints``-point Gauss rule on [0, 1], 1 <= npoints <= 6.
-
-    Exact for polynomials of degree ``2 * npoints - 1``.
-    """
+def edge_rule(npoints: int) -> Rule:
+    """Return the ``npoints``-point Gauss rule on [0, 1], 1 <= npoints <= 6,
+    exact to degree ``2 * npoints - 1``."""
     if not 1 <= npoints <= 6:
         raise ValueError(f"npoints must be in [1, 6], got {npoints}")
     x, w = np.polynomial.legendre.leggauss(npoints)
-    return EdgeRule(npoints=npoints, points=(x + 1.0) / 2.0, weights=w / 2.0)
+    return Rule(degree=2 * npoints - 1, points=(x + 1.0) / 2.0, weights=w / 2.0)

@@ -166,6 +166,14 @@ class TestDofMap:
         mask[system.retained] = False
         assert_allclose(full[mask], 0.0)
 
+    def test_pattern_arrays_are_read_only(self):
+        """One pattern is shared by every iota, the forms and the Gram
+        matrices, so none of its arrays can be written."""
+        pattern = build_dofmap(make_structured(2), "ntw").pattern
+        for name in ("indptr", "indices", "transpose", "slots", "retained"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(pattern, name)[...] = 0
+
 
 class TestElementKernels:
     @pytest.mark.parametrize("kind", ALL_KINDS)

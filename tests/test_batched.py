@@ -97,7 +97,7 @@ def test_batch_matches_batch_of_one(n, amplitude, squash, seed):
             # On flat triangles a mean normal derivative can be O(1) while
             # the gradient it projects is O(1/flatness), so the means are
             # compared on the scale of that gradient.
-            grads = np.einsum("ac,aqj->cqj", local[t], basis.gradients(DOF_TABLES.bary[6:]))
+            grads = np.einsum("ac,aqj->cqj", local[t], basis.eval_all(DOF_TABLES.bary[6:])[1])
             assert_close(means[t], m1[0], scale=np.abs(grads).max())
 
 
@@ -120,6 +120,19 @@ def unsplit_system(dofmap, mat, f):
     return 0.5 * (A + A.T), rhs[retained]
 
 
+def element_pairs(dofmap):
+    """The (row, col) pairs of retained vector degrees of freedom that share
+    an element, in the numbering of the reduced matrix, one element at a
+    time."""
+    retained = np.flatnonzero(~np.repeat(dofmap.boundary, 2))
+    reduced = dict(zip(retained.tolist(), range(len(retained))))
+    pairs = set()
+    for ids in dofmap.scatter.tolist():
+        rows = [reduced[v] for s in ids for v in (2 * s, 2 * s + 1) if v in reduced]
+        pairs.update((i, j) for i in rows for j in rows)
+    return pairs
+
+
 @hypothesis.seed(SPLIT_FORMS_SEED)
 @settings(max_examples=12, derandomize=True, database=None, deadline=None)
 @given(
@@ -132,12 +145,17 @@ def unsplit_system(dofmap, mat, f):
 )
 def test_split_forms_match_unsplit_assembly(n, amplitude, seed, iotas, lam, mu):
     """Entry by entry, within 1e-14 of the largest entry, for every iota of
-    one dof map; the CSR structure is the dof map's pattern every time."""
+    one dof map; the CSR structure is the dof map's pattern every time, and
+    the pattern stores exactly the pairs that share an element."""
     mesh = jittered_mesh(n, amplitude, 1.0, seed)
     rng = np.random.default_rng(seed)
     for kind in ElementKind:
         dofmap = build_dofmap(mesh, kind)
         pattern = dofmap.pattern
+        rows = np.repeat(np.arange(len(pattern.retained)), np.diff(pattern.indptr))
+        stored = set(zip(rows.tolist(), pattern.indices.tolist()))
+        assert len(stored) == pattern.nnz
+        assert stored == element_pairs(dofmap)
         data = rng.normal(size=pattern.nnz)
         transposed = pattern.matrix(data).T.toarray()
         assert np.array_equal(pattern.matrix(data[pattern.transpose]).toarray(), transposed)

@@ -276,7 +276,7 @@ def reference_evaluate_at(mesh, kind, full_dofs, pts):
                     out[row] = locals_[t][vertex_stride * corner]
                 else:
                     basis = build_basis(kind, geom, dofmap.signs[t])
-                    out[row] = locals_[t].T @ basis.values(bary)[:, 0]
+                    out[row] = locals_[t].T @ basis.eval_all(bary)[0][:, 0]
                 break
         else:
             raise AssertionError("probe outside the mesh")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import sgfem.cli
 import sgfem.elements
 from sgfem.elements import (
     _MORLEY_GENS,
@@ -22,6 +23,7 @@ from sgfem.elements import (
     evaluate,
     interpolate,
     ntw_affine_basis,
+    specht_constraint_residual,
     verify_affine_identity,
 )
 from sgfem.mesh import make_structured, element_geometry, triangle_geometry
@@ -89,10 +91,10 @@ def shape_closures(basis, a):
     geom = basis.geom
 
     def value(xy):
-        return basis.values(geom.to_bary(xy))[a]
+        return basis.eval_all(geom.to_bary(xy))[0][a]
 
     def grad(xy):
-        return basis.gradients(geom.to_bary(xy))[a]
+        return basis.eval_all(geom.to_bary(xy))[1][a]
 
     return value, grad
 
@@ -273,13 +275,28 @@ def test_duality_check_sees_a_wrong_functional(monkeypatch):
     assert np.all(duality_residual(ElementKind.SPECHT, geom) > 1e-6)
 
 
+def test_constraint_check_sees_a_wrong_constraint(monkeypatch, capsys):
+    """The specht dual solve inverts its Legendre edge moments.  Built on the
+    linear Legendre polynomial instead, the shapes break the quadratic
+    constraint, and the check, which takes the moments on its own edge
+    rule, must report it, as must ``sgfem verify elements``."""
+    edge = sgfem.elements._EDGE6
+    linear = (2.0 * edge.points - 1.0) * edge.weights
+    monkeypatch.setattr(sgfem.elements, "_LEGENDRE_WEIGHTS", linear)
+    rng = np.random.default_rng(14)
+    geom = triangle_geometry(np.stack([random_triangle(rng).vertices for _ in range(5)]))
+    assert np.all(specht_constraint_residual(geom) > 1e-6)
+    assert sgfem.cli.main(["verify", "elements", "--seed", "0"]) == 3
+    assert "FAIL specht edge constraints" in capsys.readouterr().out
+
+
 def test_ntw_moment_shape_values_at_barycenter():
     center = np.array([[1 / 3, 1 / 3, 1 / 3]])
     basis = build_basis(ElementKind.NTW, RIGHT)
     # psi_1 = 6 b (2 l1 - 1) / |grad l1| with b = 1/27 and |grad l1| = sqrt(2).
-    assert_allclose(basis.values(center)[6, 0], -2.0 / (27.0 * np.sqrt(2.0)), rtol=1e-14)
+    assert_allclose(basis.eval_all(center)[0][6, 0], -2.0 / (27.0 * np.sqrt(2.0)), rtol=1e-14)
     affine = ntw_affine_basis(RIGHT)
-    assert_allclose(affine.values(center)[6, 0], -2.0 / 27.0, rtol=1e-14)
+    assert_allclose(affine.eval_all(center)[0][6, 0], -2.0 / 27.0, rtol=1e-14)
 
 
 @pytest.mark.parametrize("kind", list(ElementKind))
@@ -289,7 +306,7 @@ def test_constant_reproduction(kind):
     one, grad0 = poly2d({(0, 0): 1.0})
     coeffs = interpolate(basis, one, grad0)
     pts = rng.dirichlet([1.0] * 3, size=10)
-    assert_allclose(coeffs @ basis.values(pts), 1.0, atol=1e-12)
+    assert_allclose(coeffs @ basis.eval_all(pts)[0], 1.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", list(ElementKind))
@@ -301,8 +318,8 @@ def test_quadratic_reproduction(kind):
         basis = build_basis(kind, geom)
         coeffs = interpolate(basis, value, grad)
         pts = rng.dirichlet([1.0] * 3, size=20)
-        xy = geom.to_xy(pts)
-        assert_allclose(coeffs @ basis.values(pts), value(xy), atol=1e-11)
+        xy = pts @ geom.vertices
+        assert_allclose(coeffs @ basis.eval_all(pts)[0], value(xy), atol=1e-11)
 
 
 def test_ntw_reproduces_bubble_times_linear():
@@ -328,7 +345,7 @@ def test_ntw_reproduces_bubble_times_linear():
 
     coeffs = interpolate(basis, value, grad)
     pts = rng.dirichlet([1.0] * 3, size=20)
-    assert_allclose(coeffs @ basis.values(pts), value(geom.to_xy(pts)), atol=1e-12)
+    assert_allclose(coeffs @ basis.eval_all(pts)[0], value(pts @ geom.vertices), atol=1e-12)
 
 
 def test_specht_edge_constraints():
@@ -340,7 +357,7 @@ def test_specht_edge_constraints():
         geom = random_triangle(rng)
         basis = build_basis(ElementKind.SPECHT, geom)
         for i in range(3):
-            dn = basis.gradients(edge_bary(i, gauss.points)) @ geom.normals[i]
+            dn = basis.eval_all(edge_bary(i, gauss.points))[1] @ geom.normals[i]
             residual = (dn * legendre) @ gauss.weights
             assert np.abs(residual).max() < 1e-12 * max(1.0, np.abs(dn).max())
 
@@ -355,32 +372,15 @@ def test_gradients_match_finite_differences(kind):
     h = 1e-4
     dx = np.array([h, 0.0])
     dy = np.array([0.0, h])
-    vals_px = basis.values(geom.to_bary(xy + dx))
-    vals_mx = basis.values(geom.to_bary(xy - dx))
-    vals_py = basis.values(geom.to_bary(xy + dy))
-    vals_my = basis.values(geom.to_bary(xy - dy))
-    grads = basis.gradients(geom.to_bary(xy))
-    assert_allclose(grads[:, :, 0], (vals_px - vals_mx) / (2 * h), atol=1e-5)
-    assert_allclose(grads[:, :, 1], (vals_py - vals_my) / (2 * h), atol=1e-5)
-    hess = basis.hessians(geom.to_bary(xy))
-    gp = basis.gradients(geom.to_bary(xy + dx))
-    gm = basis.gradients(geom.to_bary(xy - dx))
-    assert_allclose(hess[:, :, :, 0], (gp - gm) / (2 * h), atol=1e-5)
-    gp = basis.gradients(geom.to_bary(xy + dy))
-    gm = basis.gradients(geom.to_bary(xy - dy))
-    assert_allclose(hess[:, :, :, 1], (gp - gm) / (2 * h), atol=1e-5)
 
+    def shifted(step):
+        return basis.eval_all(geom.to_bary(xy + step))[:2]
 
-def test_eval_all_with_shared_tables():
-    rng = np.random.default_rng(43)
-    geom = random_triangle(rng)
-    pts = rng.dirichlet([1.0] * 3, size=6)
-    tables = MonoTables(pts)
-    basis = build_basis(ElementKind.SPECHT, geom)
-    direct = basis.eval_all(pts)
-    shared = basis.eval_all(None, tables=tables)
-    for a, b in zip(direct, shared):
-        assert_allclose(a, b, atol=0.0)
+    _, grads, hess = basis.eval_all(geom.to_bary(xy))
+    for axis, step in enumerate((dx, dy)):
+        (vals_p, gp), (vals_m, gm) = shifted(step), shifted(-step)
+        assert_allclose(grads[:, :, axis], (vals_p - vals_m) / (2 * h), atol=1e-5)
+        assert_allclose(hess[:, :, :, axis], (gp - gm) / (2 * h), atol=1e-5)
 
 
 def test_affine_identity_for_polynomials():
@@ -427,7 +427,7 @@ def test_shared_edge_traces_agree(kind):
         geom = element_geometry(mesh, tri)
         basis = build_basis(kind, geom, mesh.tri_edge_signs[tri])
         coeffs = interpolate(basis, value, grad)
-        traces.append(coeffs @ basis.values(geom.to_bary(diag)))
+        traces.append(coeffs @ basis.eval_all(geom.to_bary(diag))[0])
     assert_allclose(traces[0], traces[1], atol=1e-11)
 
 
@@ -437,5 +437,5 @@ def test_morley_pi1_map():
     geom = random_triangle(rng)
     basis = build_basis(ElementKind.MORLEY, geom)
     coeffs = rng.normal(size=6)
-    vertex_values = (coeffs @ basis.values(np.eye(3))).ravel()
+    vertex_values = (coeffs @ basis.eval_all(np.eye(3))[0]).ravel()
     assert_allclose(MORLEY_PI1 @ coeffs, vertex_values, atol=1e-12)

@@ -6,14 +6,17 @@ An AST scan of each module: a name bound by a module-level ``import`` must
 be read somewhere in the module, or be listed in ``__all__``.  Imports
 marked ``# noqa: F401`` are exempt; they bind the names the benchmark
 tracer wraps (``perfbench/tracing.py``), which the module itself may no
-longer call.  A module takes only public names from the other ``sgfem``
+longer call, so each of them must bind a name that the tracer patches on
+that module.  A module takes only public names from the other ``sgfem``
 modules, so that each helper has one owner: for example, the
 degree-of-freedom functionals are reached through ``elements.apply_dofs``
 and ``elements.edge_normal_moments`` only.
 """
 
 import ast
+import functools
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -22,22 +25,30 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sgfem"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sgfem"
+
+
+def module_imports(source: str):
+    """(names, exempt) of each module-level import of ``source``: the names
+    it binds and whether it is marked ``# noqa: F401``."""
+    lines = source.splitlines()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            text = "\n".join(lines[node.lineno - 1 : node.end_lineno])
+            names = {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            yield names, "noqa: F401" in text
 
 
 def unused_imports(source: str) -> list:
     """Names bound by module-level imports of ``source`` that are never read."""
     tree = ast.parse(source)
-    lines = source.splitlines()
-    imported = set()
+    imported = set().union(*(names for names, exempt in module_imports(source) if not exempt))
     exported = set()
     for node in tree.body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            text = "\n".join(lines[node.lineno - 1 : node.end_lineno])
-            if "noqa: F401" in text or getattr(node, "module", None) == "__future__":
-                continue
-            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
-        elif isinstance(node, ast.Assign) and any(
+        if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
             exported |= set(ast.literal_eval(node.value))
@@ -74,6 +85,39 @@ def test_scan_finds_unused_imports():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def stale_exemptions(source: str, module: str, traced: set) -> list:
+    """Names bound by ``# noqa: F401`` imports of ``source`` that the tracer
+    does not patch on ``module``; ``traced`` holds (module, name) pairs."""
+    exempt = set().union(*(names for names, noqa in module_imports(source) if noqa))
+    return sorted(name for name in exempt if (module, name) not in traced)
+
+
+@functools.cache
+def traced_attributes() -> set:
+    """(owner name, attribute) of every point ``perfbench/tracing.py``
+    patches, read off its patch list without installing it."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return {(owner.__name__, name) for owner, name, _ in tracing.Tracer()._patch_points()}
+
+
+def test_scan_finds_stale_exemptions():
+    source = (
+        "from .elements import build_basis  # noqa: F401\n"
+        "from .mesh import element_geometry, refine  # noqa: F401\n"
+        "from .solver import solve\n"
+    )
+    traced = {("sgfem.x", "build_basis"), ("sgfem.x", "refine"), ("sgfem.y", "element_geometry")}
+    assert stale_exemptions(source, "sgfem.x", traced) == ["element_geometry"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_exempt_imports_bind_traced_names(path):
+    name = "sgfem" if path.stem == "__init__" else f"sgfem.{path.stem}"
+    assert stale_exemptions(path.read_text(), name, traced_attributes()) == []
 
 
 def test_scan_finds_private_imports():

@@ -49,20 +49,20 @@ def test_monomial_exactness(min_degree):
     for a, b, c in monomials_up_to(rule.degree):
         vals = rule.points[:, 0] ** a * rule.points[:, 1] ** b * rule.points[:, 2] ** c
         exact = bary_monomial_integral(a, b, c, area)
-        assert_allclose(rule.integrate(vals, area), exact, rtol=1e-12)
+        assert_allclose(area * (vals @ rule.weights), exact, rtol=1e-12)
 
 
 def test_bubble_integral_on_right_triangle():
     rule = triangle_rule(3)
     vals = rule.points.prod(axis=1)
-    assert_allclose(rule.integrate(vals, 0.5), 1.0 / 120.0, rtol=1e-13)
+    assert_allclose(0.5 * (vals @ rule.weights), 1.0 / 120.0, rtol=1e-13)
 
 
 def test_degree_ten_quartic_cubed_moment():
     rule = triangle_rule(10)
     vals = rule.points[:, 0] ** 4 * rule.points[:, 1] ** 3 * rule.points[:, 2] ** 3
     exact = bary_monomial_integral(4, 3, 3, 0.5)
-    assert_allclose(rule.integrate(vals, 0.5), exact, rtol=1e-13)
+    assert_allclose(0.5 * (vals @ rule.weights), exact, rtol=1e-13)
 
 
 def test_affine_invariance():
@@ -72,7 +72,7 @@ def test_affine_invariance():
     def p(lam):
         return 3.0 * lam[:, 0] ** 2 * lam[:, 2] - lam[:, 1] ** 3 + 0.25 * lam[:, 2]
 
-    ref = rule.integrate(p(rule.points), 0.5)
+    ref = 0.5 * (p(rule.points) @ rule.weights)
     for _ in range(5):
         coords = RIGHT + 0.0
         coords = rng.uniform(-2.0, 2.0, (3, 2))
@@ -80,7 +80,7 @@ def test_affine_invariance():
         if e1[0] * e2[1] - e1[1] * e2[0] < 0.1:
             coords[[1, 2]] = coords[[2, 1]]
         geom = triangle_geometry(coords)
-        mapped = rule.integrate(p(rule.points), geom.area)
+        mapped = geom.area * (p(rule.points) @ rule.weights)
         assert_allclose(mapped, ref * geom.area / 0.5, rtol=1e-13)
 
 
@@ -98,14 +98,14 @@ def test_invalid_degree_rejected():
 def test_edge_rule_basics():
     one = edge_rule(1)
     assert_allclose(one.points, [0.5])
-    assert_allclose(one.integrate(one.points, 1.0), 0.5, rtol=1e-15)
+    assert_allclose(one.points @ one.weights, 0.5, rtol=1e-15)
 
     two = edge_rule(2)
     vals = (2.0 * two.points - 1.0) ** 2
-    assert_allclose(two.integrate(vals), 1.0 / 3.0, rtol=1e-14)
+    assert_allclose(vals @ two.weights, 1.0 / 3.0, rtol=1e-14)
 
     three = edge_rule(3)
-    assert_allclose(three.integrate(three.points**5), 1.0 / 6.0, atol=1e-15)
+    assert_allclose(three.points**5 @ three.weights, 1.0 / 6.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("npoints", range(1, 7))
@@ -113,5 +113,6 @@ def test_edge_rule_exactness(npoints):
     rule = edge_rule(npoints)
     assert_allclose(rule.weights.sum(), 1.0, atol=1e-14)
     assert np.all(rule.weights > 0.0)
+    assert rule.degree == 2 * npoints - 1
     for k in range(2 * npoints):
-        assert_allclose(rule.integrate(rule.points**k), 1.0 / (k + 1), rtol=1e-13)
+        assert_allclose(rule.points**k @ rule.weights, 1.0 / (k + 1), rtol=1e-13)
