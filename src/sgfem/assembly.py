@@ -32,6 +32,7 @@ permutation, and assembles the load.  The matrix structure is the same for
 every ``iota`` and every rounding of the entries.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -76,7 +77,7 @@ _LOAD_TABLES = MonoTables(_LOAD_RULE.points)
 class MaterialParams:
     """Lame constants and the microscopic length scale.
 
-    ``lam >= 0``, ``mu > 0`` and ``0 < iota <= 1``.
+    ``lam >= 0`` and ``mu > 0``, both finite, and ``0 < iota <= 1``.
     """
 
     lam: float = 10.0
@@ -84,10 +85,10 @@ class MaterialParams:
     iota: float = 1.0
 
     def __post_init__(self):
-        if not self.lam >= 0.0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
-        if not self.mu > 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not (self.lam >= 0.0 and math.isfinite(self.lam)):
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
+        if not (self.mu > 0.0 and math.isfinite(self.mu)):
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
         if not 0.0 < self.iota <= 1.0:
             raise ValueError(f"iota must be in (0, 1], got {self.iota}")
 

@@ -9,11 +9,12 @@ of 1D derivative chains and the source
 
 expands into those chains with no numerical differentiation.
 
-Each factor is its derivative chain: a function ``chain(t, k)`` that
-returns the list of orders ``0..k`` (``k <= 4``) at ``t`` and evaluates
-every sine, cosine and exponential it needs once, so the displacement, the
-gradient, the Hessian and the source read one chain per factor, at orders
-0, 1, 2 and 4.
+Each axis is one derivative chain: a function ``chain(t, k)`` that returns
+the pair ``(F1, F2)`` of both components' factors along that axis, each
+the list of orders ``0..k`` (``k <= 4``) at ``t``.  The chain evaluates
+every sine, cosine and exponential once, and both factors share them.  So
+the displacement, the derivatives (gradient and Hessian together) and the
+source read the x chain once and the y chain once, at orders 0, 2 and 4.
 
 The second example subtracts a boundary corrector, built from ratios of
 exponentials, from both of its factors.  It is evaluated in an
@@ -40,50 +41,57 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 
-def factor_exp_cos(omega: float) -> Callable:
-    """exp(cos(omega t)) - e, clamped to zero slope and value at t = 0."""
-    e = np.e
-
-    def chain(t, k):
-        wt = omega * t
-        c = np.cos(wt)
-        ec = np.exp(c)
-        out = [ec - e]
-        if k >= 1:
-            s = np.sin(wt)
-            out.append(-omega * s * ec)
-        if k >= 2:
-            ss = s * s
-            out.append(omega**2 * ec * (ss - c))
-        if k >= 3:
-            cubic = 3.0 * c + 1.0 - ss
-            out.append(omega**3 * ec * s * cubic)
-        if k >= 4:
-            out.append(omega**4 * ec * ((c - ss) * cubic - ss * (3.0 + 2.0 * c)))
-        return out
-
-    return chain
+def _cos_sin(omega, t, k):
+    """cos(omega t), and sin(omega t) once order ``k`` needs it."""
+    wt = omega * t
+    return np.cos(wt), (np.sin(wt) if k >= 1 else None)
 
 
-def factor_cos(omega: float) -> Callable:
-    """cos(omega t) - 1."""
+def _exp_cos(omega, c, s, k):
+    """Orders 0..k of exp(cos(omega t)) - e, clamped to zero slope and value
+    at t = 0, from ``c = cos(omega t)`` and ``s = sin(omega t)``."""
+    ec = np.exp(c)
+    out = [ec - np.e]
+    if k >= 1:
+        out.append(-omega * s * ec)
+    if k >= 2:
+        ss = s * s
+        out.append(omega**2 * ec * (ss - c))
+    if k >= 3:
+        cubic = 3.0 * c + 1.0 - ss
+        out.append(omega**3 * ec * s * cubic)
+    if k >= 4:
+        out.append(omega**4 * ec * ((c - ss) * cubic - ss * (3.0 + 2.0 * c)))
+    return out
 
-    def chain(t, k):
-        wt = omega * t
-        c = np.cos(wt)
-        out = [c - 1.0]
-        if k >= 1:
-            s = np.sin(wt)
-            out.append(-omega * s)
-        if k >= 2:
-            out.append(-(omega**2) * c)
-        if k >= 3:
-            out.append(omega**3 * s)
-        if k >= 4:
-            out.append(omega**4 * c)
-        return out
 
-    return chain
+def _cos(omega, c, s, k):
+    """Orders 0..k of cos(omega t) - 1."""
+    out = [c - 1.0]
+    if k >= 1:
+        out.append(-omega * s)
+    if k >= 2:
+        out.append(-(omega**2) * c)
+    if k >= 3:
+        out.append(omega**3 * s)
+    if k >= 4:
+        out.append(omega**4 * c)
+    return out
+
+
+def _smooth_x(t, k):
+    """Axis chain of the smooth field along x: exp(cos(2 pi t)) - e and
+    cos(2 pi t) - 1 share one cosine and one sine."""
+    c, s = _cos_sin(TWO_PI, t, k)
+    return _exp_cos(TWO_PI, c, s, k), _cos(TWO_PI, c, s, k)
+
+
+def _smooth_y(t, k):
+    """Axis chain of the smooth field along y: exp(cos(2 pi t)) - e and
+    cos(4 pi t) - 1, whose cosine is evaluated directly."""
+    c, s = _cos_sin(TWO_PI, t, k)
+    c2, s2 = _cos_sin(2.0 * TWO_PI, t, k)
+    return _exp_cos(TWO_PI, c, s, k), _cos(2.0 * TWO_PI, c2, s2, k)
 
 
 def _corrector_chain(iota: float):
@@ -116,15 +124,13 @@ def _corrector_chain(iota: float):
     return chain
 
 
-def _exp_sin(t, k):
-    """Derivative chain of exp(sin(pi t)) - 1."""
+def _exp_sin(s, c, k):
+    """Orders 0..k of exp(sin(pi t)) - 1 from ``s = sin(pi t)`` and
+    ``c = cos(pi t)``."""
     p = np.pi
-    pt = p * t
-    s = np.sin(pt)
     es = np.exp(s)
     out = [es - 1.0]
     if k >= 1:
-        c = np.cos(pt)
         out.append(p * c * es)
     if k >= 2:
         cc = c * c
@@ -137,14 +143,11 @@ def _exp_sin(t, k):
     return out
 
 
-def _sin(t, k):
-    """Derivative chain of sin(pi t)."""
+def _sin(s, c, k):
+    """Orders 0..k of sin(pi t)."""
     p = np.pi
-    pt = p * t
-    s = np.sin(pt)
     out = [s]
     if k >= 1:
-        c = np.cos(pt)
         out.append(p * c)
     if k >= 2:
         out.append(-(p**2) * s)
@@ -155,12 +158,18 @@ def _sin(t, k):
     return out
 
 
-def _minus_corrector(smooth, iota: float) -> Callable:
-    """The chain of the layer factor ``smooth(t) - L(t)``, order by order."""
+def _layer_axis(iota: float) -> Callable:
+    """Axis chain of the layer field, the same along x and y: the factors
+    exp(sin(pi t)) - 1 - L(t) and sin(pi t) - L(t) share one sine, one
+    cosine and the corrector L."""
     corrector = _corrector_chain(iota)
 
     def chain(t, k):
-        return [a - b for a, b in zip(smooth(t, k), corrector(t, k))]
+        pt = np.pi * t
+        s = np.sin(pt)
+        c = np.cos(pt) if k >= 1 else None
+        lift = corrector(t, k)
+        return tuple([a - b for a, b in zip(f(s, c, k), lift)] for f in (_exp_sin, _sin))
 
     return chain
 
@@ -168,71 +177,52 @@ def _minus_corrector(smooth, iota: float) -> Callable:
 @dataclass(frozen=True)
 class ManufacturedField:
     """u = (X1(x) Y1(y), X2(x) Y2(y)) with the material it was built for;
-    each factor is its derivative chain ``chain(t, k)``."""
+    ``x(t, k)`` is the axis chain returning ``(X1, X2)`` through order
+    ``k``, and ``y(t, k)`` the one returning ``(Y1, Y2)``."""
 
     name: str
-    x1: Callable
-    y1: Callable
-    x2: Callable
-    y2: Callable
+    x: Callable
+    y: Callable
     mat: MaterialParams
 
     def displacement(self, xy):
-        x, y = xy[:, 0], xy[:, 1]
-        u1 = self.x1(x, 0)[0] * self.y1(y, 0)[0]
-        return np.stack([u1, self.x2(x, 0)[0] * self.y2(y, 0)[0]], axis=-1)
+        (x1, x2), (y1, y2) = self.x(xy[:, 0], 0), self.y(xy[:, 1], 0)
+        return np.stack([x1[0] * y1[0], x2[0] * y2[0]], axis=-1)
+
+    def derivatives(self, xy):
+        """The gradient, (n, 2, 2) with entry [i, j] = d_j u_i, and the
+        Hessian, (n, 2, 2, 2) with entry [i, j, k] = d_j d_k u_i, from one
+        order-2 pass over the points."""
+        g = np.empty(xy.shape[:1] + (2, 2))
+        h = np.empty(xy.shape[:1] + (2, 2, 2))
+        for i, (X, Y) in enumerate(zip(self.x(xy[:, 0], 2), self.y(xy[:, 1], 2))):
+            g[:, i, 0] = X[1] * Y[0]
+            g[:, i, 1] = X[0] * Y[1]
+            h[:, i, 0, 0] = X[2] * Y[0]
+            h[:, i, 0, 1] = h[:, i, 1, 0] = X[1] * Y[1]
+            h[:, i, 1, 1] = X[0] * Y[2]
+        return g, h
 
     def gradient(self, xy):
         """(n, 2, 2) array with entry [i, j] = d_j u_i."""
-        x, y = xy[:, 0], xy[:, 1]
-        x1, y1 = self.x1(x, 1), self.y1(y, 1)
-        x2, y2 = self.x2(x, 1), self.y2(y, 1)
-        g = np.empty(xy.shape[:1] + (2, 2))
-        g[:, 0, 0] = x1[1] * y1[0]
-        g[:, 0, 1] = x1[0] * y1[1]
-        g[:, 1, 0] = x2[1] * y2[0]
-        g[:, 1, 1] = x2[0] * y2[1]
-        return g
+        return self.derivatives(xy)[0]
 
     def hessian(self, xy):
         """(n, 2, 2, 2) array with entry [i, j, k] = d_j d_k u_i."""
-        x, y = xy[:, 0], xy[:, 1]
-        x1, y1 = self.x1(x, 2), self.y1(y, 2)
-        x2, y2 = self.x2(x, 2), self.y2(y, 2)
-        h = np.empty(xy.shape[:1] + (2, 2, 2))
-        h[:, 0, 0, 0] = x1[2] * y1[0]
-        h[:, 0, 0, 1] = h[:, 0, 1, 0] = x1[1] * y1[1]
-        h[:, 0, 1, 1] = x1[0] * y1[2]
-        h[:, 1, 0, 0] = x2[2] * y2[0]
-        h[:, 1, 0, 1] = h[:, 1, 1, 0] = x2[1] * y2[1]
-        h[:, 1, 1, 1] = x2[0] * y2[2]
-        return h
+        return self.derivatives(xy)[1]
 
 
 def example_smooth(mat: MaterialParams | None = None) -> ManufacturedField:
     """Trigonometric-exponential solution, smooth uniformly in iota."""
     mat = mat or MaterialParams()
-    return ManufacturedField(
-        name="smooth",
-        x1=factor_exp_cos(TWO_PI),
-        y1=factor_exp_cos(TWO_PI),
-        x2=factor_cos(TWO_PI),
-        y2=factor_cos(2.0 * TWO_PI),
-        mat=mat,
-    )
+    return ManufacturedField(name="smooth", x=_smooth_x, y=_smooth_y, mat=mat)
 
 
 def example_layer(iota: float, lam: float = 10.0, mu: float = 1.0) -> ManufacturedField:
     """Solution with exponential boundary correctors of width O(iota)."""
     mat = MaterialParams(lam=lam, mu=mu, iota=iota)
-    return ManufacturedField(
-        name="layer",
-        x1=_minus_corrector(_exp_sin, iota),
-        y1=_minus_corrector(_exp_sin, iota),
-        x2=_minus_corrector(_sin, iota),
-        y2=_minus_corrector(_sin, iota),
-        mat=mat,
-    )
+    axis = _layer_axis(iota)
+    return ManufacturedField(name="layer", x=axis, y=axis, mat=mat)
 
 
 def example_field(example: str, mat: MaterialParams) -> ManufacturedField:
@@ -248,15 +238,13 @@ def source(field: ManufacturedField):
     """Pointwise f = iota^2 Delta g - g as a vectorized evaluator.
 
     Returns ``f(xy) -> (n, 2)`` expanded into products of the 1D chains;
-    each call evaluates every factor's chain once, through order 4.
+    each call evaluates the x chain and the y chain once, through order 4.
     """
     lam, mu, i2 = field.mat.lam, field.mat.mu, field.mat.iota**2
     lm = lam + mu
 
     def f(xy):
-        x, y = xy[:, 0], xy[:, 1]
-        x1, y1 = field.x1(x, 4), field.y1(y, 4)
-        x2, y2 = field.x2(x, 4), field.y2(y, 4)
+        (x1, x2), (y1, y2) = field.x(xy[:, 0], 4), field.y(xy[:, 1], 4)
 
         g1 = mu * (x1[2] * y1[0] + x1[0] * y1[2]) + lm * (x1[2] * y1[0] + x2[1] * y2[1])
         g2 = mu * (x2[2] * y2[0] + x2[0] * y2[2]) + lm * (x1[1] * y1[1] + x2[0] * y2[2])

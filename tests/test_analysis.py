@@ -41,36 +41,65 @@ def interpolate_field(mesh, kind, value, grad):
     return full
 
 
+class LinearField:
+    """A linear displacement, which every family reproduces; the gradient
+    and the Hessian are the two halves of ``derivatives``, as on
+    ``ManufacturedField``."""
+
+    mat = MaterialParams(iota=0.5)
+
+    @staticmethod
+    def displacement(xy):
+        u1 = 0.3 * xy[:, 0] - 1.2 * xy[:, 1] + 0.5
+        u2 = -0.7 * xy[:, 0] + 0.4 * xy[:, 1]
+        return np.stack([u1, u2], axis=-1)
+
+    @staticmethod
+    def derivatives(xy):
+        g = np.empty(xy.shape[:1] + (2, 2))
+        g[:, 0, 0], g[:, 0, 1] = 0.3, -1.2
+        g[:, 1, 0], g[:, 1, 1] = -0.7, 0.4
+        return g, np.zeros(xy.shape[:1] + (2, 2, 2))
+
+    def gradient(self, xy):
+        return self.derivatives(xy)[0]
+
+    def hessian(self, xy):
+        return self.derivatives(xy)[1]
+
+
 class TestEnergyError:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_interpolated_linear_field_is_exact(self, kind):
         """A linear displacement is reproduced, so the error must vanish."""
         mesh = make_structured(3)
-
-        class LinearField:
-            mat = MaterialParams(iota=0.5)
-
-            @staticmethod
-            def displacement(xy):
-                u1 = 0.3 * xy[:, 0] - 1.2 * xy[:, 1] + 0.5
-                u2 = -0.7 * xy[:, 0] + 0.4 * xy[:, 1]
-                return np.stack([u1, u2], axis=-1)
-
-            @staticmethod
-            def gradient(xy):
-                g = np.empty(xy.shape[:1] + (2, 2))
-                g[:, 0, 0], g[:, 0, 1] = 0.3, -1.2
-                g[:, 1, 0], g[:, 1, 1] = -0.7, 0.4
-                return g
-
-            @staticmethod
-            def hessian(xy):
-                return np.zeros(xy.shape[:1] + (2, 2, 2))
-
         field = LinearField()
         full = interpolate_field(mesh, kind, field.displacement, field.gradient)
         absolute, _ = energy_error(build_dofmap(mesh, kind), full, field)
         assert absolute <= 1e-11
+
+    def test_reads_the_exact_field_once(self):
+        """One ``derivatives`` pass gives both the gradient and the Hessian
+        of the exact field at the quadrature points."""
+        calls = []
+
+        class CountingField(LinearField):
+            def derivatives(self, xy):
+                calls.append("derivatives")
+                return super().derivatives(xy)
+
+            def gradient(self, xy):
+                calls.append("gradient")
+                return super().gradient(xy)
+
+            def hessian(self, xy):
+                calls.append("hessian")
+                return super().hessian(xy)
+
+        dofmap = build_dofmap(make_structured(2), "ntw")
+        _, relative = energy_error(dofmap, np.zeros(dofmap.n_vector), CountingField())
+        assert calls == ["derivatives"]
+        assert relative == pytest.approx(1.0, rel=1e-14)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_zero_solution_has_relative_error_one(self, kind):

@@ -168,6 +168,13 @@ class TestExitCodes:
         capsys.readouterr()
         assert rc == 1
 
+    @pytest.mark.parametrize("flag", ["--lambda", "--mu"])
+    def test_infinite_lame_constant_is_an_error_line(self, flag, capsys):
+        rc, out, err = run_cli(["solve", flag, "inf", "--mesh", "structured:2"], capsys)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
+
 
 def write_mesh(path, mesh):
     lines = [f"{mesh.num_vertices} {mesh.num_triangles}"]

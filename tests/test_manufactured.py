@@ -28,8 +28,148 @@ TRUNCATED_CHAIN_SEED = int(
 )
 
 
+TWO_PI = 2.0 * np.pi
+
+
 def all_factors(field):
-    return {"x1": field.x1, "y1": field.y1, "x2": field.x2, "y2": field.y2}
+    """The four factor chains, ``{"x1": chain(t, k), ...}``, read off the
+    field's two axis chains."""
+    return {
+        f"{axis}{i + 1}": lambda t, k, axis=axis, i=i: getattr(field, axis)(t, k)[i]
+        for axis in ("x", "y")
+        for i in (0, 1)
+    }
+
+
+# Single-factor closed forms: each factor's chain evaluated on its own, as
+# the reference the shared axis chains must reproduce bit for bit.
+
+
+def factor_exp_cos(omega):
+    """exp(cos(omega t)) - e."""
+
+    def chain(t, k):
+        wt = omega * t
+        c = np.cos(wt)
+        ec = np.exp(c)
+        out = [ec - np.e]
+        if k >= 1:
+            s = np.sin(wt)
+            out.append(-omega * s * ec)
+        if k >= 2:
+            ss = s * s
+            out.append(omega**2 * ec * (ss - c))
+        if k >= 3:
+            cubic = 3.0 * c + 1.0 - ss
+            out.append(omega**3 * ec * s * cubic)
+        if k >= 4:
+            out.append(omega**4 * ec * ((c - ss) * cubic - ss * (3.0 + 2.0 * c)))
+        return out
+
+    return chain
+
+
+def factor_cos(omega):
+    """cos(omega t) - 1."""
+
+    def chain(t, k):
+        wt = omega * t
+        c = np.cos(wt)
+        out = [c - 1.0]
+        if k >= 1:
+            s = np.sin(wt)
+            out.append(-omega * s)
+        if k >= 2:
+            out.append(-(omega**2) * c)
+        if k >= 3:
+            out.append(omega**3 * s)
+        if k >= 4:
+            out.append(omega**4 * c)
+        return out
+
+    return chain
+
+
+def corrector_chain(iota):
+    """L(t) = pi iota [coth(1/(2 iota)) - cosh((2t-1)/(2 iota)) / sinh(1/(2 iota))]."""
+    q = np.exp(-1.0 / iota)
+    den = 1.0 - q
+    coth = (1.0 + q) / den
+
+    def chain(t, k):
+        right, left = np.exp((t - 1.0) / iota), np.exp(-t / iota)
+        even = (right + left) / den
+        out = [np.pi * iota * (coth - even)]
+        if k >= 1:
+            odd = (right - left) / den
+            out.append(-np.pi * odd)
+        if k >= 2:
+            out.append(-(np.pi / iota) * even)
+        if k >= 3:
+            out.append(-(np.pi / iota**2) * odd)
+        if k >= 4:
+            out.append(-(np.pi / iota**3) * even)
+        return out
+
+    return chain
+
+
+def exp_sin(t, k):
+    """exp(sin(pi t)) - 1."""
+    p = np.pi
+    pt = p * t
+    s = np.sin(pt)
+    es = np.exp(s)
+    out = [es - 1.0]
+    if k >= 1:
+        c = np.cos(pt)
+        out.append(p * c * es)
+    if k >= 2:
+        cc = c * c
+        out.append(p**2 * es * (cc - s))
+    if k >= 3:
+        cubic = cc - 3.0 * s - 1.0
+        out.append(p**3 * es * c * cubic)
+    if k >= 4:
+        out.append(p**4 * es * ((cc - s) * cubic - cc * (2.0 * s + 3.0)))
+    return out
+
+
+def sin(t, k):
+    """sin(pi t)."""
+    p = np.pi
+    pt = p * t
+    s = np.sin(pt)
+    out = [s]
+    if k >= 1:
+        c = np.cos(pt)
+        out.append(p * c)
+    if k >= 2:
+        out.append(-(p**2) * s)
+    if k >= 3:
+        out.append(-(p**3) * c)
+    if k >= 4:
+        out.append(p**4 * s)
+    return out
+
+
+def minus_corrector(smooth, iota):
+    """The layer factor ``smooth(t) - L(t)``, order by order."""
+    corrector = corrector_chain(iota)
+
+    def chain(t, k):
+        return [a - b for a, b in zip(smooth(t, k), corrector(t, k))]
+
+    return chain
+
+
+def reference_factors(example, iota):
+    """{axis: (component 1 factor, component 2 factor)} as single chains."""
+    if example == "smooth":
+        x = (factor_exp_cos(TWO_PI), factor_cos(TWO_PI))
+        return {"x": x, "y": (factor_exp_cos(TWO_PI), factor_cos(2.0 * TWO_PI))}
+    layer = (minus_corrector(exp_sin, iota), minus_corrector(sin, iota))
+    return {"x": layer, "y": layer}
 
 
 def reference_laplacian(F, xy, h):
@@ -94,17 +234,40 @@ def reference_fd_source(field, pts):
     t=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
 )
 def test_truncated_chain_is_a_prefix(iota, t):
-    """``chain(t, k)`` computes orders 0..k exactly as the full chain does."""
+    """``chain(t, k)`` computes orders 0..k exactly as the full chain does,
+    for both components of each axis chain."""
     t = np.array(t)
     for field in (example_smooth(MaterialParams(iota=iota)), example_layer(iota)):
-        for name, factor in all_factors(field).items():
-            full = factor(t, 4)
-            assert len(full) == 5
+        for axis in ("x", "y"):
+            full = getattr(field, axis)(t, 4)
+            assert len(full) == 2 and all(len(chain) == 5 for chain in full)
             for k in range(4):
-                part = factor(t, k)
-                assert len(part) == k + 1
+                part = getattr(field, axis)(t, k)
+                for i in (0, 1):
+                    assert len(part[i]) == k + 1
+                    for order in range(k + 1):
+                        assert np.array_equal(part[i][order], full[i][order]), (
+                            field.name, axis, i, k,
+                        )
+
+
+@pytest.mark.parametrize("iota", [1.0, 1e-2, 1e-6])
+@pytest.mark.parametrize("example", ["smooth", "layer"])
+def test_axis_chains_equal_single_factor_chains(example, iota):
+    """Sharing the sines, cosines and exponentials between the two
+    components of an axis moves no bit of any order."""
+    field = example_field(example, MaterialParams(iota=iota))
+    rng = np.random.default_rng(31)
+    t = np.concatenate([np.linspace(0.0, 1.0, 41), rng.uniform(size=60)])
+    for axis, factors in reference_factors(example, iota).items():
+        for k in range(5):
+            pair = getattr(field, axis)(t, k)
+            assert len(pair) == 2
+            for i, (got, factor) in enumerate(zip(pair, factors)):
+                expected = factor(t, k)
+                assert len(got) == len(expected) == k + 1
                 for order in range(k + 1):
-                    assert np.array_equal(part[order], full[order]), (field.name, name, k)
+                    assert np.array_equal(got[order], expected[order]), (axis, i, k, order)
 
 
 class TestFactorChains:
@@ -230,36 +393,41 @@ class TestDerivativeTensors:
 class TestSource:
     def test_zero_field_gives_zero_source(self):
         def flat(t, k):
-            return [np.zeros_like(t)] * (k + 1)
+            return [np.zeros_like(t)] * (k + 1), [np.zeros_like(t)] * (k + 1)
 
-        field = ManufacturedField("null", flat, flat, flat, flat, MaterialParams())
+        field = ManufacturedField("null", flat, flat, MaterialParams())
         f = source(field)(np.random.default_rng(1).uniform(size=(20, 2)))
         assert_allclose(f, 0.0, atol=1e-300)
 
     @pytest.mark.parametrize("example", ["smooth", "layer"])
     def test_evaluates_each_chain_once(self, example):
-        """The source reads every factor's chain once, through order 4; the
-        gradient and the Hessian read it once through orders 1 and 2."""
+        """The source reads the x chain and the y chain once each, through
+        order 4; the derivatives read them once each through order 2, and
+        the displacement once each at order 0."""
         field = example_field(example, MaterialParams(iota=1e-2))
         calls = []
 
-        def counted(name, factor):
+        def counted(axis):
             def chain(t, k):
-                calls.append((name, k))
-                return factor(t, k)
+                calls.append((axis, k))
+                return getattr(field, axis)(t, k)
 
             return chain
 
-        factors = {name: counted(name, f) for name, f in all_factors(field).items()}
-        counting = ManufacturedField(field.name, mat=field.mat, **factors)
+        counting = ManufacturedField(field.name, counted("x"), counted("y"), field.mat)
         pts = np.random.default_rng(2).uniform(size=(30, 2))
         f = source(counting)(pts)
-        assert sorted(calls) == [("x1", 4), ("x2", 4), ("y1", 4), ("y2", 4)]
+        assert sorted(calls) == [("x", 4), ("y", 4)]
         assert np.array_equal(f, source(field)(pts))
-        for order, method in ((1, "gradient"), (2, "hessian")):
+        calls.clear()
+        gradient, hessian = counting.derivatives(pts)
+        assert sorted(calls) == [("x", 2), ("y", 2)]
+        assert np.array_equal(gradient, field.gradient(pts))
+        assert np.array_equal(hessian, field.hessian(pts))
+        for order, method in ((0, "displacement"), (2, "gradient"), (2, "hessian")):
             calls.clear()
             value = getattr(counting, method)(pts)
-            assert sorted(calls) == [(name, order) for name in ("x1", "x2", "y1", "y2")]
+            assert sorted(calls) == [("x", order), ("y", order)]
             assert np.array_equal(value, getattr(field, method)(pts))
 
     @pytest.mark.parametrize("iota", [1.0, 1e-2])
