@@ -23,9 +23,13 @@ error, the Gram matrices, the edge jumps and the probes.  Element matrices
 and loads are batches over all triangles, with a leading triangle axis.
 
 The form is affine in ``iota**2``: ``A = A_m + iota**2 A_g``.  A dof map
-builds, on first use, the fixed CSR pattern of the reduced matrix (every
-coupling of two retained degrees of freedom inside one element, explicit
-zeros kept) and, per Lame pair, the data of ``A_m`` and ``A_g`` on it.
+builds, on first use, the fixed pattern of the reduced matrix and, per
+Lame pair, the data of ``A_m`` and ``A_g`` on it.  The pattern is the
+scalar CSR of every coupling of two retained scalar degrees of freedom
+inside one element, explicit zeros kept.  Both components share the
+scalar basis, so each coupling is a dense 2 x 2 block of the vector
+matrix, and the data are stored block-major: entry ``(2 i + a, 2 j + b)``
+of coupling ``k`` sits at ``4 k + 2 a + b`` (:class:`FormPattern`).
 :func:`assemble` then only adds the two data arrays for its ``iota``,
 checks and removes their asymmetry through the pattern's transpose
 permutation, and assembles the load.  The matrix structure is the same for
@@ -47,6 +51,7 @@ from .quadrature import triangle_rule
 
 __all__ = [
     "MAX_ASYMMETRY",
+    "AssemblyError",
     "MaterialParams",
     "DofMap",
     "FormPattern",
@@ -73,6 +78,11 @@ _STIFFNESS_TABLES = MonoTables(_STIFFNESS_RULE.points)
 _LOAD_TABLES = MonoTables(_LOAD_RULE.points)
 
 
+class AssemblyError(ValueError):
+    """An assembled matrix with non-finite entries or with an asymmetry
+    above ``MAX_ASYMMETRY``."""
+
+
 @dataclass(frozen=True)
 class MaterialParams:
     """Lame constants and the microscopic length scale.
@@ -95,15 +105,19 @@ class MaterialParams:
 
 @dataclass(frozen=True)
 class FormPattern:
-    """The fixed CSR structure of a reduced matrix of one dof map.
+    """The fixed structure of a reduced matrix of one dof map, in 2 x 2 blocks.
 
-    ``indptr`` and ``indices`` hold every coupling of two retained vector
-    degrees of freedom of one element, with sorted column indices;
-    ``data[transpose]`` is the data of the transposed matrix.
-    ``slots[t, i, j]`` is the position in ``data`` of entry ``(i, j)`` of
-    element ``t``'s (2n, 2n) block, or ``nnz`` when the entry touches a
-    boundary degree of freedom.  Every array is read-only: one pattern is
-    shared by every ``iota``, the forms and the Gram matrices.
+    ``indptr`` and ``indices`` are the scalar CSR of every coupling of two
+    retained scalar degrees of freedom of one element, with sorted column
+    indices.  The data are stored block-major on it: entry
+    ``(2 i + a, 2 j + b)`` of the vector matrix, for scalar coupling ``k``
+    of ``(i, j)``, sits at ``4 k + 2 a + b``.  ``data[transpose]`` is the
+    data of the transposed matrix.  ``slots[t, i, j]`` is the position in
+    ``data`` of entry ``(i, j)`` of element ``t``'s (2n, 2n) block, or
+    ``nnz`` when the entry touches a boundary degree of freedom.  Every
+    array is read-only, as are the index arrays of the CSR matrices that
+    :meth:`matrix` returns: one pattern is shared by every ``iota``, the
+    forms and the Gram matrices.
     """
 
     indptr: np.ndarray
@@ -114,16 +128,28 @@ class FormPattern:
 
     @property
     def nnz(self) -> int:
-        return len(self.indices)
+        """The number of stored vector entries."""
+        return 4 * len(self.indices)
 
     def scatter(self, blocks: np.ndarray) -> np.ndarray:
         """Sum (T, 2n, 2n) element blocks into data on the pattern."""
         return np.bincount(self.slots.ravel(), blocks.ravel(), self.nnz + 1)[: self.nnz]
 
+    @cached_property
+    def _order(self) -> sp.csr_matrix:
+        """The reduced CSR structure, holding for each stored entry its
+        position in ``data``: one BSR to CSR conversion per pattern."""
+        n = len(self.retained)
+        positions = np.arange(self.nnz).reshape(-1, 2, 2)
+        order = sp.bsr_matrix((positions, self.indices, self.indptr), shape=(n, n)).tocsr()
+        for a in (order.data, order.indices, order.indptr):
+            _read_only(a)
+        return order
+
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """The reduced CSR matrix with ``data`` on the pattern."""
-        n = len(self.retained)
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+        order = self._order
+        return sp.csr_matrix((data[order.data], order.indices, order.indptr), shape=order.shape)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -131,12 +157,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _pairs(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    """``even`` and ``odd`` interleaved into one flat array."""
-    out = np.empty((len(even), 2), dtype=even.dtype)
-    out[:, 0] = even
-    out[:, 1] = odd
-    return out.ravel()
+# Offset 2 a + b of entry (a, b) within a 2 x 2 block.
+_BLOCK = np.array([[0, 1], [2, 3]])
 
 
 @dataclass(frozen=True)
@@ -174,13 +196,9 @@ class DofMap:
 
     @cached_property
     def pattern(self) -> FormPattern:
-        """The reduced matrix structure, built from scalar element pairs.
-
-        Scalar couplings are found once (T n^2 pairs) and each one expands
-        to a 2 x 2 block of vector entries: vector rows ``2 i`` and
-        ``2 i + 1`` both hold, for every scalar column ``j`` of scalar row
-        ``i``, the columns ``2 j`` and ``2 j + 1``.
-        """
+        """The reduced matrix structure, built from scalar element pairs:
+        each coupling of two scalar degrees of freedom is one 2 x 2 block
+        of vector entries (see :class:`FormPattern`)."""
         keep = ~self.boundary
         n_red = int(keep.sum())
         reduced = np.full(self.n_scalar, -1, dtype=np.int64)
@@ -191,40 +209,18 @@ class DofMap:
         keys = (loc[:, :, None] * n_red + loc[:, None, :])[pairs]
         keys, pair_slot = np.unique(keys, return_inverse=True)
         rows, cols = np.divmod(keys, n_red)
-        nnz = len(keys)
-        row_len = np.bincount(rows, minlength=n_red)
-        row_start = np.cumsum(row_len) - row_len
-        # Vector entry (2 i + a, 2 j + b) of scalar coupling k, in row i,
-        # sits at first[k] + a * step[k] + b.
-        first = 2 * (np.arange(nnz) + row_start[rows])
-        step = 2 * row_len[rows]
-        # The couplings k of each vector row, in storage order, and the
-        # row parity a of each.
-        seg = np.repeat(row_len, 2)
-        parity = np.tile([0, 1], n_red)
-        k = np.arange(2 * nnz) - np.repeat(np.repeat(row_start, 2) + parity * seg, seg)
-        a = np.repeat(parity, seg)
-        indptr = np.concatenate([[0], np.cumsum(2 * seg)])
-        # The pattern is symmetric: sorting the transposed keys maps each
-        # scalar coupling (i, j) to (j, i), and (2 i + a, 2 j + b) goes to
-        # (2 j + b, 2 i + a).
-        mirror = np.argsort(cols * n_red + rows)
-        lo = first[mirror][k] + a
-        # Element entries that touch a boundary dof go to the dump slot 4 nnz.
-        kslot = np.full(pairs.shape, nnz)
+        # Element entries that touch a boundary dof go to the dump slot,
+        # one past the data.
+        kslot = np.full(pairs.shape, len(keys))
         kslot[pairs] = pair_slot
-        base = np.append(first, 4 * nnz)[kslot]
-        stride = np.append(step, 0)[kslot]
-        slots = np.empty((ntri, n, 2, n, 2), dtype=np.int64)
-        slots[:, :, 0, :, 0] = base
-        slots[:, :, 0, :, 1] = base + 1
-        slots[:, :, 1, :, 0] = base + stride
-        slots[:, :, 1, :, 1] = base + stride + 1
-        np.minimum(slots, 4 * nnz, out=slots)
+        slots = np.minimum(4 * kslot[:, :, None, :, None] + _BLOCK[:, None, :], 4 * len(keys))
+        # The pattern is symmetric: sorting the transposed keys maps each
+        # coupling (i, j) to (j, i), and entry (a, b) of its block to (b, a).
+        mirror = np.argsort(cols * n_red + rows)
         return FormPattern(
-            indptr=_read_only(indptr.astype(np.int32)),
-            indices=_read_only(_pairs(2 * cols[k], 2 * cols[k] + 1).astype(np.int32)),
-            transpose=_read_only(_pairs(lo, lo + step[mirror][k])),
+            indptr=_read_only(np.append(0, np.cumsum(np.bincount(rows, minlength=n_red)))),
+            indices=_read_only(cols),
+            transpose=_read_only((4 * mirror[:, None, None] + _BLOCK.T).ravel()),
             slots=_read_only(slots.reshape(ntri, 2 * n, 2 * n)),
             retained=_read_only(np.flatnonzero(np.repeat(keep, 2))),
         )
@@ -236,8 +232,10 @@ class DofMap:
         key = (float(lam), float(mu))
         if key not in self._forms:
             morley = self.kind is ElementKind.MORLEY
-            blocks = element_forms(self.coeffs, self.geom, lam, mu, morley)
-            self._forms[key] = tuple(self.pattern.scatter(K) for K in blocks)
+            # Overflow is reported by stiffness_matrix, not warned about here.
+            with np.errstate(over="ignore", invalid="ignore"):
+                blocks = element_forms(self.coeffs, self.geom, lam, mu, morley)
+                self._forms[key] = tuple(self.pattern.scatter(K) for K in blocks)
         return self._forms[key]
 
 
@@ -381,15 +379,23 @@ def stiffness_matrix(dofmap: DofMap, mat: MaterialParams):
     """The symmetrized reduced matrix for ``mat`` and its asymmetry
     ``max|A - A^T| / max|A|`` before symmetrization.
 
-    Raises ``ValueError`` if the asymmetry exceeds ``MAX_ASYMMETRY``.
+    Raises :class:`AssemblyError` if an entry is not finite (Lame
+    constants large enough to overflow) or the asymmetry exceeds
+    ``MAX_ASYMMETRY``.
     """
     pattern = dofmap.pattern
     A_m, A_g = dofmap.forms(mat.lam, mat.mu)
-    data = A_m + mat.iota**2 * A_g
-    data_t = data[pattern.transpose]
-    asymmetry = float(np.abs(data - data_t).max() / np.abs(data).max()) if data.size else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = A_m + mat.iota**2 * A_g
+        data_t = data[pattern.transpose]
+        asymmetry = float(np.abs(data - data_t).max() / np.abs(data).max()) if data.size else 0.0
     if not asymmetry <= MAX_ASYMMETRY:
-        raise ValueError(
+        # A non-finite entry makes the asymmetry nan, which fails the gate.
+        if not np.isfinite(data).all():
+            raise AssemblyError(
+                f"assembled matrix has non-finite entries for lam={mat.lam:g}, mu={mat.mu:g}"
+            )
+        raise AssemblyError(
             f"assembled matrix asymmetry {asymmetry:.2e} exceeds {MAX_ASYMMETRY:.0e}"
         )
     return pattern.matrix(0.5 * (data + data_t)), asymmetry
@@ -399,8 +405,8 @@ def assemble(dofmap: DofMap, mat: MaterialParams, f) -> SparseSystem:
     """Assemble the reduced system for one family on one mesh.
 
     ``f(xy)`` maps points of shape (q, 2) to load values of shape (q, 2).
-    Raises ``ValueError`` if the element matrices are not symmetric to
-    ``MAX_ASYMMETRY``.
+    Raises :class:`AssemblyError` if the matrix is not finite or not
+    symmetric to ``MAX_ASYMMETRY``.
     """
     matrix, asymmetry = stiffness_matrix(dofmap, mat)
     loads = element_loads(dofmap.coeffs, dofmap.geom, f, dofmap.kind is ElementKind.MORLEY)

@@ -20,7 +20,7 @@ from .analysis import (
     korn_ratio_min,
     local_coefficients,
 )
-from .assembly import MaterialParams, assemble, build_dofmap
+from .assembly import AssemblyError, MaterialParams, assemble, build_dofmap
 from .elements import (
     ElementKind,
     MonoTables,
@@ -137,15 +137,18 @@ def cmd_convergence(args) -> int:
     if args.levels < 1:
         raise CliError("levels must be at least 1")
     base_mesh = _parse_mesh(args.mesh)
-    reports = convergence_study(
-        args.element,
-        args.example,
-        [mat.iota for mat in materials],
-        args.levels,
-        base_mesh,
-        lam=args.lam,
-        mu=args.mu,
-    )
+    try:
+        reports = convergence_study(
+            args.element,
+            args.example,
+            [mat.iota for mat in materials],
+            args.levels,
+            base_mesh,
+            lam=args.lam,
+            mu=args.mu,
+        )
+    except AssemblyError as exc:
+        raise CliError(str(exc)) from exc
     text = format_csv(reports) if args.format == "csv" else format_markdown(reports)
     _write_output(text, args.out)
     return 0
@@ -164,7 +167,10 @@ def cmd_solve(args) -> int:
     mat = materials[0]
     field = example_field(args.example, mat)
     dofmap = build_dofmap(mesh, args.element)
-    system = assemble(dofmap, mat, source(field))
+    try:
+        system = assemble(dofmap, mat, source(field))
+    except AssemblyError as exc:
+        raise CliError(str(exc)) from exc
     report = solve(system)
     full = system.expand(report.solution)
     values = _evaluate_at(dofmap, full, probes)

@@ -11,8 +11,7 @@ Shapes are built for a batch of ``T`` triangles at once:
 :func:`basis_coefficients` returns a (T, n, 35) coefficient array and
 :func:`evaluate` turns it into values, gradients and Hessians at the points
 of a :class:`MonoTables`.  The per-element :class:`LocalBasis` of every
-family comes from :func:`build_basis`, a batch of one of the same code;
-the affine relative of ntw has its own :func:`ntw_affine_basis`.
+family comes from :func:`build_basis`, a batch of one of the same code.
 
 Degrees of freedom read a function at 24 fixed barycentric points,
 :data:`DOF_TABLES`: the three vertices, the three edge midpoints and the
@@ -23,11 +22,11 @@ are slices, and the edge moments are one contraction.  It is the one
 implementation of the functionals: the specht and morley dual solves take
 it of their generators sampled at the same points (specht adds its
 Legendre edge moments there), and :func:`edge_normal_moments` reads the
-same edge points and weights; :func:`interpolate` is a batch of one.  The
-verification checks run on a whole batch of triangles:
-:func:`duality_residual` applies each functional to the shapes as its
-:class:`DofDescriptor` states it, independently of :func:`apply_dofs`, so
-that a wrong functional shows instead of being inverted by the dual solve;
+same edge points and weights.  The verification checks run on a whole
+batch of triangles: :func:`duality_residual` applies each functional to
+the shapes as its :class:`DofDescriptor` states it, independently of
+:func:`apply_dofs`, so that a wrong functional shows instead of being
+inverted by the dual solve;
 :func:`specht_constraint_residual` takes the specht shapes' Legendre edge
 moments on a three-point edge rule of its own, so that a wrong constraint
 in the dual solve shows, and :func:`verify_affine_identity`
@@ -73,12 +72,10 @@ __all__ = [
     "evaluate",
     "edge_normal_moments",
     "basis_coefficients",
-    "ntw_affine_basis",
     "build_basis",
     "DOF_TABLES",
     "dof_points",
     "apply_dofs",
-    "interpolate",
     "dof_matrices",
     "duality_residual",
     "specht_constraint_residual",
@@ -266,12 +263,6 @@ class LocalBasis:
     def nloc(self) -> int:
         return len(self.coeffs)
 
-    def eval_all(self, bary):
-        """Values (n, q), gradients (n, q, 2), Hessians (n, q, 2, 2)."""
-        tables = MonoTables(bary)
-        vals, grads, hess = evaluate(self.coeffs[None], self.geom.grad_lambda[None], tables)
-        return vals[0], grads[0], hess[0]
-
 
 def _vec(poly: dict) -> np.ndarray:
     out = np.zeros(_NMONO)
@@ -337,7 +328,11 @@ def _dofs(family, signs):
     return tuple(dofs)
 
 
-# The ntw_affine shapes do not depend on the triangle.
+# The shapes of ntw's affine relative, "ntw_affine": the same local space
+# and value degrees of freedom, but edge moments of the derivative along
+# the median from the opposite vertex to the edge midpoint.  The two
+# interpolants coincide (see verify_affine_identity).  The shapes do not
+# depend on the triangle.
 _NTW_AFFINE = np.vstack(
     [
         [_vec({_unit(i, 2): 2.0, _unit(i): -1.0, _B: 6.0, _shift(_B, i): -6.0}) for i in range(3)],
@@ -345,19 +340,6 @@ _NTW_AFFINE = np.vstack(
         6.0 * _RAMPS,
     ]
 )
-
-
-def ntw_affine_basis(geom: ElementGeometry) -> LocalBasis:
-    """Affine relative of the ntw family.
-
-    Same local space and value degrees of freedom, but the edge moments
-    average the derivative along the median vector from the opposite vertex
-    to the edge midpoint instead of the normal derivative.  The two
-    interpolants coincide (see :func:`verify_affine_identity`), which is
-    what makes the family amenable to scaling arguments.
-    """
-    signs = np.ones(3)
-    return LocalBasis("ntw_affine", geom, _NTW_AFFINE, _dofs("ntw_affine", signs), signs)
 
 
 def _specht_generators():
@@ -467,20 +449,6 @@ def apply_dofs(family, values, grads, geom: ElementGeometry, signs) -> np.ndarra
     if family == ElementKind.MORLEY:
         return np.concatenate([vertex, moments], axis=-1)
     return np.concatenate([vertex, values[..., 3:6], moments], axis=-1)
-
-
-def interpolate(basis: LocalBasis, value_fn, grad_fn) -> np.ndarray:
-    """Local coefficient vector of the interpolant of a smooth function.
-
-    ``value_fn(xy)`` and ``grad_fn(xy)`` take points of shape (q, 2) and
-    return values (q,) and gradients (q, 2); they are called once, on the
-    points of :func:`dof_points`.  A batch of one of :func:`apply_dofs`.
-    """
-    xy = dof_points(basis.geom)
-    values = np.asarray(value_fn(xy), dtype=float).reshape(1, 1, -1)
-    grads = np.asarray(grad_fn(xy), dtype=float).reshape(1, 1, -1, 2)
-    one = basis.geom.batch_of_one()
-    return apply_dofs(basis.family, values, grads, one, basis.signs[None])[0, 0]
 
 
 def dof_matrices(family, geom: ElementGeometry, signs=None) -> np.ndarray:

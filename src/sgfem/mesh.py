@@ -70,12 +70,6 @@ class ElementGeometry:
     midpoints: np.ndarray
     chunkiness: float
 
-    def to_bary(self, xy: np.ndarray) -> np.ndarray:
-        """Map physical points (n, 2) to barycentric coordinates (n, 3)."""
-        xy = np.atleast_2d(xy)
-        lam = 1.0 / 3.0 + (xy - self.vertices.mean(axis=0)) @ self.grad_lambda.T
-        return lam
-
     def batch_of_one(self) -> "ElementGeometry":
         """This triangle's geometry as a batch with ``T = 1``."""
         return triangle_geometry(self.vertices[None])

@@ -18,27 +18,13 @@ from sgfem.analysis import (
     rates_from_errors,
 )
 from sgfem.assembly import MaterialParams, build_dofmap
-from sgfem.elements import ElementKind, build_basis, interpolate
+from sgfem.elements import ElementKind
 from sgfem.manufactured import example_smooth
-from sgfem.mesh import element_geometry, make_structured
+from sgfem.mesh import make_structured
+
+from element_reference import interpolate_field
 
 ALL_KINDS = [ElementKind.NTW, ElementKind.SPECHT, ElementKind.MORLEY]
-
-
-def interpolate_field(mesh, kind, value, grad):
-    dofmap = build_dofmap(mesh, kind)
-    full = np.zeros(dofmap.n_vector)
-    for t in range(mesh.num_triangles):
-        geom = element_geometry(mesh, t)
-        basis = build_basis(kind, geom, dofmap.signs[t])
-        for c in (0, 1):
-            coeffs = interpolate(
-                basis,
-                lambda xy, c=c: value(xy)[:, c],
-                lambda xy, c=c: grad(xy)[:, c, :],
-            )
-            full[2 * dofmap.scatter[t] + c] = coeffs
-    return full
 
 
 class LinearField:
@@ -72,10 +58,10 @@ class TestEnergyError:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_interpolated_linear_field_is_exact(self, kind):
         """A linear displacement is reproduced, so the error must vanish."""
-        mesh = make_structured(3)
+        dofmap = build_dofmap(make_structured(3), kind)
         field = LinearField()
-        full = interpolate_field(mesh, kind, field.displacement, field.gradient)
-        absolute, _ = energy_error(build_dofmap(mesh, kind), full, field)
+        full = interpolate_field(dofmap, field.displacement, field.gradient)
+        absolute, _ = energy_error(dofmap, full, field)
         assert absolute <= 1e-11
 
     def test_reads_the_exact_field_once(self):

@@ -1,5 +1,8 @@
 """Tests for degree-of-freedom maps, element matrices and global assembly."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +10,7 @@ from numpy.testing import assert_allclose
 import sgfem.assembly
 from sgfem.assembly import (
     MAX_ASYMMETRY,
+    AssemblyError,
     MaterialParams,
     assemble,
     build_dofmap,
@@ -15,11 +19,14 @@ from sgfem.assembly import (
     element_matrices,
     element_stiffness,
     element_stiffness_morley,
+    stiffness_matrix,
 )
-from sgfem.elements import ElementKind, build_basis, interpolate
+from sgfem.elements import ElementKind, build_basis
 from sgfem.mesh import element_geometry, make_structured
 from sgfem.quadrature import triangle_rule
 from sgfem.verify import random_geometry
+
+from element_reference import eval_all, interpolate, interpolate_field
 
 ALL_KINDS = [ElementKind.NTW, ElementKind.SPECHT, ElementKind.MORLEY]
 
@@ -61,27 +68,6 @@ def value_component(fn, c):
 
 def grad_component(fn, c):
     return lambda xy: np.asarray(fn(xy))[:, c, :]
-
-
-def global_interpolate(mesh, kind, value, grad):
-    """Interpolate a smooth field into the global coefficient vector.
-
-    Shared degrees of freedom must receive the same value from every
-    adjacent element; that agreement is asserted on the way.
-    """
-    dofmap = build_dofmap(mesh, kind)
-    full = np.full(dofmap.n_vector, np.nan)
-    for t in range(mesh.num_triangles):
-        geom = element_geometry(mesh, t)
-        basis = build_basis(kind, geom, dofmap.signs[t])
-        for c in (0, 1):
-            coeffs = interpolate(basis, value_component(value, c), grad_component(grad, c))
-            ids = 2 * dofmap.scatter[t] + c
-            seen = ~np.isnan(full[ids])
-            assert_allclose(full[ids][seen], coeffs[seen], rtol=1e-9, atol=1e-9)
-            full[ids] = coeffs
-    assert not np.any(np.isnan(full))
-    return full
 
 
 def exact_energy(mesh, mat, grad, hess, membrane_through_pi1=False, value=None):
@@ -170,9 +156,11 @@ class TestDofMap:
         """One pattern is shared by every iota, the forms and the Gram
         matrices, so none of its arrays can be written."""
         pattern = build_dofmap(make_structured(2), "ntw").pattern
-        for name in ("indptr", "indices", "transpose", "slots", "retained"):
+        matrix = pattern.matrix(np.zeros(pattern.nnz))
+        arrays = [getattr(pattern, f.name) for f in dataclasses.fields(pattern)]
+        for array in arrays + [matrix.indices, matrix.indptr]:
             with pytest.raises(ValueError, match="read-only"):
-                getattr(pattern, name)[...] = 0
+                array[...] = 0
 
 
 class TestElementKernels:
@@ -243,7 +231,7 @@ class TestElementLoad:
         rule = triangle_rule(10)  # the rule element_load integrates with
         b = element_load(basis, f)
         xy = rule.points @ geom.vertices
-        vals = basis.eval_all(rule.points)[0]
+        vals = eval_all(basis, rule.points)[0]
         F = f(xy)
         w = geom.area * rule.weights
         for a in range(basis.nloc):
@@ -285,6 +273,17 @@ class TestGlobalAssembly:
             assemble(build_dofmap(dofmap.mesh, kind), mat, f)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_overflowing_forms_are_named_non_finite(self, kind):
+        """Lame constants that overflow the forms fail as non-finite, not
+        as a nan asymmetry, and without floating-point warnings."""
+        dofmap = build_dofmap(make_structured(2), kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mat in (MaterialParams(lam=1e308), MaterialParams(mu=1e308)):
+                with pytest.raises(AssemblyError, match="non-finite"):
+                    stiffness_matrix(dofmap, mat)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     @pytest.mark.parametrize("iota", [1.0, 0.3])
     def test_interpolated_quadratic_energy(self, kind, iota):
         """v' A v on an interpolated quadratic equals the exact energy.
@@ -301,7 +300,7 @@ class TestGlobalAssembly:
         # The unreduced energy: no boundary condition, every dof retained.
         dofmap = build_dofmap(mesh, kind)
         K = element_matrices(dofmap.coeffs, dofmap.geom, mat, kind is ElementKind.MORLEY)
-        v = global_interpolate(mesh, kind, value, grad)
+        v = interpolate_field(dofmap, value, grad)
         ids = np.repeat(2 * dofmap.scatter, 2, axis=1) + np.tile([0, 1], dofmap.nloc)
         discrete = np.einsum("ti,tij,tj->", v[ids], K, v[ids])
         exact = exact_energy(

@@ -13,6 +13,7 @@ map's fixed pattern, is checked against the unsplit assembly it replaced.
 
 import hypothesis
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,8 +31,9 @@ from sgfem.assembly import (
     element_stiffness_morley,
 )
 from sgfem.elements import DOF_TABLES, ElementKind, build_basis
-from sgfem.mesh import element_geometry
+from sgfem.mesh import element_geometry, make_structured
 
+from element_reference import eval_all
 from random_meshes import jittered_mesh
 
 # Hypothesis seeds of the derandomized property tests below.  Derandomized
@@ -97,7 +99,7 @@ def test_batch_matches_batch_of_one(n, amplitude, squash, seed):
             # On flat triangles a mean normal derivative can be O(1) while
             # the gradient it projects is O(1/flatness), so the means are
             # compared on the scale of that gradient.
-            grads = np.einsum("ac,aqj->cqj", local[t], basis.eval_all(DOF_TABLES.bary[6:])[1])
+            grads = np.einsum("ac,aqj->cqj", local[t], eval_all(basis, DOF_TABLES.bary[6:])[1])
             assert_close(means[t], m1[0], scale=np.abs(grads).max())
 
 
@@ -152,20 +154,60 @@ def test_split_forms_match_unsplit_assembly(n, amplitude, seed, iotas, lam, mu):
     for kind in ElementKind:
         dofmap = build_dofmap(mesh, kind)
         pattern = dofmap.pattern
-        rows = np.repeat(np.arange(len(pattern.retained)), np.diff(pattern.indptr))
-        stored = set(zip(rows.tolist(), pattern.indices.tolist()))
-        assert len(stored) == pattern.nnz
-        assert stored == element_pairs(dofmap)
         data = rng.normal(size=pattern.nnz)
-        transposed = pattern.matrix(data).T.toarray()
+        matrix = pattern.matrix(data)
+        rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+        stored = set(zip(rows.tolist(), matrix.indices.tolist()))
+        assert len(stored) == matrix.nnz == pattern.nnz
+        assert stored == element_pairs(dofmap)
+        transposed = matrix.T.toarray()
         assert np.array_equal(pattern.matrix(data[pattern.transpose]).toarray(), transposed)
         for iota in iotas:
             mat = MaterialParams(lam=lam, mu=mu, iota=iota)
             system = assemble(dofmap, mat, load)
             A, rhs = unsplit_system(dofmap, mat, load)
-            assert np.array_equal(system.matrix.indptr, pattern.indptr)
-            assert np.array_equal(system.matrix.indices, pattern.indices)
+            assert isinstance(system.matrix, sp.csr_matrix)
+            assert system.matrix.has_canonical_format
+            assert np.array_equal(system.matrix.indptr, matrix.indptr)
+            assert np.array_equal(system.matrix.indices, matrix.indices)
             assert system.matrix.nnz == pattern.nnz >= A.nnz
             scale = np.abs(A).max()
             assert np.abs(system.matrix - A).max() <= 1e-14 * scale
             assert_allclose(system.rhs, rhs, rtol=0.0, atol=1e-14 * np.abs(rhs).max())
+
+
+def vector_pattern_matrix(dofmap, blocks):
+    """(T, 2n, 2n) element blocks summed on a pattern found at vector level:
+    ``np.unique`` over the (row, col) keys of every pair of retained vector
+    degrees of freedom of one element, explicit zeros kept."""
+    vids = np.repeat(2 * dofmap.scatter, 2, axis=1) + np.tile([0, 1], dofmap.nloc)
+    keep = ~np.repeat(dofmap.boundary, 2)
+    n = int(keep.sum())
+    reduced = np.full(dofmap.n_vector, -1)
+    reduced[keep] = np.arange(n)
+    loc = reduced[vids]
+    pairs = (loc[:, :, None] >= 0) & (loc[:, None, :] >= 0)
+    keys, slot = np.unique((loc[:, :, None] * n + loc[:, None, :])[pairs], return_inverse=True)
+    data = np.bincount(slot, blocks[pairs], len(keys))
+    rows, cols = np.divmod(keys, n)
+    indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=n)))
+    return sp.csr_matrix((data, cols, indptr), shape=(n, n))
+
+
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_block_pattern_matches_vector_pattern(kind):
+    """The block-major pattern gives the reduced matrix of the vector-level
+    reference bit for bit: the same structure, and every entry summed from
+    the same element entries in the same order."""
+    rng = np.random.default_rng(17)
+    meshes = [make_structured(n) for n in (1, 2, 3)] + [jittered_mesh(3, 0.9, 1.0, 5)]
+    for mesh in meshes:
+        dofmap = build_dofmap(mesh, kind)
+        pattern = dofmap.pattern
+        m = 2 * dofmap.nloc
+        K = rng.normal(size=(mesh.num_triangles, m, m))
+        got = pattern.matrix(pattern.scatter(K))
+        expected = vector_pattern_matrix(dofmap, K)
+        assert np.array_equal(got.indptr, expected.indptr)
+        assert np.array_equal(got.indices, expected.indices)
+        assert np.array_equal(got.data, expected.data)

@@ -11,6 +11,8 @@ from sgfem.cli import CSV_HEADER, CliError, _evaluate_at, main
 from sgfem.elements import ElementKind, build_basis
 from sgfem.mesh import Mesh, element_geometry, make_structured
 
+from element_reference import eval_all, to_bary
+
 
 def run_cli(argv, capsys):
     rc = main(argv)
@@ -161,6 +163,9 @@ class TestExitCodes:
             [],
             ["solve", "--refine", "-1"],
             ["solve", "--iota", "1.5"],
+            ["solve", "--lambda", "1e308", "--mesh", "structured:2"],
+            ["solve", "--mu", "1e308", "--mesh", "structured:2"],
+            ["convergence", "--lambda", "1e308", "--mesh", "structured:2", "--levels", "1"],
         ],
     )
     def test_invalid_arguments_return_one(self, argv, capsys):
@@ -174,6 +179,15 @@ class TestExitCodes:
         assert rc == 1
         assert out == ""
         assert err.startswith("error: ") and "finite" in err
+
+    @pytest.mark.parametrize("flag", ["--lambda", "--mu"])
+    def test_overflowing_lame_constant_is_one_error_line(self, flag, capsys):
+        """Finite Lame constants that overflow the assembled forms."""
+        rc, out, err = run_cli(["solve", flag, "1e308", "--mesh", "structured:2"], capsys)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("error: assembled matrix has non-finite entries")
+        assert err.count("\n") == 1
 
 
 def write_mesh(path, mesh):
@@ -276,14 +290,14 @@ def reference_evaluate_at(mesh, kind, full_dofs, pts):
     for row, p in enumerate(pts):
         for t in range(mesh.num_triangles):
             geom = element_geometry(mesh, t)
-            bary = geom.to_bary(p[None, :])
+            bary = to_bary(geom, p[None, :])
             if bary.min() >= -1e-9:
                 corner = int(bary.argmax())
                 if bary[0, corner] >= 1.0 - 1e-12:
                     out[row] = locals_[t][vertex_stride * corner]
                 else:
                     basis = build_basis(kind, geom, dofmap.signs[t])
-                    out[row] = locals_[t].T @ basis.eval_all(bary)[0][:, 0]
+                    out[row] = locals_[t].T @ eval_all(basis, bary)[0][:, 0]
                 break
         else:
             raise AssertionError("probe outside the mesh")

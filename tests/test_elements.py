@@ -11,23 +11,26 @@ import sgfem.cli
 import sgfem.elements
 from sgfem.elements import (
     _MORLEY_GENS,
+    _NTW_AFFINE,
     _SPECHT_GENS,
     MORLEY_PI1,
     ElementKind,
+    LocalBasis,
     MonoTables,
+    _dofs,
     basis_coefficients,
     build_basis,
     dof_matrices,
     dof_points,
     duality_residual,
     evaluate,
-    interpolate,
-    ntw_affine_basis,
     specht_constraint_residual,
     verify_affine_identity,
 )
 from sgfem.mesh import make_structured, element_geometry, triangle_geometry
 from sgfem.quadrature import edge_rule
+
+from element_reference import eval_all, interpolate, to_bary
 
 # Hypothesis seed of the derandomized property test below.  Derandomized
 # examples are seeded from a test's source text; a fixed seed keeps the test
@@ -91,10 +94,10 @@ def shape_closures(basis, a):
     geom = basis.geom
 
     def value(xy):
-        return basis.eval_all(geom.to_bary(xy))[0][a]
+        return eval_all(basis, to_bary(geom, xy))[0][a]
 
     def grad(xy):
-        return basis.eval_all(geom.to_bary(xy))[1][a]
+        return eval_all(basis, to_bary(geom, xy))[1][a]
 
     return value, grad
 
@@ -143,6 +146,13 @@ FAMILIES = ["ntw", "specht", "morley", "ntw_affine"]
 
 def basis_id(family):
     return f"{family}_basis"
+
+
+def ntw_affine_basis(geom):
+    """The affine relative of ntw on one triangle: its shapes do not depend
+    on the triangle, and its edge moments on no normal sign."""
+    signs = np.ones(3)
+    return LocalBasis("ntw_affine", geom, _NTW_AFFINE, _dofs("ntw_affine", signs), signs)
 
 
 def local_basis(family, geom, signs):
@@ -294,9 +304,9 @@ def test_ntw_moment_shape_values_at_barycenter():
     center = np.array([[1 / 3, 1 / 3, 1 / 3]])
     basis = build_basis(ElementKind.NTW, RIGHT)
     # psi_1 = 6 b (2 l1 - 1) / |grad l1| with b = 1/27 and |grad l1| = sqrt(2).
-    assert_allclose(basis.eval_all(center)[0][6, 0], -2.0 / (27.0 * np.sqrt(2.0)), rtol=1e-14)
+    assert_allclose(eval_all(basis, center)[0][6, 0], -2.0 / (27.0 * np.sqrt(2.0)), rtol=1e-14)
     affine = ntw_affine_basis(RIGHT)
-    assert_allclose(affine.eval_all(center)[0][6, 0], -2.0 / 27.0, rtol=1e-14)
+    assert_allclose(eval_all(affine, center)[0][6, 0], -2.0 / 27.0, rtol=1e-14)
 
 
 @pytest.mark.parametrize("kind", list(ElementKind))
@@ -306,7 +316,7 @@ def test_constant_reproduction(kind):
     one, grad0 = poly2d({(0, 0): 1.0})
     coeffs = interpolate(basis, one, grad0)
     pts = rng.dirichlet([1.0] * 3, size=10)
-    assert_allclose(coeffs @ basis.eval_all(pts)[0], 1.0, atol=1e-12)
+    assert_allclose(coeffs @ eval_all(basis, pts)[0], 1.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", list(ElementKind))
@@ -319,7 +329,7 @@ def test_quadratic_reproduction(kind):
         coeffs = interpolate(basis, value, grad)
         pts = rng.dirichlet([1.0] * 3, size=20)
         xy = pts @ geom.vertices
-        assert_allclose(coeffs @ basis.eval_all(pts)[0], value(xy), atol=1e-11)
+        assert_allclose(coeffs @ eval_all(basis, pts)[0], value(xy), atol=1e-11)
 
 
 def test_ntw_reproduces_bubble_times_linear():
@@ -328,11 +338,11 @@ def test_ntw_reproduces_bubble_times_linear():
     basis = build_basis(ElementKind.NTW, geom)
 
     def value(xy):
-        lam = geom.to_bary(xy)
+        lam = to_bary(geom, xy)
         return lam.prod(axis=1) * (2.0 * lam[:, 0] - 0.5 * lam[:, 2])
 
     def grad(xy):
-        lam = geom.to_bary(xy)
+        lam = to_bary(geom, xy)
         g = geom.grad_lambda
         b = lam.prod(axis=1)
         db = sum(
@@ -345,7 +355,7 @@ def test_ntw_reproduces_bubble_times_linear():
 
     coeffs = interpolate(basis, value, grad)
     pts = rng.dirichlet([1.0] * 3, size=20)
-    assert_allclose(coeffs @ basis.eval_all(pts)[0], value(pts @ geom.vertices), atol=1e-12)
+    assert_allclose(coeffs @ eval_all(basis, pts)[0], value(pts @ geom.vertices), atol=1e-12)
 
 
 def test_specht_edge_constraints():
@@ -357,7 +367,7 @@ def test_specht_edge_constraints():
         geom = random_triangle(rng)
         basis = build_basis(ElementKind.SPECHT, geom)
         for i in range(3):
-            dn = basis.eval_all(edge_bary(i, gauss.points))[1] @ geom.normals[i]
+            dn = eval_all(basis, edge_bary(i, gauss.points))[1] @ geom.normals[i]
             residual = (dn * legendre) @ gauss.weights
             assert np.abs(residual).max() < 1e-12 * max(1.0, np.abs(dn).max())
 
@@ -374,9 +384,9 @@ def test_gradients_match_finite_differences(kind):
     dy = np.array([0.0, h])
 
     def shifted(step):
-        return basis.eval_all(geom.to_bary(xy + step))[:2]
+        return eval_all(basis, to_bary(geom, xy + step))[:2]
 
-    _, grads, hess = basis.eval_all(geom.to_bary(xy))
+    _, grads, hess = eval_all(basis, to_bary(geom, xy))
     for axis, step in enumerate((dx, dy)):
         (vals_p, gp), (vals_m, gm) = shifted(step), shifted(-step)
         assert_allclose(grads[:, :, axis], (vals_p - vals_m) / (2 * h), atol=1e-5)
@@ -388,10 +398,10 @@ def test_affine_identity_for_polynomials():
     geom = random_triangle(rng)
 
     def bubble_value(xy):
-        return geom.to_bary(xy).prod(axis=1)
+        return to_bary(geom, xy).prod(axis=1)
 
     def bubble_grad(xy):
-        lam = geom.to_bary(xy)
+        lam = to_bary(geom, xy)
         g = geom.grad_lambda
         return sum(
             np.outer(lam[:, j] * lam[:, k], g[i])
@@ -427,7 +437,7 @@ def test_shared_edge_traces_agree(kind):
         geom = element_geometry(mesh, tri)
         basis = build_basis(kind, geom, mesh.tri_edge_signs[tri])
         coeffs = interpolate(basis, value, grad)
-        traces.append(coeffs @ basis.eval_all(geom.to_bary(diag))[0])
+        traces.append(coeffs @ eval_all(basis, to_bary(geom, diag))[0])
     assert_allclose(traces[0], traces[1], atol=1e-11)
 
 
@@ -437,5 +447,5 @@ def test_morley_pi1_map():
     geom = random_triangle(rng)
     basis = build_basis(ElementKind.MORLEY, geom)
     coeffs = rng.normal(size=6)
-    vertex_values = (coeffs @ basis.eval_all(np.eye(3))[0]).ravel()
+    vertex_values = (coeffs @ eval_all(basis, np.eye(3))[0]).ravel()
     assert_allclose(MORLEY_PI1 @ coeffs, vertex_values, atol=1e-12)

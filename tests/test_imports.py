@@ -1,6 +1,7 @@
 """No module-level import in ``src/sgfem`` goes unused, reaches into
 another module's private names, or costs every command a module it never
-calls, and every name a module exports in ``__all__`` exists.
+calls; every name a module exports in ``__all__`` exists, and is read
+somewhere in ``src/sgfem`` rather than only by the tests.
 
 An AST scan of each module: a name bound by a module-level ``import`` must
 be read somewhere in the module, or be listed in ``__all__``.  Imports
@@ -46,14 +47,19 @@ def unused_imports(source: str) -> list:
     """Names bound by module-level imports of ``source`` that are never read."""
     tree = ast.parse(source)
     imported = set().union(*(names for names, exempt in module_imports(source) if not exempt))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read - exports(tree))
+
+
+def exports(tree) -> set:
+    """The names of the module-level ``__all__`` assignments of ``tree``."""
     exported = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
             exported |= set(ast.literal_eval(node.value))
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(imported - read - exported)
+    return exported
 
 
 def private_imports(source: str) -> list:
@@ -153,6 +159,83 @@ def test_scan_finds_unresolved_exports():
 def test_every_export_resolves(path):
     name = "sgfem" if path.stem == "__init__" else f"sgfem.{path.stem}"
     assert unresolved_exports(importlib.import_module(name)) == []
+
+
+def unreferenced_api(sources: dict, patched: set, exempt=()) -> list:
+    """``module.name`` for every name a module of ``sources`` exports in
+    ``__all__``, and ``module.Class.name`` for every public method or
+    property of an exported class, that no module of ``sources`` reads
+    outside the name's own definition and that is not in ``patched``.
+
+    ``sources`` maps module names to source text; the exports of the
+    modules in ``exempt`` are not checked, though their reads count.
+    Reads are matched by name (``name`` or ``x.name``), not by type.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = [
+        (module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+    # (label, module, name, definition node) of every name to check.
+    checked = []
+    for module, tree in trees.items():
+        exported = set() if module in exempt else exports(tree)
+        for node in tree.body:
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names = [getattr(node, "name", None)] + [getattr(t, "id", None) for t in targets]
+            for name in exported.intersection(names):
+                checked.append((f"{module}.{name}", module, name, node))
+            if isinstance(node, ast.ClassDef) and node.name in exported:
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        label = f"{module}.{node.name}.{item.name}"
+                        checked.append((label, module, item.name, item))
+    return sorted(
+        label
+        for label, module, name, node in checked
+        if name not in patched
+        and not any(
+            read == name and (where != module or not node.lineno <= line <= node.end_lineno)
+            for where, line, read in reads
+        )
+    )
+
+
+def test_scan_finds_test_only_api():
+    sources = {
+        "sgfem.a": (
+            "__all__ = ['Box', 'LIMIT', 'used', 'stale', 'traced']\n"
+            "LIMIT = 3\n"
+            "class Box:\n"
+            "    def read(self):\n"
+            "        return LIMIT\n"
+            "    def stale_method(self):\n"
+            "        return self.stale_method()\n"
+            "    def _private(self):\n"
+            "        return 0\n"
+            "def used():\n"
+            "    return Box().read()\n"
+            "def stale():\n"
+            "    return stale()\n"
+            "def traced():\n"
+            "    return 1\n"
+        ),
+        "sgfem.b": "from .a import used\nused()\n",
+    }
+    assert unreferenced_api(sources, {"traced"}) == ["sgfem.a.Box.stale_method", "sgfem.a.stale"]
+    assert unreferenced_api(sources, {"traced"}, exempt={"sgfem.a"}) == []
+
+
+def test_every_export_is_read_in_src():
+    """Public API that only the tests read belongs in the tests.  The
+    benchmark tracer's patch points are kept for the tracer, and
+    ``verify.py`` holds the random inputs and oracles that the ``verify``
+    suites share with the tests."""
+    sources = {f"sgfem.{path.stem}": path.read_text() for path in sorted(SRC.glob("*.py"))}
+    patched = {name for _, name in traced_attributes()}
+    assert unreferenced_api(sources, patched, exempt={"sgfem.verify"}) == []
 
 
 def test_cli_import_leaves_out_scipy_optimize():
