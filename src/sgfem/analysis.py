@@ -263,11 +263,15 @@ def _gram_matrices(dofmap: DofMap):
     """Reduced Gram matrices of the broken gradient and distinct-entry
     Hessian inner products, assembled on the stiffness pattern with a
     quadrature rule and a contraction independent of the stiffness
-    kernels."""
+    kernels; the blocks are computed once per class of triangles."""
     pattern = dofmap.pattern
+    morley = dofmap.kind is ElementKind.MORLEY
+    blocks = gram_blocks(dofmap.class_coeffs, dofmap.class_geom, morley)
     # The same scalar block acts on each displacement component.
-    blocks = gram_blocks(dofmap.coeffs, dofmap.geom, dofmap.kind is ElementKind.MORLEY)
-    return tuple(pattern.matrix(pattern.scatter(np.kron(block, np.eye(2)))) for block in blocks)
+    return tuple(
+        pattern.matrix(pattern.scatter(np.kron(block, np.eye(2))[dofmap.classes]))
+        for block in blocks
+    )
 
 
 def coercivity_check(dofmap: DofMap, materials, n_trials: int, seed: int = 0) -> np.ndarray:

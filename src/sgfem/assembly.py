@@ -20,7 +20,18 @@ A :class:`DofMap` is one family on one mesh: besides the degree-of-freedom
 layout it carries the mesh's geometry and the family's shape coefficients,
 computed once by :func:`build_dofmap` and shared by assembly, the energy
 error, the Gram matrices, the edge jumps and the probes.  Element matrices
-and loads are batches over all triangles, with a leading triangle axis.
+and loads are batches of triangles, with a leading triangle axis.
+
+Shapes and element forms depend on a triangle only through its edge
+vectors and its edge normal signs, so :func:`build_dofmap` groups the
+triangles into classes that are equal up to translation
+(:func:`~sgfem.mesh.translation_classes`).  The shapes, the two element
+forms and the Gram blocks are computed once per class, on its first
+triangle, and gathered to the triangles (``K[classes]``).  A red-refined
+uniform mesh has a few dozen classes at every level; a perturbed mesh has
+one class per triangle and pays only for the grouping.  The per-element
+shape coefficients stay on the dof map for the loads, the energy error,
+the jumps and the probes.
 
 The form is affine in ``iota**2``: ``A = A_m + iota**2 A_g``.  A dof map
 builds, on first use, the fixed pattern of the reduced matrix and, per
@@ -45,7 +56,7 @@ import scipy.sparse as sp
 
 from .elements import MORLEY_PI1, ElementKind, LocalBasis, MonoTables, basis_coefficients, evaluate
 from .elements import build_basis  # noqa: F401  (bound for the benchmark tracer, which wraps it)
-from .mesh import ElementGeometry, Mesh, mesh_geometry
+from .mesh import ElementGeometry, Mesh, mesh_geometry, translation_classes, triangle_geometry
 from .mesh import element_geometry  # noqa: F401  (bound for the benchmark tracer, which wraps it)
 from .quadrature import triangle_rule
 
@@ -172,6 +183,13 @@ class DofMap:
     the batched geometry of every triangle of ``mesh`` and ``coeffs`` the
     (T, nloc, nmono) shape coefficients on it; both are built once, by
     :func:`build_dofmap`, and every mesh-level computation reads them.
+
+    ``classes[t]`` is the class of triangle ``t``: triangles equal up to
+    translation with equal signs share one.  ``class_geom`` and
+    ``class_coeffs`` are the geometry and shapes of one triangle per
+    class; ``coeffs`` is ``class_coeffs[classes]``.  The element forms and
+    the Gram blocks are computed on the classes and gathered.
+
     The reduced matrix pattern and the ``iota``-free forms on it are built
     on first use (:attr:`pattern`, :meth:`forms`) and kept.
     """
@@ -184,6 +202,9 @@ class DofMap:
     mesh: Mesh
     geom: ElementGeometry
     coeffs: np.ndarray
+    classes: np.ndarray
+    class_geom: ElementGeometry
+    class_coeffs: np.ndarray
     _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -234,8 +255,8 @@ class DofMap:
             morley = self.kind is ElementKind.MORLEY
             # Overflow is reported by stiffness_matrix, not warned about here.
             with np.errstate(over="ignore", invalid="ignore"):
-                blocks = element_forms(self.coeffs, self.geom, lam, mu, morley)
-                self._forms[key] = tuple(self.pattern.scatter(K) for K in blocks)
+                blocks = element_forms(self.class_coeffs, self.class_geom, lam, mu, morley)
+                self._forms[key] = tuple(self.pattern.scatter(K[self.classes]) for K in blocks)
         return self._forms[key]
 
 
@@ -259,6 +280,9 @@ def build_dofmap(mesh: Mesh, kind) -> DofMap:
         scatter = np.hstack([tris, nv + mesh.tri_edges])
         boundary = np.concatenate([mesh.vertex_is_boundary, mesh.edge_is_boundary])
     geom = mesh_geometry(mesh)
+    first, classes = translation_classes(mesh)
+    class_geom = triangle_geometry(geom.vertices[first])
+    class_coeffs = basis_coefficients(kind, class_geom, mesh.tri_edge_signs[first])
     return DofMap(
         kind=kind,
         n_scalar=n_scalar,
@@ -267,7 +291,10 @@ def build_dofmap(mesh: Mesh, kind) -> DofMap:
         signs=mesh.tri_edge_signs,
         mesh=mesh,
         geom=geom,
-        coeffs=basis_coefficients(kind, geom, mesh.tri_edge_signs),
+        coeffs=class_coeffs[classes],
+        classes=classes,
+        class_geom=class_geom,
+        class_coeffs=class_coeffs,
     )
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "element_geometry",
     "mesh_geometry",
     "triangle_geometry",
+    "translation_classes",
 ]
 
 # Local edge i runs from local vertex _TAIL[i] = i+1 to _HEAD[i] = i+2 (mod 3).
@@ -214,6 +215,28 @@ def element_geometry(mesh: Mesh, index: int) -> ElementGeometry:
 def mesh_geometry(mesh: Mesh) -> ElementGeometry:
     """Geometry of every triangle of ``mesh`` as one batch."""
     return triangle_geometry(mesh.vertices[mesh.triangles])
+
+
+def translation_classes(mesh: Mesh):
+    """Group the triangles of ``mesh`` that are equal up to translation and
+    carry the same edge normal signs.
+
+    Returns ``(first, classes)``: ``first[c]`` is the first triangle of
+    class ``c`` and ``classes[t]`` the class of triangle ``t``.  The key of
+    a triangle is the exact bytes of its three edge vectors, as
+    :func:`triangle_geometry` computes them, and of its signs.  Everything
+    that geometry derives from the vertices apart from ``vertices`` and
+    ``midpoints`` is a function of the edge vectors alone, so it is
+    bit-for-bit equal across a class.  A red-refined uniform mesh has a few
+    classes at every level; a perturbed mesh has one class per triangle.
+    """
+    coords = mesh.vertices[mesh.triangles]
+    edge_vec = coords[:, _HEAD] - coords[:, _TAIL]
+    key = np.hstack([edge_vec.reshape(-1, 6), mesh.tri_edge_signs.astype(float)])
+    # One unique over whole rows as opaque bytes: far faster than axis=0.
+    rows = np.ascontiguousarray(key).view(np.dtype((np.void, key.itemsize * key.shape[1])))
+    _, first, classes = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+    return first, classes
 
 
 def make_structured(n: int) -> Mesh:

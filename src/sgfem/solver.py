@@ -39,10 +39,12 @@ class SolveReport:
 
 
 def _residual(A, x, b) -> float:
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
+    """``|A x - b| / |b|``, or ``|A x|`` for ``b = 0``.  Both vectors are
+    scaled by ``max|b|`` first, so the squared norms cannot overflow."""
+    scale = np.abs(b).max()
+    if scale == 0.0:
         return float(np.linalg.norm(A @ x))
-    return float(np.linalg.norm(A @ x - b) / nb)
+    return float(np.linalg.norm((A @ x - b) / scale) / np.linalg.norm(b / scale))
 
 
 def solve(system: SparseSystem) -> SolveReport:

@@ -4,6 +4,8 @@ The library evaluates shapes and applies degree-of-freedom functionals on
 batches of triangles (``evaluate`` on a ``MonoTables``, ``apply_dofs`` on
 the samples at ``dof_points``).  These helpers run the same calls on one
 triangle, or on a whole dof map, in the forms the tests read.
+``class_count`` counts a mesh's translation classes apart from
+``mesh.translation_classes``.
 """
 
 import numpy as np
@@ -63,3 +65,13 @@ def interpolate_field(dofmap, value, grad):
     assert not np.any(np.isnan(full))
     assert_allclose(full[ids], local, rtol=1e-9, atol=1e-9)
     return full
+
+
+def class_count(mesh):
+    """The number of distinct rows of edge vectors (edge ``i`` from local
+    vertex ``i + 1`` to ``i + 2``) and edge normal signs, by a row-wise
+    ``np.unique`` on values."""
+    coords = mesh.vertices[mesh.triangles]
+    edges = coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]]
+    key = np.hstack([edges.reshape(-1, 6), mesh.tri_edge_signs])
+    return len(np.unique(key, axis=0))

@@ -20,9 +20,9 @@ from sgfem.analysis import (
 from sgfem.assembly import MaterialParams, build_dofmap
 from sgfem.elements import ElementKind
 from sgfem.manufactured import example_smooth
-from sgfem.mesh import make_structured
+from sgfem.mesh import make_structured, refine
 
-from element_reference import interpolate_field
+from element_reference import class_count, interpolate_field
 
 ALL_KINDS = [ElementKind.NTW, ElementKind.SPECHT, ElementKind.MORLEY]
 
@@ -138,7 +138,8 @@ class TestConvergenceStudy:
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_element_forms_computed_once_per_level(self, kind, monkeypatch):
-        """Every iota of a level reuses the level's two forms."""
+        """Every iota of a level reuses the level's two forms, computed
+        once on one triangle per translation class."""
         original = sgfem.assembly.element_forms
         calls = []
 
@@ -150,7 +151,10 @@ class TestConvergenceStudy:
         iotas = [1.0, 1e-2, 1e-4, 1e-6]
         reports = convergence_study(kind, "layer", iotas, 3, make_structured(2))
         assert [len(report.rows) for report in reports] == [3] * 4
-        assert calls == [8, 32, 128]
+        meshes = [make_structured(2)]
+        for _ in range(2):
+            meshes.append(refine(meshes[-1]))
+        assert calls == [class_count(mesh) for mesh in meshes] == [2, 13, 18]
 
 
 class TestKorn:

@@ -9,6 +9,10 @@ nearly degenerate triangles.
 
 The reduced matrix, combined per ``iota`` from the two forms on the dof
 map's fixed pattern, is checked against the unsplit assembly it replaced.
+
+Shapes, forms and Gram blocks are computed once per translation class of
+triangles and gathered; they are checked against the same kernels run on
+every triangle.
 """
 
 import hypothesis
@@ -19,21 +23,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from sgfem.analysis import edge_means, gram_blocks, local_coefficients
+from sgfem.analysis import _gram_matrices, edge_means, gram_blocks, local_coefficients
 from sgfem.assembly import (
     MaterialParams,
     assemble,
     build_dofmap,
     element_load,
+    element_forms,
     element_loads,
     element_matrices,
     element_stiffness,
     element_stiffness_morley,
 )
-from sgfem.elements import DOF_TABLES, ElementKind, build_basis
-from sgfem.mesh import element_geometry, make_structured
+from sgfem.elements import DOF_TABLES, ElementKind, basis_coefficients, build_basis
+from sgfem.mesh import element_geometry, make_structured, refine, translation_classes
 
-from element_reference import eval_all
+from element_reference import class_count, eval_all
 from random_meshes import jittered_mesh
 
 # Hypothesis seeds of the derandomized property tests below.  Derandomized
@@ -211,3 +216,67 @@ def test_block_pattern_matches_vector_pattern(kind):
         assert np.array_equal(got.indptr, expected.indptr)
         assert np.array_equal(got.indices, expected.indices)
         assert np.array_equal(got.data, expected.data)
+
+
+def class_meshes():
+    """structured:2 at refinement levels 0-3 and a jittered mesh."""
+    meshes = [make_structured(2)]
+    for _ in range(3):
+        meshes.append(refine(meshes[-1]))
+    return meshes + [jittered_mesh(3, 0.5, 1.0, 11)]
+
+
+def test_translation_classes():
+    """Members of a class have bit-identical edge vectors, signs and
+    derived geometry; the count is the row-wise reference's."""
+    for mesh in class_meshes():
+        first, classes = translation_classes(mesh)
+        assert len(first) == classes.max() + 1 == class_count(mesh)
+        assert np.array_equal(classes[first], np.arange(len(first)))
+        assert np.array_equal(mesh.tri_edge_signs, mesh.tri_edge_signs[first][classes])
+        dofmap = build_dofmap(mesh, ElementKind.NTW)
+        geom, rep = dofmap.geom, dofmap.class_geom
+        for name in ("area", "grad_lambda", "edge_lengths", "altitudes", "normals", "chunkiness"):
+            assert np.array_equal(getattr(rep, name)[classes], getattr(geom, name)), name
+        assert np.array_equal(rep.vertices, geom.vertices[first])
+
+
+def test_class_count_is_bounded_under_refinement():
+    """At most six edge-vector rows (two shapes, each in three rotations of
+    its local numbering) times six sign rows (a triangle's three signs are
+    never all equal), at every level of structured:2; the paper-size mesh, structured:8 refined three
+    times (8192 triangles), has as many classes as structured:2 refined
+    three times (512).  A jittered mesh has one class per triangle."""
+    mesh, counts = make_structured(2), []
+    for _ in range(6):
+        counts.append(len(translation_classes(mesh)[0]))
+        mesh = refine(mesh)
+    assert counts == sorted(counts) and max(counts) <= 36
+    assert counts[3] == 23
+    paper = make_structured(8)
+    for _ in range(3):
+        paper = refine(paper)
+    assert paper.num_triangles == 8192
+    assert len(translation_classes(paper)[0]) == 23
+    jittered = jittered_mesh(4, 0.3, 1.0, 2)
+    assert len(translation_classes(jittered)[0]) == jittered.num_triangles
+
+
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_class_shapes_forms_and_grams_match_every_triangle(kind):
+    """The gathered shapes equal the all-triangle build bit for bit; the
+    forms and the Gram matrices agree with kernels run on every triangle
+    within 1e-14 of their largest entry."""
+    morley = kind is ElementKind.MORLEY
+    for mesh in class_meshes():
+        dofmap = build_dofmap(mesh, kind)
+        pattern = dofmap.pattern
+        coeffs = basis_coefficients(kind, dofmap.geom, mesh.tri_edge_signs)
+        assert np.array_equal(dofmap.coeffs, coeffs)
+        forms = element_forms(coeffs, dofmap.geom, 10.0, 1.0, morley)
+        grams = gram_blocks(coeffs, dofmap.geom, morley)
+        got = list(dofmap.forms(10.0, 1.0)) + [gram.data for gram in _gram_matrices(dofmap)]
+        expected = [pattern.scatter(K) for K in forms]
+        expected += [pattern.matrix(pattern.scatter(np.kron(G, np.eye(2)))).data for G in grams]
+        for g, e in zip(got, expected, strict=True):
+            assert np.abs(g - e).max() <= 1e-14 * np.abs(e).max()

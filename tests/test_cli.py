@@ -1,6 +1,7 @@
 """End-to-end checks for the command line interface."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,16 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: assembled matrix has non-finite entries")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--lambda", "--mu"])
+    def test_huge_lame_constant_solves_without_warnings(self, flag, capsys):
+        """Loads near 1e300 pass the solver's residual check."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(["solve", flag, "1e300", "--mesh", "structured:2"], capsys)
+        assert rc == 0
+        assert err == ""
+        assert out.splitlines()[-1].endswith("method=direct")
 
 
 def write_mesh(path, mesh):

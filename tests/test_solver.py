@@ -1,5 +1,7 @@
 """Tests for the checked direct solve of reduced systems."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -95,6 +97,22 @@ class TestEdgeCases:
         report = solve(system)
         assert report.solution.shape == (0,)
         assert report.rel_residual == 0.0
+
+    def test_residual_of_huge_system_does_not_overflow(self, ntw_system):
+        """Matrix and load near 1e300: the squared norms of the residual
+        check would overflow unless the vectors are scaled first."""
+        huge = SparseSystem(
+            matrix=1e300 * ntw_system.matrix,
+            rhs=1e300 * ntw_system.rhs,
+            retained=ntw_system.retained,
+            n_total=ntw_system.n_total,
+            dofmap=ntw_system.dofmap,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = solve(huge)
+        assert report.rel_residual <= 1e-8
+        assert_allclose(report.solution, solve(ntw_system).solution, rtol=1e-12)
 
     def test_permutation_invariance(self, ntw_system):
         rng = np.random.default_rng(42)
