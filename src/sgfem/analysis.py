@@ -268,10 +268,7 @@ def _gram_matrices(dofmap: DofMap):
     morley = dofmap.kind is ElementKind.MORLEY
     blocks = gram_blocks(dofmap.class_coeffs, dofmap.class_geom, morley)
     # The same scalar block acts on each displacement component.
-    return tuple(
-        pattern.matrix(pattern.scatter(np.kron(block, np.eye(2))[dofmap.classes]))
-        for block in blocks
-    )
+    return tuple(pattern.matrix(pattern.scatter(np.kron(block, np.eye(2)))) for block in blocks)
 
 
 def coercivity_check(dofmap: DofMap, materials, n_trials: int, seed: int = 0) -> np.ndarray:

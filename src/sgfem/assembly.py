@@ -27,11 +27,11 @@ vectors and its edge normal signs, so :func:`build_dofmap` groups the
 triangles into classes that are equal up to translation
 (:func:`~sgfem.mesh.translation_classes`).  The shapes, the two element
 forms and the Gram blocks are computed once per class, on its first
-triangle, and gathered to the triangles (``K[classes]``).  A red-refined
-uniform mesh has a few dozen classes at every level; a perturbed mesh has
-one class per triangle and pays only for the grouping.  The per-element
-shape coefficients stay on the dof map for the loads, the energy error,
-the jumps and the probes.
+triangle, and summed into matrix data without an expansion to the
+triangles.  A red-refined uniform mesh has a few dozen classes at every
+level; a perturbed mesh has one class per triangle and pays only for the
+grouping.  The per-element shape coefficients stay on the dof map for the
+loads, the energy error, the jumps and the probes.
 
 The form is affine in ``iota**2``: ``A = A_m + iota**2 A_g``.  A dof map
 builds, on first use, the fixed pattern of the reduced matrix and, per
@@ -40,11 +40,13 @@ scalar CSR of every coupling of two retained scalar degrees of freedom
 inside one element, explicit zeros kept.  Both components share the
 scalar basis, so each coupling is a dense 2 x 2 block of the vector
 matrix, and the data are stored block-major: entry ``(2 i + a, 2 j + b)``
-of coupling ``k`` sits at ``4 k + 2 a + b`` (:class:`FormPattern`).
-:func:`assemble` then only adds the two data arrays for its ``iota``,
-checks and removes their asymmetry through the pattern's transpose
-permutation, and assembles the load.  The matrix structure is the same for
-every ``iota`` and every rounding of the entries.
+of coupling ``k`` sits at ``4 k + 2 a + b``.  One product of the class
+blocks with the pattern's 0/1 class-to-coupling operator sums them into
+these data (:class:`FormPattern`).  :func:`assemble` then only adds the
+two data arrays for its ``iota``, checks and removes their asymmetry
+through the pattern's transpose permutation, and assembles the load.  The
+matrix structure is the same for every ``iota`` and every rounding of the
+entries.
 """
 
 import math
@@ -123,18 +125,18 @@ class FormPattern:
     indices.  The data are stored block-major on it: entry
     ``(2 i + a, 2 j + b)`` of the vector matrix, for scalar coupling ``k``
     of ``(i, j)``, sits at ``4 k + 2 a + b``.  ``data[transpose]`` is the
-    data of the transposed matrix.  ``slots[t, i, j]`` is the position in
-    ``data`` of entry ``(i, j)`` of element ``t``'s (2n, 2n) block, or
-    ``nnz`` when the entry touches a boundary degree of freedom.  Every
-    array is read-only, as are the index arrays of the CSR matrices that
-    :meth:`matrix` returns: one pattern is shared by every ``iota``, the
-    forms and the Gram matrices.
+    data of the transposed matrix.  ``operator`` has a 1 in row ``k`` and
+    column ``c n**2 + i n + j`` for each triangle of class ``c`` that puts
+    its local pair ``(i, j)`` on coupling ``k``, in mesh order.  Every
+    array is read-only, as are the operator's and the index arrays of the
+    CSR matrices that :meth:`matrix` returns: one pattern is shared by
+    every ``iota``, the forms and the Gram matrices.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     transpose: np.ndarray
-    slots: np.ndarray
+    operator: sp.csr_matrix
     retained: np.ndarray
 
     @property
@@ -143,8 +145,11 @@ class FormPattern:
         return 4 * len(self.indices)
 
     def scatter(self, blocks: np.ndarray) -> np.ndarray:
-        """Sum (T, 2n, 2n) element blocks into data on the pattern."""
-        return np.bincount(self.slots.ravel(), blocks.ravel(), self.nnz + 1)[: self.nnz]
+        """Sum (C, 2n, 2n) class blocks into data on the pattern."""
+        ncls, m, _ = blocks.shape
+        # Row c n^2 + i n + j is the 2 x 2 block of local pair (i, j) of class c.
+        by_pair = blocks.reshape(ncls, m // 2, 2, m // 2, 2).swapaxes(2, 3).reshape(-1, 4)
+        return (self.operator @ by_pair).ravel()
 
     @cached_property
     def _order(self) -> sp.csr_matrix:
@@ -152,10 +157,8 @@ class FormPattern:
         position in ``data``: one BSR to CSR conversion per pattern."""
         n = len(self.retained)
         positions = np.arange(self.nnz).reshape(-1, 2, 2)
-        order = sp.bsr_matrix((positions, self.indices, self.indptr), shape=(n, n)).tocsr()
-        for a in (order.data, order.indices, order.indptr):
-            _read_only(a)
-        return order
+        order = sp.bsr_matrix((positions, self.indices, self.indptr), shape=(n, n))
+        return _read_only(order.tocsr())
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """The reduced CSR matrix with ``data`` on the pattern."""
@@ -163,13 +166,10 @@ class FormPattern:
         return sp.csr_matrix((data[order.data], order.indices, order.indptr), shape=order.shape)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+def _read_only(a):
+    for array in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
+        array.flags.writeable = False
     return a
-
-
-# Offset 2 a + b of entry (a, b) within a 2 x 2 block.
-_BLOCK = np.array([[0, 1], [2, 3]])
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,7 @@ class DofMap:
     translation with equal signs share one.  ``class_geom`` and
     ``class_coeffs`` are the geometry and shapes of one triangle per
     class; ``coeffs`` is ``class_coeffs[classes]``.  The element forms and
-    the Gram blocks are computed on the classes and gathered.
+    the Gram blocks are computed on the classes and summed by the pattern.
 
     The reduced matrix pattern and the ``iota``-free forms on it are built
     on first use (:attr:`pattern`, :meth:`forms`) and kept.
@@ -225,24 +225,27 @@ class DofMap:
         reduced = np.full(self.n_scalar, -1, dtype=np.int64)
         reduced[keep] = np.arange(n_red)
         loc = reduced[self.scatter]
-        ntri, n = loc.shape
+        n = loc.shape[1]
         pairs = (loc[:, :, None] >= 0) & (loc[:, None, :] >= 0)
         keys = (loc[:, :, None] * n_red + loc[:, None, :])[pairs]
-        keys, pair_slot = np.unique(keys, return_inverse=True)
-        rows, cols = np.divmod(keys, n_red)
-        # Element entries that touch a boundary dof go to the dump slot,
-        # one past the data.
-        kslot = np.full(pairs.shape, len(keys))
-        kslot[pairs] = pair_slot
-        slots = np.minimum(4 * kslot[:, :, None, :, None] + _BLOCK[:, None, :], 4 * len(keys))
+        # A stable sort keeps each coupling's triangles in mesh order.
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        rows, cols = np.divmod(keys[starts], n_red)
+        entries = (n * n * self.classes[:, None, None] + np.arange(n * n).reshape(n, n))[pairs]
+        operator = sp.csr_matrix(
+            (np.ones(len(keys)), entries[order], np.append(starts, len(keys))),
+            shape=(len(starts), len(self.class_coeffs) * n * n),
+        )
         # The pattern is symmetric: sorting the transposed keys maps each
         # coupling (i, j) to (j, i), and entry (a, b) of its block to (b, a).
         mirror = np.argsort(cols * n_red + rows)
         return FormPattern(
             indptr=_read_only(np.append(0, np.cumsum(np.bincount(rows, minlength=n_red)))),
             indices=_read_only(cols),
-            transpose=_read_only((4 * mirror[:, None, None] + _BLOCK.T).ravel()),
-            slots=_read_only(slots.reshape(ntri, 2 * n, 2 * n)),
+            transpose=_read_only((4 * mirror[:, None] + [0, 2, 1, 3]).ravel()),
+            operator=_read_only(operator),
             retained=_read_only(np.flatnonzero(np.repeat(keep, 2))),
         )
 
@@ -256,7 +259,7 @@ class DofMap:
             # Overflow is reported by stiffness_matrix, not warned about here.
             with np.errstate(over="ignore", invalid="ignore"):
                 blocks = element_forms(self.class_coeffs, self.class_geom, lam, mu, morley)
-                self._forms[key] = tuple(self.pattern.scatter(K[self.classes]) for K in blocks)
+                self._forms[key] = tuple(self.pattern.scatter(K) for K in blocks)
         return self._forms[key]
 
 

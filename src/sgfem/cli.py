@@ -5,6 +5,7 @@ failure.
 """
 
 import argparse
+import contextlib
 import io
 import sys
 
@@ -81,19 +82,28 @@ def _parse_mesh(text: str):
         # The manufactured fields are clamped on the unit square only.
         if np.any(mesh.vertices < -1e-12) or np.any(mesh.vertices > 1.0 + 1e-12):
             raise CliError(f"{path}: vertices must lie in the unit square")
-        area = mesh_geometry(mesh).area.sum()
+        area = float(mesh_geometry(mesh).area.sum())
         if abs(area - 1.0) > 1e-12:
             raise CliError(f"{path}: mesh must cover the unit square (area {area!r})")
+        # Both ends of a boundary edge on one side: no cracks or holes.
+        edges = mesh.edge_vertices[mesh.edge_is_boundary]
+        on_side = np.abs(mesh.vertices[edges][..., None] - [0.0, 1.0]) <= 1e-12
+        off = ~on_side.all(axis=1).any(axis=(1, 2))
+        if off.any():
+            i, j = edges[off][0]
+            raise CliError(f"{path}: boundary edge ({i}, {j}) is off the unit square's sides")
         return mesh
     raise CliError(f"mesh must be structured:N or file:PATH, got {text!r}")
 
 
-def _write_output(text: str, out: str | None):
+def _open_output(out: str | None):
+    """stdout, or ``out`` opened for writing before any work is done."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(out, "w")
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def format_csv(reports) -> str:
@@ -137,20 +147,20 @@ def cmd_convergence(args) -> int:
     if args.levels < 1:
         raise CliError("levels must be at least 1")
     base_mesh = _parse_mesh(args.mesh)
-    try:
-        reports = convergence_study(
-            args.element,
-            args.example,
-            [mat.iota for mat in materials],
-            args.levels,
-            base_mesh,
-            lam=args.lam,
-            mu=args.mu,
-        )
-    except AssemblyError as exc:
-        raise CliError(str(exc)) from exc
-    text = format_csv(reports) if args.format == "csv" else format_markdown(reports)
-    _write_output(text, args.out)
+    with _open_output(args.out) as out:
+        try:
+            reports = convergence_study(
+                args.element,
+                args.example,
+                [mat.iota for mat in materials],
+                args.levels,
+                base_mesh,
+                lam=args.lam,
+                mu=args.mu,
+            )
+        except AssemblyError as exc:
+            raise CliError(str(exc)) from exc
+        out.write(format_csv(reports) if args.format == "csv" else format_markdown(reports))
     return 0
 
 
@@ -352,6 +362,8 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise CliError(f"seed must be nonnegative, got {args.seed}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     failures = 0
     for name in names:

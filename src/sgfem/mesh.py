@@ -205,6 +205,9 @@ class Mesh:
         interior = self.edge_tris[~self.edge_is_boundary]
         if np.any(interior < 0):
             raise ValueError("interior edge with a missing neighbour")
+        uses = np.bincount(self.triangles.ravel(), minlength=self.num_vertices)
+        if np.any(uses == 0):
+            raise ValueError(f"vertex {np.argmin(uses)} belongs to no triangle")
 
 
 def element_geometry(mesh: Mesh, index: int) -> ElementGeometry:

@@ -157,7 +157,10 @@ class TestDofMap:
         matrices, so none of its arrays can be written."""
         pattern = build_dofmap(make_structured(2), "ntw").pattern
         matrix = pattern.matrix(np.zeros(pattern.nnz))
-        arrays = [getattr(pattern, f.name) for f in dataclasses.fields(pattern)]
+        names = [f.name for f in dataclasses.fields(pattern) if f.name != "operator"]
+        operator = pattern.operator
+        arrays = [getattr(pattern, name) for name in names]
+        arrays += [operator.data, operator.indices, operator.indptr]
         for array in arrays + [matrix.indices, matrix.indptr]:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0

@@ -11,8 +11,8 @@ The reduced matrix, combined per ``iota`` from the two forms on the dof
 map's fixed pattern, is checked against the unsplit assembly it replaced.
 
 Shapes, forms and Gram blocks are computed once per translation class of
-triangles and gathered; they are checked against the same kernels run on
-every triangle.
+triangles, and the pattern's operator sums the class blocks; they are
+checked against the same kernels run on every triangle.
 """
 
 import hypothesis
@@ -201,18 +201,19 @@ def vector_pattern_matrix(dofmap, blocks):
 
 @pytest.mark.parametrize("kind", list(ElementKind))
 def test_block_pattern_matches_vector_pattern(kind):
-    """The block-major pattern gives the reduced matrix of the vector-level
-    reference bit for bit: the same structure, and every entry summed from
-    the same element entries in the same order."""
+    """Class blocks summed by the block-major pattern's operator give the
+    reduced matrix of the vector-level reference on every triangle's block
+    bit for bit: the same structure, and every entry summed from the same
+    element entries in the same order, also where triangles share a class."""
     rng = np.random.default_rng(17)
     meshes = [make_structured(n) for n in (1, 2, 3)] + [jittered_mesh(3, 0.9, 1.0, 5)]
     for mesh in meshes:
         dofmap = build_dofmap(mesh, kind)
         pattern = dofmap.pattern
         m = 2 * dofmap.nloc
-        K = rng.normal(size=(mesh.num_triangles, m, m))
+        K = rng.normal(size=(len(dofmap.class_coeffs), m, m))
         got = pattern.matrix(pattern.scatter(K))
-        expected = vector_pattern_matrix(dofmap, K)
+        expected = vector_pattern_matrix(dofmap, K[dofmap.classes])
         assert np.array_equal(got.indptr, expected.indptr)
         assert np.array_equal(got.indices, expected.indices)
         assert np.array_equal(got.data, expected.data)
@@ -265,8 +266,9 @@ def test_class_count_is_bounded_under_refinement():
 @pytest.mark.parametrize("kind", list(ElementKind))
 def test_class_shapes_forms_and_grams_match_every_triangle(kind):
     """The gathered shapes equal the all-triangle build bit for bit; the
-    forms and the Gram matrices agree with kernels run on every triangle
-    within 1e-14 of their largest entry."""
+    forms and the Gram matrices agree with kernels run on every triangle,
+    summed by the vector-level reference, within 1e-14 of their largest
+    entry."""
     morley = kind is ElementKind.MORLEY
     for mesh in class_meshes():
         dofmap = build_dofmap(mesh, kind)
@@ -275,8 +277,9 @@ def test_class_shapes_forms_and_grams_match_every_triangle(kind):
         assert np.array_equal(dofmap.coeffs, coeffs)
         forms = element_forms(coeffs, dofmap.geom, 10.0, 1.0, morley)
         grams = gram_blocks(coeffs, dofmap.geom, morley)
-        got = list(dofmap.forms(10.0, 1.0)) + [gram.data for gram in _gram_matrices(dofmap)]
-        expected = [pattern.scatter(K) for K in forms]
-        expected += [pattern.matrix(pattern.scatter(np.kron(G, np.eye(2)))).data for G in grams]
-        for g, e in zip(got, expected, strict=True):
+        got = [pattern.matrix(data) for data in dofmap.forms(10.0, 1.0)]
+        got += _gram_matrices(dofmap)
+        blocks = list(forms) + [np.kron(G, np.eye(2)) for G in grams]
+        for g, K in zip(got, blocks, strict=True):
+            e = vector_pattern_matrix(dofmap, K)
             assert np.abs(g - e).max() <= 1e-14 * np.abs(e).max()

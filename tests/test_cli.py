@@ -167,6 +167,8 @@ class TestExitCodes:
             ["solve", "--lambda", "1e308", "--mesh", "structured:2"],
             ["solve", "--mu", "1e308", "--mesh", "structured:2"],
             ["convergence", "--lambda", "1e308", "--mesh", "structured:2", "--levels", "1"],
+            ["verify", "korn", "--seed", "-1"],
+            ["convergence", "--out", "/no/such/dir/x.csv"],
         ],
     )
     def test_invalid_arguments_return_one(self, argv, capsys):
@@ -200,6 +202,35 @@ class TestExitCodes:
         assert err == ""
         assert out.splitlines()[-1].endswith("method=direct")
 
+    def test_cracked_file_mesh_is_one_error_line(self, tmp_path, capsys):
+        """structured:2 with the centre vertex doubled for the triangles of
+        the lower-right cell: the mesh covers the unit square, but its two
+        edges from the centre to the bottom and right sides are cracks."""
+        base = make_structured(2)
+        centre = int(np.flatnonzero(np.all(base.vertices == 0.5, axis=1))[0])
+        centroids = base.vertices[base.triangles].mean(axis=1)
+        cell = (centroids[:, 0] > 0.5) & (centroids[:, 1] < 0.5)
+        assert cell.sum() == 2
+        triangles = base.triangles.copy()
+        triangles[cell] = np.where(triangles[cell] == centre, base.num_vertices, triangles[cell])
+        path = tmp_path / "crack.txt"
+        write_mesh(path, Mesh(np.vstack([base.vertices, [[0.5, 0.5]]]), triangles))
+        rc, out, err = run_cli(["solve", "--element", "morley", "--mesh", f"file:{path}"], capsys)
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}: boundary edge (")
+        assert err.endswith(") is off the unit square's sides\n")
+        assert err.count("\n") == 1
+
+    def test_file_mesh_with_unused_vertex_names_it(self, tmp_path, capsys):
+        base = make_structured(2)
+        path = tmp_path / "unused.txt"
+        write_mesh(path, Mesh(np.vstack([base.vertices, [[0.25, 0.5]]]), base.triangles))
+        rc, out, err = run_cli(["solve", "--element", "morley", "--mesh", f"file:{path}"], capsys)
+        assert rc == 1
+        assert out == ""
+        assert err == f"error: vertex {base.num_vertices} belongs to no triangle\n"
+
 
 def write_mesh(path, mesh):
     lines = [f"{mesh.num_vertices} {mesh.num_triangles}"]
@@ -229,6 +260,14 @@ class TestFileMeshes:
         rc, _, err = run_cli(argv, capsys)
         assert rc == 1
         assert message in err
+
+    def test_area_message_prints_a_plain_float(self, tmp_path, capsys):
+        base = make_structured(2)
+        path = tmp_path / "half.txt"
+        write_mesh(path, Mesh(base.vertices * [0.5, 1.0], base.triangles))
+        rc, _, err = run_cli(["solve", "--mesh", f"file:{path}"], capsys)
+        assert rc == 1
+        assert err == f"error: {path}: mesh must cover the unit square (area 0.5)\n"
 
 
 class TestVerifyCommand:

@@ -257,6 +257,13 @@ def test_edge_shared_by_three_triangles_rejected():
         Mesh(vertices, triangles)
 
 
+def test_vertex_in_no_triangle_rejected():
+    base = make_structured(1)
+    mesh = Mesh(np.vstack([base.vertices, [[0.5, 0.25]]]), base.triangles)
+    with pytest.raises(ValueError, match=r"^vertex 4 belongs to no triangle$"):
+        mesh.validate()
+
+
 def test_load_mesh_round_trip(tmp_path):
     mesh = make_structured(2)
     path = tmp_path / "square.txt"
