@@ -238,11 +238,14 @@ class DofMap:
             (np.ones(len(keys)), entries[order], np.append(starts, len(keys))),
             shape=(len(starts), len(self.class_coeffs) * n * n),
         )
-        # The pattern is symmetric: sorting the transposed keys maps each
-        # coupling (i, j) to (j, i), and entry (a, b) of its block to (b, a).
-        mirror = np.argsort(cols * n_red + rows)
+        indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=n_red)))
+        # The pattern is symmetric: the CSR of the transpose of the coupling
+        # numbers, one counting sort, maps each coupling (i, j) to (j, i),
+        # and entry (a, b) of its block to (b, a).
+        numbers = sp.csr_matrix((np.arange(len(cols)), cols, indptr), shape=(n_red, n_red))
+        mirror = numbers.T.tocsr().data
         return FormPattern(
-            indptr=_read_only(np.append(0, np.cumsum(np.bincount(rows, minlength=n_red)))),
+            indptr=_read_only(indptr),
             indices=_read_only(cols),
             transpose=_read_only((4 * mirror[:, None] + [0, 2, 1, 3]).ravel()),
             operator=_read_only(operator),

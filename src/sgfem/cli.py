@@ -6,6 +6,7 @@ failure.
 
 import argparse
 import contextlib
+import functools
 import io
 import sys
 
@@ -385,7 +386,10 @@ def _add_common(p):
     p.add_argument("--mesh", default="structured:8", help="structured:N or file:PATH")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``sgfem`` parser, built on the first call and shared by every
+    later one: parsing does not change it."""
     parser = _Parser(prog="sgfem", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 

@@ -204,12 +204,18 @@ def test_block_pattern_matches_vector_pattern(kind):
     """Class blocks summed by the block-major pattern's operator give the
     reduced matrix of the vector-level reference on every triangle's block
     bit for bit: the same structure, and every entry summed from the same
-    element entries in the same order, also where triangles share a class."""
+    element entries in the same order, also where triangles share a class.
+    The transpose permutation, built by a counting sort, is the one from
+    sorting the transposed coupling keys."""
     rng = np.random.default_rng(17)
     meshes = [make_structured(n) for n in (1, 2, 3)] + [jittered_mesh(3, 0.9, 1.0, 5)]
     for mesh in meshes:
         dofmap = build_dofmap(mesh, kind)
         pattern = dofmap.pattern
+        n = len(pattern.indptr) - 1
+        rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+        mirror = np.argsort(pattern.indices * n + rows)
+        assert np.array_equal(pattern.transpose, (4 * mirror[:, None] + [0, 2, 1, 3]).ravel())
         m = 2 * dofmap.nloc
         K = rng.normal(size=(len(dofmap.class_coeffs), m, m))
         got = pattern.matrix(pattern.scatter(K))

@@ -8,7 +8,7 @@ import pytest
 
 from sgfem.analysis import convergence_study, local_coefficients
 from sgfem.assembly import build_dofmap
-from sgfem.cli import CSV_HEADER, CliError, _evaluate_at, main
+from sgfem.cli import CSV_HEADER, CliError, _evaluate_at, build_parser, main
 from sgfem.elements import ElementKind, build_basis
 from sgfem.mesh import Mesh, element_geometry, make_structured
 
@@ -175,6 +175,20 @@ class TestExitCodes:
         rc = main(argv)
         capsys.readouterr()
         assert rc == 1
+
+    def test_shared_parser_keeps_no_state(self, capsys):
+        """The parser is built once per process.  A bad argv after a good
+        one is still one error line with exit 1, and the good argv run
+        again prints the same bytes."""
+        good = ["solve", *SMALL, "--probe", "0.5,0.5;0.25,0.75"]
+        rc, first, _ = run_cli(good, capsys)
+        assert rc == 0 and first
+        rc, out, err = run_cli(["solve", *SMALL, "--refine", "x"], capsys)
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        outputs = [run_cli(good, capsys) for _ in range(2)]
+        assert outputs == [(0, first, "")] * 2
+        assert build_parser() is build_parser()
 
     @pytest.mark.parametrize("flag", ["--lambda", "--mu"])
     def test_infinite_lame_constant_is_an_error_line(self, flag, capsys):

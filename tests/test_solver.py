@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 import sgfem.solver
 from sgfem.assembly import MaterialParams, SparseSystem, assemble, build_dofmap
-from sgfem.mesh import make_structured
+from sgfem.mesh import make_structured, refine
 from sgfem.solver import SolverError, solve
 
 
@@ -27,6 +27,22 @@ def ntw_system():
     return assemble(build_dofmap(mesh, "ntw"), MaterialParams(iota=0.5), constant_load)
 
 
+def recording_splu(monkeypatch):
+    """Route ``solve``'s factorization through a proxy that records the
+    matrix, the options and the factor of each call."""
+    seen = []
+
+    class RecordingSplinalg:
+        @staticmethod
+        def splu(A, **options):
+            lu = spla.splu(A, **options)
+            seen.append((A, options, lu))
+            return lu
+
+    monkeypatch.setattr(sgfem.solver, "spla", RecordingSplinalg)
+    return seen
+
+
 class TestDirect:
     def test_matches_dense_oracle(self, ntw_system):
         report = solve(ntw_system)
@@ -40,22 +56,39 @@ class TestDirect:
         assert report.wall_seconds >= 0.0
         assert report.solution.shape == ntw_system.rhs.shape
 
-
     def test_factors_in_symmetric_mode(self, ntw_system, monkeypatch):
-        """The SPD matrix is factored with diagonal pivots and the
-        ordering applied symmetrically."""
-        seen = []
-
-        class RecordingSplinalg:
-            @staticmethod
-            def splu(A, **options):
-                seen.append(options)
-                return spla.splu(A, **options)
-
-        monkeypatch.setattr(sgfem.solver, "spla", RecordingSplinalg)
+        """The SPD matrix is factored with diagonal pivots and a minimum
+        degree ordering of A^T + A applied symmetrically, on unrelaxed
+        supernodes.  The matrix handed over is A^T: the CSC form of the
+        bitwise symmetric A on A's own arrays, not a copy."""
+        seen = recording_splu(monkeypatch)
         report = solve(ntw_system)
         assert report.rel_residual <= 1e-8
-        assert seen == [{"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}]
+        [(A, options, _)] = seen
+        assert options == {
+            "permc_spec": "MMD_AT_PLUS_A",
+            "relax": 1,
+            "diag_pivot_thresh": 0.0,
+            "options": {"SymmetricMode": True},
+        }
+        assert A.format == "csc"
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(A, name), getattr(ntw_system.matrix, name))
+
+    @pytest.mark.parametrize("kind", ["ntw", "specht", "morley"])
+    def test_ordering_fills_less_than_colamd(self, kind, monkeypatch):
+        """On structured:2 refined three times (512 triangles, the
+        benchmark's largest mesh) the LU fill under the options of
+        ``solve`` is below the fill under COLAMD, the former ordering."""
+        mesh = make_structured(2)
+        for _ in range(3):
+            mesh = refine(mesh)
+        system = assemble(build_dofmap(mesh, kind), MaterialParams(iota=1e-6), constant_load)
+        seen = recording_splu(monkeypatch)
+        solve(system)
+        [(A, options, lu)] = seen
+        colamd = spla.splu(A, **{**options, "permc_spec": "COLAMD", "relax": None})
+        assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
 class TestFailures:
