@@ -26,7 +26,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .assembly import DofMap, MaterialParams, assemble, build_dofmap, stiffness_matrix
+from .assembly import FIELD_TABLES, DofMap, MaterialParams, assemble, build_dofmap
+from .assembly import stiffness_matrix
 from .elements import MORLEY_PI1, ElementKind, MonoTables, edge_normal_moments, evaluate
 from .elements import build_basis  # noqa: F401  (bound for the benchmark tracer, which wraps it)
 from .manufactured import ManufacturedField, example_field, source
@@ -55,8 +56,6 @@ __all__ = [
 
 KORN_BOUND = 1.0 - 1.0 / np.sqrt(2.0)
 
-_ERROR_RULE = triangle_rule(10)
-_ERROR_TABLES = MonoTables(_ERROR_RULE.points)
 _GRAM_RULE = triangle_rule(8)
 _GRAM_TABLES = MonoTables(_GRAM_RULE.points)
 # Weights of the distinct-entry Hessian norm: (1, 2) and (2, 1) count once.
@@ -80,7 +79,8 @@ def energy_error(dofmap: DofMap, full_dofs: np.ndarray, field: ManufacturedField
 
     ``full_dofs`` is the full coefficient vector (boundary entries
     included, normally zero).  The exact gradient and Hessian come from one
-    ``field.derivatives`` pass over the quadrature points.  Returns
+    ``field.derivatives`` pass over the dof map's quadrature
+    :attr:`~sgfem.assembly.DofMap.points`, the load's.  Returns
     ``(absolute, relative)``.
     """
     full_dofs = np.asarray(full_dofs, dtype=float)
@@ -88,14 +88,13 @@ def energy_error(dofmap: DofMap, full_dofs: np.ndarray, field: ManufacturedField
         raise ValueError(
             f"dof vector has shape {full_dofs.shape}, expected ({dofmap.n_vector},)"
         )
-    geom = dofmap.geom
     # Each displacement component on each element as one polynomial.
     poly = np.einsum("tac,tam->tcm", local_coefficients(dofmap, full_dofs), dofmap.coeffs)
-    _, G, H = evaluate(poly, geom.grad_lambda, _ERROR_TABLES)
-    xy = (_ERROR_RULE.points @ geom.vertices).reshape(-1, 2)
-    w = (geom.area[:, None] * _ERROR_RULE.weights).ravel()
+    _, G, H = evaluate(poly, dofmap.geom.grad_lambda, FIELD_TABLES)
+    points = dofmap.points
+    w = points.weights.ravel()
 
-    Gu, Hu = field.derivatives(xy)
+    Gu, Hu = field.derivatives(points)
     dh = Hu - H.swapaxes(1, 2).reshape(Hu.shape)
     err_h = w @ np.einsum("qcjk,qcjk->q", dh, dh)
     nrm_h = w @ np.einsum("qcjk,qcjk->q", Hu, Hu)

@@ -33,6 +33,14 @@ level; a perturbed mesh has one class per triangle and pays only for the
 grouping.  The per-element shape coefficients stay on the dof map for the
 loads, the energy error, the jumps and the probes.
 
+The load and the energy error integrate with one rule, :data:`FIELD_RULE`.
+A dof map keeps its points on every triangle as one
+:class:`~sgfem.quadrature.PointSet` (:attr:`DofMap.points`), with their
+weights and their distinct axis coordinates, so a separable manufactured
+field is evaluated once per distinct coordinate, not once per point, by
+every load and error on the mesh.  The load's test values are computed
+once per class and gathered to the triangles.
+
 The form is affine in ``iota**2``: ``A = A_m + iota**2 A_g``.  A dof map
 builds, on first use, the fixed pattern of the reduced matrix and, per
 Lame pair, the data of ``A_m`` and ``A_g`` on it.  The pattern is the
@@ -60,10 +68,12 @@ from .elements import MORLEY_PI1, ElementKind, LocalBasis, MonoTables, basis_coe
 from .elements import build_basis  # noqa: F401  (bound for the benchmark tracer, which wraps it)
 from .mesh import ElementGeometry, Mesh, mesh_geometry, translation_classes, triangle_geometry
 from .mesh import element_geometry  # noqa: F401  (bound for the benchmark tracer, which wraps it)
-from .quadrature import triangle_rule
+from .quadrature import PointSet, triangle_rule
 
 __all__ = [
     "MAX_ASYMMETRY",
+    "FIELD_RULE",
+    "FIELD_TABLES",
     "AssemblyError",
     "MaterialParams",
     "DofMap",
@@ -73,6 +83,7 @@ __all__ = [
     "element_forms",
     "element_matrices",
     "element_loads",
+    "quadrature_points",
     "element_stiffness",
     "element_stiffness_morley",
     "element_load",
@@ -86,9 +97,11 @@ __all__ = [
 MAX_ASYMMETRY = 1e-12
 
 _STIFFNESS_RULE = triangle_rule(6)
-_LOAD_RULE = triangle_rule(10)
 _STIFFNESS_TABLES = MonoTables(_STIFFNESS_RULE.points)
-_LOAD_TABLES = MonoTables(_LOAD_RULE.points)
+# The rule of the load and of the energy error, the two integrals of a
+# manufactured field, and the monomials at its points.
+FIELD_RULE = triangle_rule(10)
+FIELD_TABLES = MonoTables(FIELD_RULE.points)
 
 
 class AssemblyError(ValueError):
@@ -190,8 +203,9 @@ class DofMap:
     class; ``coeffs`` is ``class_coeffs[classes]``.  The element forms and
     the Gram blocks are computed on the classes and summed by the pattern.
 
-    The reduced matrix pattern and the ``iota``-free forms on it are built
-    on first use (:attr:`pattern`, :meth:`forms`) and kept.
+    The reduced matrix pattern, the ``iota``-free forms on it and the
+    quadrature points of :data:`FIELD_RULE` are built on first use
+    (:attr:`pattern`, :meth:`forms`, :attr:`points`) and kept.
     """
 
     kind: ElementKind
@@ -251,6 +265,12 @@ class DofMap:
             operator=_read_only(operator),
             retained=_read_only(np.flatnonzero(np.repeat(keep, 2))),
         )
+
+    @cached_property
+    def points(self) -> PointSet:
+        """The :func:`quadrature_points` of every triangle, shared by the
+        loads and the energy errors on this dof map."""
+        return quadrature_points(self.geom)
 
     def forms(self, lam: float, mu: float):
         """Data of ``A_m`` and ``A_g`` on :attr:`pattern` for one Lame pair,
@@ -375,20 +395,35 @@ def element_matrices(coeffs, geom: ElementGeometry, mat: MaterialParams, morley:
     return K_m + mat.iota**2 * K_g
 
 
+def quadrature_points(geom: ElementGeometry) -> PointSet:
+    """The (T * q, 2) points of :data:`FIELD_RULE` on the batch ``geom``,
+    triangle by triangle, with (T, q) weights ``area * w_q``."""
+    xy = FIELD_RULE.points @ geom.vertices
+    return PointSet(xy.reshape(-1, 2), geom.area[:, None] * FIELD_RULE.weights)
+
+
+def _load_values(coeffs, morley: bool):
+    """(T, n, q) shape values at the points of :data:`FIELD_RULE`, or with
+    ``morley`` the (1, n, q) values of the linear vertex interpolants."""
+    if morley:
+        return (FIELD_RULE.points @ MORLEY_PI1).T[None]
+    return coeffs @ FIELD_TABLES.M
+
+
+def _loads(vals, points: PointSet, f):
+    """(T, 2n) load vectors of the test values ``vals`` against ``f``,
+    which is called once, on the whole point set."""
+    ntri = len(points.weights)
+    F = np.asarray(f(points)).reshape(ntri, -1, 2)
+    return ((vals * points.weights[:, None]) @ F).reshape(ntri, -1)
+
+
 def element_loads(coeffs, geom: ElementGeometry, f, morley: bool):
     """(T, 2n) element load vectors ``(f, v)``, or ``(f, pi1 v)`` with ``morley``.
 
-    ``f`` is called once, on all (T * q, 2) quadrature points of the batch.
+    ``f`` is called once, on the :func:`quadrature_points` of the batch.
     """
-    ntri = len(geom.area)
-    if morley:
-        vals = (_LOAD_RULE.points @ MORLEY_PI1).T[None]
-    else:
-        vals = coeffs @ _LOAD_TABLES.M
-    xy = _LOAD_RULE.points @ geom.vertices
-    F = np.asarray(f(xy.reshape(-1, 2))).reshape(xy.shape)
-    w = geom.area[:, None] * _LOAD_RULE.weights
-    return ((vals * w[:, None]) @ F).reshape(ntri, -1)
+    return _loads(_load_values(coeffs, morley), quadrature_points(geom), f)
 
 
 def element_stiffness(basis: LocalBasis, mat: MaterialParams) -> np.ndarray:
@@ -437,12 +472,16 @@ def stiffness_matrix(dofmap: DofMap, mat: MaterialParams):
 def assemble(dofmap: DofMap, mat: MaterialParams, f) -> SparseSystem:
     """Assemble the reduced system for one family on one mesh.
 
-    ``f(xy)`` maps points of shape (q, 2) to load values of shape (q, 2).
+    ``f(xy)`` maps points of shape (q, 2) to load values of shape (q, 2);
+    it is called once, on the dof map's :attr:`~DofMap.points`.
     Raises :class:`AssemblyError` if the matrix is not finite or not
     symmetric to ``MAX_ASYMMETRY``.
     """
     matrix, asymmetry = stiffness_matrix(dofmap, mat)
-    loads = element_loads(dofmap.coeffs, dofmap.geom, f, dofmap.kind is ElementKind.MORLEY)
+    morley = dofmap.kind is ElementKind.MORLEY
+    # Test values once per class, gathered to the triangles.
+    vals = _load_values(dofmap.class_coeffs, morley)
+    loads = _loads(vals if morley else vals[dofmap.classes], dofmap.points, f)
     vids = np.repeat(2 * dofmap.scatter, 2, axis=1) + np.tile([0, 1], dofmap.nloc)
     rhs = np.bincount(vids.ravel(), loads.ravel(), dofmap.n_vector)
     retained = dofmap.pattern.retained

@@ -16,6 +16,15 @@ every sine, cosine and exponential once, and both factors share them.  So
 the displacement, the derivatives (gradient and Hessian together) and the
 source read the x chain once and the y chain once, at orders 0, 2 and 4.
 
+Each chain runs only at the distinct coordinates of its axis
+(:func:`~sgfem.quadrature.distinct_coordinates`) and every order is
+gathered back to the points, so the values are those of one evaluation
+per point.  A field whose x and y chains are one function, as the layer
+field's are, evaluates it in one call on both axes' distinct coordinates.
+A :class:`~sgfem.quadrature.PointSet`, such as the quadrature points a dof
+map keeps for the load and the energy error, carries its distinct
+coordinates; any other (n, 2) array is deduplicated on each call.
+
 The second example subtracts a boundary corrector, built from ratios of
 exponentials, from both of its factors.  It is evaluated in an
 overflow-safe form (every exponential argument is nonpositive on [0, 1])
@@ -29,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import MaterialParams
+from .quadrature import PointSet, distinct_coordinates
 
 __all__ = [
     "ManufacturedField",
@@ -174,6 +184,26 @@ def _layer_axis(iota: float) -> Callable:
     return chain
 
 
+def _gathered(factors, index):
+    """(2, k + 1, n): both factors' orders, evaluated at distinct
+    coordinates, at the points that ``index`` maps to them.  One take keeps
+    every row contiguous."""
+    F1, F2 = factors
+    return np.array(F1 + F2).take(index, axis=1).reshape(2, len(F1), len(index))
+
+
+def _axis_orders(field, xy, k):
+    """Orders ``0..k`` of both factors of each axis at the points ``xy``:
+    ``((X1, X2), (Y1, Y2))``, each a (k + 1, n) array."""
+    (x, ix), (y, iy) = xy.axes if isinstance(xy, PointSet) else distinct_coordinates(xy)
+    if field.y is field.x:
+        # One call on both axes' coordinates: at a few hundred values the
+        # cost of a chain is its per-call overhead.
+        both = field.x(np.concatenate([x, y]), k)
+        return _gathered(both, ix), _gathered(both, iy + len(x))
+    return _gathered(field.x(x, k), ix), _gathered(field.y(y, k), iy)
+
+
 @dataclass(frozen=True)
 class ManufacturedField:
     """u = (X1(x) Y1(y), X2(x) Y2(y)) with the material it was built for;
@@ -186,7 +216,7 @@ class ManufacturedField:
     mat: MaterialParams
 
     def displacement(self, xy):
-        (x1, x2), (y1, y2) = self.x(xy[:, 0], 0), self.y(xy[:, 1], 0)
+        (x1, x2), (y1, y2) = _axis_orders(self, xy, 0)
         return np.stack([x1[0] * y1[0], x2[0] * y2[0]], axis=-1)
 
     def derivatives(self, xy):
@@ -195,7 +225,7 @@ class ManufacturedField:
         order-2 pass over the points."""
         g = np.empty(xy.shape[:1] + (2, 2))
         h = np.empty(xy.shape[:1] + (2, 2, 2))
-        for i, (X, Y) in enumerate(zip(self.x(xy[:, 0], 2), self.y(xy[:, 1], 2))):
+        for i, (X, Y) in enumerate(zip(*_axis_orders(self, xy, 2))):
             g[:, i, 0] = X[1] * Y[0]
             g[:, i, 1] = X[0] * Y[1]
             h[:, i, 0, 0] = X[2] * Y[0]
@@ -238,13 +268,14 @@ def source(field: ManufacturedField):
     """Pointwise f = iota^2 Delta g - g as a vectorized evaluator.
 
     Returns ``f(xy) -> (n, 2)`` expanded into products of the 1D chains;
-    each call evaluates the x chain and the y chain once, through order 4.
+    each call evaluates the x chain and the y chain once, through order 4,
+    at the distinct coordinates of ``xy``.
     """
     lam, mu, i2 = field.mat.lam, field.mat.mu, field.mat.iota**2
     lm = lam + mu
 
     def f(xy):
-        (x1, x2), (y1, y2) = field.x(xy[:, 0], 4), field.y(xy[:, 1], 4)
+        (x1, x2), (y1, y2) = _axis_orders(field, xy, 4)
 
         g1 = mu * (x1[2] * y1[0] + x1[0] * y1[2]) + lm * (x1[2] * y1[0] + x2[1] * y2[1])
         g2 = mu * (x2[2] * y2[0] + x2[0] * y2[2]) + lm * (x1[1] * y1[1] + x2[0] * y2[2])

@@ -8,6 +8,8 @@ sets and calls its evaluator once, so the nested source oracle evaluates
 the displacement four times per call.
 """
 
+import math
+
 import numpy as np
 
 from .elements import dof_points
@@ -43,20 +45,25 @@ def boundary_points(n: int) -> np.ndarray:
 
 def _random_vertices(rng) -> np.ndarray:
     """The (3, 2) vertices of :func:`random_geometry`; each candidate is
-    judged from its own vertices, with the arithmetic of
-    :func:`~sgfem.mesh.triangle_geometry`."""
+    judged from its own six coordinates, as Python floats, with the
+    arithmetic of :func:`~sgfem.mesh.triangle_geometry`."""
     while True:
         coords = rng.uniform(-1.0, 1.0, size=(3, 2))
-        va, vb = coords[1] - coords[0], coords[2] - coords[0]
-        area = 0.5 * (va[0] * vb[1] - va[1] * vb[0])
+        (x0, y0), (x1, y1), (x2, y2) = coords.tolist()
+        area = 0.5 * ((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
         if area < 0:
             coords = coords[[0, 2, 1]]
+            x1, y1, x2, y2 = x2, y2, x1, y1
             area = -area
         if area < 0.05:
             continue
-        lengths = np.linalg.norm(coords[[2, 0, 1]] - coords[[1, 2, 0]], axis=-1)
-        inscribed = 4.0 * area / lengths.sum()
-        if lengths.max() / inscribed < 12.0:
+        # The edge opposite each vertex, in vertex order.
+        lengths = [
+            math.sqrt(dx * dx + dy * dy)
+            for dx, dy in ((x2 - x1, y2 - y1), (x0 - x2, y0 - y2), (x1 - x0, y1 - y0))
+        ]
+        inscribed = 4.0 * area / (lengths[0] + lengths[1] + lengths[2])
+        if max(lengths) / inscribed < 12.0:
             return coords
 
 
@@ -86,22 +93,17 @@ def random_quartic_samples(rng, count: int):
         coeffs.append(rng.normal(size=len(_QUARTIC_X)))
     geom = triangle_geometry(np.stack(vertices))
     coeffs = np.stack(coeffs)
-    xy = dof_points(geom).reshape(-1, 2)
+    powers = dof_points(geom).reshape(-1, 2)[:, :, None] ** np.arange(5)
     shape = (count, -1, len(_QUARTIC_X))
 
     def sample(px, py, c):
-        return np.matmul(_monomials(xy, px, py).reshape(shape), c[:, :, None])[..., 0]
+        monomials = powers[:, 0, px] * powers[:, 1, py]
+        return np.matmul(monomials.reshape(shape), c[:, :, None])[..., 0]
 
     values = sample(_QUARTIC_X, _QUARTIC_Y, coeffs)
     gx = sample(np.maximum(_QUARTIC_X - 1, 0), _QUARTIC_Y, _QUARTIC_X * coeffs)
     gy = sample(_QUARTIC_X, np.maximum(_QUARTIC_Y - 1, 0), _QUARTIC_Y * coeffs)
     return geom, values, np.stack([gx, gy], axis=-1)
-
-
-def _monomials(xy, px, py):
-    """(q, m) table of ``x**px * y**py`` at the points ``xy``."""
-    powers = xy[:, :, None] ** np.arange(5)
-    return powers[:, 0, px] * powers[:, 1, py]
 
 
 def _shifted(xy, axis, step):

@@ -13,11 +13,14 @@ from pathlib import Path
 import pytest
 
 import sgfem.cli
+from sgfem.assembly import FIELD_RULE
+from sgfem.mesh import make_structured, refine
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def traced_spans(monkeypatch, capsys, argv):
+def traced(monkeypatch, capsys, argv):
+    """The tracer after one traced command."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -26,7 +29,11 @@ def traced_spans(monkeypatch, capsys, argv):
         rc = tracer.call(0, sgfem.cli.main, argv)
     capsys.readouterr()
     assert rc == 0
-    return tracer.spans
+    return tracer
+
+
+def traced_spans(monkeypatch, capsys, argv):
+    return traced(monkeypatch, capsys, argv).spans
 
 
 def test_traced_solve_records_layer_spans(monkeypatch, capsys):
@@ -39,13 +46,18 @@ def test_traced_solve_records_layer_spans(monkeypatch, capsys):
 def test_study_runs_no_per_element_loops(monkeypatch, capsys, kind):
     """Assembly and the energy error work on all triangles at once: one
     call of the load function per assembly, and no basis built per element
-    under either of them."""
+    under either of them.  The source's point count is every quadrature
+    point of every assembly, not the distinct coordinates it is evaluated
+    at."""
     argv = ["convergence", "--element", kind, "--mesh", "structured:2", "--levels", "2"]
     argv += ["--iota", "1e-2"]
-    spans = traced_spans(monkeypatch, capsys, argv)
+    tracer = traced(monkeypatch, capsys, argv)
+    spans = tracer.spans
     names = [span[0] for span in spans]
     assert names.count("assembly.assemble") == 2
     assert names.count("manufactured.source") == names.count("assembly.assemble")
+    triangles = [make_structured(2).num_triangles, refine(make_structured(2)).num_triangles]
+    assert tracer.counters["source_points"] == len(FIELD_RULE.weights) * sum(triangles)
     for name, _, _, parent, _ in spans:
         if name != "elements.basis":
             continue
