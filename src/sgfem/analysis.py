@@ -9,10 +9,11 @@ the same quadrature.
 
 Every mesh-level function takes a :class:`~sgfem.assembly.DofMap`, which
 carries the geometry and shape coefficients of one family on one mesh, and
-keeps the matrix pattern and the two ``iota``-free forms once they are
-built, so a study computes them once per mesh and shares them across every
-``iota``, the solve and the energy error.  The coercivity check reuses the
-same forms, and its Gram matrices are assembled on the same pattern.
+keeps the matrix pattern, the two ``iota``-free forms and the first
+solve's elimination order once they are built, so a study computes them
+once per mesh and shares them across every ``iota``, the solve and the
+energy error.  The coercivity check reuses the same forms, and its Gram
+matrices are assembled on the same pattern.
 
 The inequality checks certify, numerically and with independently
 assembled right-hand sides, the three structural facts the convergence
@@ -90,7 +91,7 @@ def energy_error(dofmap: DofMap, full_dofs: np.ndarray, field: ManufacturedField
         )
     # Each displacement component on each element as one polynomial.
     poly = np.einsum("tac,tam->tcm", local_coefficients(dofmap, full_dofs), dofmap.coeffs)
-    _, G, H = evaluate(poly, dofmap.geom.grad_lambda, FIELD_TABLES)
+    G, H = evaluate(poly, dofmap.geom.grad_lambda, FIELD_TABLES)
     points = dofmap.points
     w = points.weights.ravel()
 
@@ -149,7 +150,9 @@ def convergence_study(
 
     Levels are the outer loop: each mesh gets one :class:`DofMap`, shared
     by every iota's assembly and energy error, and only one level's shape
-    coefficients are alive at a time.
+    coefficients are alive at a time.  The first iota's solve on a mesh
+    computes the elimination order and the later ones reuse it
+    (:mod:`sgfem.solver`).
     """
     kind = ElementKind(kind)
     if levels < 1:
@@ -166,6 +169,7 @@ def convergence_study(
         if level:
             mesh = refine(mesh)
         dofmap = build_dofmap(mesh, kind)
+        h = mesh_diameter(mesh)
         for report, mat, field, f in zip(reports, mats, fields, sources):
             system = assemble(dofmap, mat, f)
             try:
@@ -176,7 +180,7 @@ def convergence_study(
             report.rows.append(
                 ConvergenceRow(
                     level=level,
-                    h=mesh_diameter(mesh),
+                    h=h,
                     dofs=int(system.retained.size),
                     energy_err=abs_err,
                     rel_energy_err=rel_err,
@@ -247,7 +251,7 @@ def gram_blocks(coeffs, geom: ElementGeometry, morley: bool):
     """(T, n, n) element Gram blocks of the broken gradient and of the
     distinct-entry Hessian inner products; with ``morley`` the gradient is
     that of the linear vertex interpolant."""
-    _, G, H = evaluate(coeffs, geom.grad_lambda, _GRAM_TABLES)
+    G, H = evaluate(coeffs, geom.grad_lambda, _GRAM_TABLES)
     w = geom.area[:, None] * _GRAM_RULE.weights
     if morley:
         lin_grad = MORLEY_PI1.T @ geom.grad_lambda

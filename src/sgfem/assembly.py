@@ -39,7 +39,8 @@ A dof map keeps its points on every triangle as one
 weights and their distinct axis coordinates, so a separable manufactured
 field is evaluated once per distinct coordinate, not once per point, by
 every load and error on the mesh.  The load's test values are computed
-once per class and gathered to the triangles.
+once per class, gathered to the triangles and kept, times the weights,
+with the load's scatter index.
 
 The form is affine in ``iota**2``: ``A = A_m + iota**2 A_g``.  A dof map
 builds, on first use, the fixed pattern of the reduced matrix and, per
@@ -55,6 +56,16 @@ two data arrays for its ``iota``, checks and removes their asymmetry
 through the pattern's transpose permutation, and assembles the load.  The
 matrix structure is the same for every ``iota`` and every rounding of the
 entries.
+
+So is the elimination order, which the first solve on a dof map computes
+and keeps there (:meth:`DofMap.keep_ordering`).  From then on
+:func:`assemble` emits each system with rows and columns renumbered to
+that order, in one gather of the data through a renumbered copy of the
+pattern's order map, so the solver factors it as it comes.  A system's
+rows follow its ``retained``: row ``r`` is vector degree of freedom
+``retained[r]``, in either numbering, and :meth:`SparseSystem.expand`
+reads it from there.  :func:`stiffness_matrix` and the Gram matrices keep
+the pattern's own numbering.
 """
 
 import math
@@ -165,7 +176,7 @@ class FormPattern:
         return (self.operator @ by_pair).ravel()
 
     @cached_property
-    def _order(self) -> sp.csr_matrix:
+    def order(self) -> sp.csr_matrix:
         """The reduced CSR structure, holding for each stored entry its
         position in ``data``: one BSR to CSR conversion per pattern."""
         n = len(self.retained)
@@ -175,8 +186,25 @@ class FormPattern:
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """The reduced CSR matrix with ``data`` on the pattern."""
-        order = self._order
-        return sp.csr_matrix((data[order.data], order.indices, order.indptr), shape=order.shape)
+        return _gather(self.order, data)
+
+    def renumbered(self, inv: np.ndarray):
+        """``(order, retained)`` of the reduced matrix with its rows and
+        columns renumbered so that row ``r`` is row ``inv[r]`` of the
+        pattern's: :attr:`order` as ``order[inv][:, inv]`` with sorted
+        column indices, and ``retained[inv]``."""
+        rows = self.order[inv]
+        order = sp.csr_matrix(
+            (rows.data, np.argsort(inv)[rows.indices], rows.indptr), shape=rows.shape
+        )
+        order.sort_indices()
+        return _read_only(order), _read_only(self.retained[inv])
+
+
+def _gather(order: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
+    """The CSR matrix on the structure of the order map ``order`` whose
+    entries are read from ``data`` at the positions it holds."""
+    return sp.csr_matrix((data[order.data], order.indices, order.indptr), shape=order.shape)
 
 
 def _read_only(a):
@@ -203,9 +231,12 @@ class DofMap:
     class; ``coeffs`` is ``class_coeffs[classes]``.  The element forms and
     the Gram blocks are computed on the classes and summed by the pattern.
 
-    The reduced matrix pattern, the ``iota``-free forms on it and the
-    quadrature points of :data:`FIELD_RULE` are built on first use
-    (:attr:`pattern`, :meth:`forms`, :attr:`points`) and kept.
+    The reduced matrix pattern, the ``iota``-free forms on it, the
+    quadrature points of :data:`FIELD_RULE` and the load's test values
+    and scatter index are built on first use (:attr:`pattern`,
+    :meth:`forms`, :attr:`points`) and kept.  So is the elimination order
+    of the first solve on the dof map (:meth:`keep_ordering`), in which
+    every later :func:`assemble` numbers its rows (:meth:`numbering`).
     """
 
     kind: ElementKind
@@ -220,6 +251,8 @@ class DofMap:
     class_geom: ElementGeometry
     class_coeffs: np.ndarray
     _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The kept elimination order "inv" and the "numbering" built from it.
+    _ordering: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def nloc(self) -> int:
@@ -271,6 +304,44 @@ class DofMap:
         """The :func:`quadrature_points` of every triangle, shared by the
         loads and the energy errors on this dof map."""
         return quadrature_points(self.geom)
+
+    @cached_property
+    def _load_tests(self) -> np.ndarray:
+        """(T, n, q) test values of the load at :attr:`points` times their
+        weights, computed once per class and gathered to the triangles."""
+        morley = self.kind is ElementKind.MORLEY
+        vals = _load_values(self.class_coeffs, morley)
+        return (vals if morley else vals[self.classes]) * self.points.weights[:, None]
+
+    @cached_property
+    def _load_index(self) -> np.ndarray:
+        """The global vector degree of freedom of each entry of the
+        (T, 2n) element loads, flattened."""
+        vids = np.repeat(2 * self.scatter, 2, axis=1) + np.tile([0, 1], self.nloc)
+        return vids.ravel()
+
+    @property
+    def ordered(self) -> bool:
+        """Whether an elimination order is kept (:meth:`keep_ordering`)."""
+        return "inv" in self._ordering
+
+    def keep_ordering(self, system: "SparseSystem", perm_c: np.ndarray) -> None:
+        """Keep the column order of a factorization of ``system``, which
+        put column ``j`` at position ``perm_c[j]``, unless an order is kept
+        already or ``system`` is not numbered as :attr:`pattern` is."""
+        if not self.ordered and np.array_equal(system.retained, self.pattern.retained):
+            self._ordering["inv"] = np.argsort(perm_c)
+
+    def numbering(self):
+        """``(order, retained)`` of the systems :func:`assemble` builds:
+        the :attr:`pattern`'s order map and retained ids, or, once an
+        elimination order is kept, both renumbered to it, built on first
+        use and kept."""
+        if not self.ordered:
+            return self.pattern.order, self.pattern.retained
+        if "numbering" not in self._ordering:
+            self._ordering["numbering"] = self.pattern.renumbered(self._ordering["inv"])
+        return self._ordering["numbering"]
 
     def forms(self, lam: float, mu: float):
         """Data of ``A_m`` and ``A_g`` on :attr:`pattern` for one Lame pair,
@@ -330,7 +401,9 @@ class SparseSystem:
 
     ``retained[r]`` is the global vector degree of freedom behind row ``r``;
     ``asymmetry`` is ``max|A - A^T| / max|A|`` of the reduced matrix before
-    it was symmetrized.
+    it was symmetrized.  ``ordered`` says that the rows already follow the
+    elimination order kept on ``dofmap``, so the factorization needs no
+    ordering of its own.
     """
 
     matrix: sp.csr_matrix
@@ -339,6 +412,7 @@ class SparseSystem:
     n_total: int
     dofmap: DofMap
     asymmetry: float = field(default=0.0, compare=False)
+    ordered: bool = False
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
         """Embed a reduced solution into the full vector of coefficients."""
@@ -373,7 +447,7 @@ def element_forms(coeffs, geom: ElementGeometry, lam: float, mu: float, morley: 
     ``geom``.  With ``morley`` the membrane part acts on the linear vertex
     interpolant (the modified form).
     """
-    _, G, H = evaluate(coeffs, geom.grad_lambda, _STIFFNESS_TABLES)
+    G, H = evaluate(coeffs, geom.grad_lambda, _STIFFNESS_TABLES)
     w = geom.area[:, None] * _STIFFNESS_RULE.weights
     wg = w
     if morley:
@@ -410,12 +484,12 @@ def _load_values(coeffs, morley: bool):
     return coeffs @ FIELD_TABLES.M
 
 
-def _loads(vals, points: PointSet, f):
-    """(T, 2n) load vectors of the test values ``vals`` against ``f``,
-    which is called once, on the whole point set."""
+def _loads(tests, points: PointSet, f):
+    """(T, 2n) load vectors of the (T, n, q) test values times weights
+    ``tests`` against ``f``, which is called once, on the whole point set."""
     ntri = len(points.weights)
     F = np.asarray(f(points)).reshape(ntri, -1, 2)
-    return ((vals * points.weights[:, None]) @ F).reshape(ntri, -1)
+    return (tests @ F).reshape(ntri, -1)
 
 
 def element_loads(coeffs, geom: ElementGeometry, f, morley: bool):
@@ -423,7 +497,8 @@ def element_loads(coeffs, geom: ElementGeometry, f, morley: bool):
 
     ``f`` is called once, on the :func:`quadrature_points` of the batch.
     """
-    return _loads(_load_values(coeffs, morley), quadrature_points(geom), f)
+    points = quadrature_points(geom)
+    return _loads(_load_values(coeffs, morley) * points.weights[:, None], points, f)
 
 
 def element_stiffness(basis: LocalBasis, mat: MaterialParams) -> np.ndarray:
@@ -444,18 +519,25 @@ def element_load(basis: LocalBasis, f) -> np.ndarray:
 
 
 def stiffness_matrix(dofmap: DofMap, mat: MaterialParams):
-    """The symmetrized reduced matrix for ``mat`` and its asymmetry
+    """The symmetrized reduced matrix for ``mat``, in the numbering of the
+    dof map's :attr:`~DofMap.pattern`, and its asymmetry
     ``max|A - A^T| / max|A|`` before symmetrization.
 
     Raises :class:`AssemblyError` if an entry is not finite (Lame
     constants large enough to overflow) or the asymmetry exceeds
     ``MAX_ASYMMETRY``.
     """
-    pattern = dofmap.pattern
+    data, asymmetry = _symmetrized(dofmap, mat)
+    return dofmap.pattern.matrix(data), asymmetry
+
+
+def _symmetrized(dofmap: DofMap, mat: MaterialParams):
+    """The data of :func:`stiffness_matrix` on the pattern, and the
+    asymmetry."""
     A_m, A_g = dofmap.forms(mat.lam, mat.mu)
     with np.errstate(over="ignore", invalid="ignore"):
         data = A_m + mat.iota**2 * A_g
-        data_t = data[pattern.transpose]
+        data_t = data[dofmap.pattern.transpose]
         asymmetry = float(np.abs(data - data_t).max() / np.abs(data).max()) if data.size else 0.0
     if not asymmetry <= MAX_ASYMMETRY:
         # A non-finite entry makes the asymmetry nan, which fails the gate.
@@ -466,30 +548,28 @@ def stiffness_matrix(dofmap: DofMap, mat: MaterialParams):
         raise AssemblyError(
             f"assembled matrix asymmetry {asymmetry:.2e} exceeds {MAX_ASYMMETRY:.0e}"
         )
-    return pattern.matrix(0.5 * (data + data_t)), asymmetry
+    return 0.5 * (data + data_t), asymmetry
 
 
 def assemble(dofmap: DofMap, mat: MaterialParams, f) -> SparseSystem:
     """Assemble the reduced system for one family on one mesh.
 
     ``f(xy)`` maps points of shape (q, 2) to load values of shape (q, 2);
-    it is called once, on the dof map's :attr:`~DofMap.points`.
+    it is called once, on the dof map's :attr:`~DofMap.points`.  The rows
+    follow the dof map's :meth:`~DofMap.numbering`, as ``retained`` says.
     Raises :class:`AssemblyError` if the matrix is not finite or not
     symmetric to ``MAX_ASYMMETRY``.
     """
-    matrix, asymmetry = stiffness_matrix(dofmap, mat)
-    morley = dofmap.kind is ElementKind.MORLEY
-    # Test values once per class, gathered to the triangles.
-    vals = _load_values(dofmap.class_coeffs, morley)
-    loads = _loads(vals if morley else vals[dofmap.classes], dofmap.points, f)
-    vids = np.repeat(2 * dofmap.scatter, 2, axis=1) + np.tile([0, 1], dofmap.nloc)
-    rhs = np.bincount(vids.ravel(), loads.ravel(), dofmap.n_vector)
-    retained = dofmap.pattern.retained
+    data, asymmetry = _symmetrized(dofmap, mat)
+    order, retained = dofmap.numbering()
+    loads = _loads(dofmap._load_tests, dofmap.points, f)
+    rhs = np.bincount(dofmap._load_index, loads.ravel(), dofmap.n_vector)
     return SparseSystem(
-        matrix=matrix,
+        matrix=_gather(order, data),
         rhs=rhs[retained],
         retained=retained,
         n_total=dofmap.n_vector,
         dofmap=dofmap,
         asymmetry=asymmetry,
+        ordered=dofmap.ordered,
     )

@@ -9,9 +9,10 @@ anywhere.
 
 Shapes are built for a batch of ``T`` triangles at once:
 :func:`basis_coefficients` returns a (T, n, 35) coefficient array and
-:func:`evaluate` turns it into values, gradients and Hessians at the points
-of a :class:`MonoTables`.  The per-element :class:`LocalBasis` of every
-family comes from :func:`build_basis`, a batch of one of the same code.
+:func:`evaluate` turns it into gradients and Hessians at the points of a
+:class:`MonoTables`, whose monomial values ``M`` give the shape values.
+The per-element :class:`LocalBasis` of every family comes from
+:func:`build_basis`, a batch of one of the same code.
 
 Degrees of freedom read a function at 24 fixed barycentric points,
 :data:`DOF_TABLES`: the three vertices, the three edge midpoints and the
@@ -140,32 +141,33 @@ class MonoTables:
         self.D2 = np.ascontiguousarray((_DERIV_T[:, None] @ first[None]).transpose(2, 3, 0, 1))
 
 
-def _values_gradients(coeffs, grad_lambda, tables: MonoTables):
+def _gradients(coeffs, grad_lambda, tables: MonoTables):
     """:func:`evaluate` without the Hessians."""
     coeffs = np.asarray(coeffs, dtype=float)
     batch, n = coeffs.shape[:2]
     npts = tables.M.shape[1]
     # Chain rule: d/dx_i = sum_v d/dlambda_v grad_lambda[v, i].
     d1 = (coeffs.reshape(-1, _NMONO) @ tables.D1.reshape(_NMONO, -1)).reshape(batch, n * npts, 3)
-    return coeffs @ tables.M, (d1 @ grad_lambda).reshape(-1, n, npts, 2)
+    return (d1 @ grad_lambda).reshape(-1, n, npts, 2)
 
 
 def evaluate(coeffs, grad_lambda, tables: MonoTables):
-    """Values, gradients and Hessians of polynomials on a batch of triangles.
+    """Gradients and Hessians of polynomials on a batch of triangles.
 
     ``coeffs`` is (T, n, nmono), or (1, n, nmono) for polynomials shared by
-    every triangle; ``grad_lambda`` is (T, 3, 2).  Returns values (T, n, q),
-    gradients (T, n, q, 2) and Hessians (T, n, q, 2, 2).
+    every triangle; ``grad_lambda`` is (T, 3, 2).  Returns gradients
+    (T, n, q, 2) and Hessians (T, n, q, 2, 2); the values are
+    ``coeffs @ tables.M``.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     batch, n = coeffs.shape[:2]
     npts = tables.M.shape[1]
-    vals, grads = _values_gradients(coeffs, grad_lambda, tables)
+    grads = _gradients(coeffs, grad_lambda, tables)
     # The Hessian contracts the second derivatives with grad_lambda (x) grad_lambda.
     d2 = (coeffs.reshape(-1, _NMONO) @ tables.D2.reshape(_NMONO, -1)).reshape(batch, n * npts, 9)
     outer = grad_lambda[:, :, None, :, None] * grad_lambda[:, None, :, None, :]
     hess = (d2 @ outer.reshape(-1, 9, 4)).reshape(-1, n, npts, 2, 2)
-    return vals, grads, hess
+    return grads, hess
 
 
 def _edge_bary(i, t):
@@ -209,8 +211,8 @@ def _edge_moments(edge_grads, directions, weights):
 def _sample(coeffs, geom: ElementGeometry):
     """Values (T, m, 24) and gradients (T, m, 24, 2) of polynomials at the
     points of :data:`DOF_TABLES`, where the functionals read them."""
-    vals, grads = _values_gradients(coeffs, geom.grad_lambda, DOF_TABLES)
-    return np.broadcast_to(vals, grads.shape[:-1]), grads
+    grads = _gradients(coeffs, geom.grad_lambda, DOF_TABLES)
+    return np.broadcast_to(coeffs @ DOF_TABLES.M, grads.shape[:-1]), grads
 
 
 def edge_normal_moments(coeffs, geom: ElementGeometry, normals):
@@ -220,7 +222,7 @@ def edge_normal_moments(coeffs, geom: ElementGeometry, normals):
     local edge ``i``, read at the edge points of :data:`DOF_TABLES` with
     the weights of the edge functionals.
     """
-    _, grads = _sample(coeffs, geom)
+    grads = _gradients(coeffs, geom.grad_lambda, DOF_TABLES)
     return _edge_moments(grads[..., 6:, :], normals, _EDGE6.weights)
 
 
@@ -509,7 +511,7 @@ def specht_constraint_residual(geom: ElementGeometry) -> np.ndarray:
     normal derivative against the quadratic Legendre polynomial, normalized
     by the gradient scale on the edges (at least 1); shape (T,)."""
     coeffs = basis_coefficients(ElementKind.SPECHT, geom, None)
-    _, grads = _values_gradients(coeffs, geom.grad_lambda, _GAUSS3_TABLES)
+    grads = _gradients(coeffs, geom.grad_lambda, _GAUSS3_TABLES)
     moments = _edge_moments(grads, geom.normals, _P2_GAUSS3)
     gscale = np.abs(grads).max(axis=(1, 2, 3))
     return np.abs(moments).max(axis=(1, 2)) / np.maximum(gscale, 1.0)

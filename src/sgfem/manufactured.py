@@ -23,7 +23,9 @@ per point.  A field whose x and y chains are one function, as the layer
 field's are, evaluates it in one call on both axes' distinct coordinates.
 A :class:`~sgfem.quadrature.PointSet`, such as the quadrature points a dof
 map keeps for the load and the energy error, carries its distinct
-coordinates; any other (n, 2) array is deduplicated on each call.
+coordinates and the low orders of the last field evaluation on it: the
+energy error's order-2 pass reads them from the load's order-4 pass of
+the same field.  Any other (n, 2) array is deduplicated on each call.
 
 The second example subtracts a boundary corrector, built from ratios of
 exponentials, from both of its factors.  It is evaluated in an
@@ -194,14 +196,32 @@ def _gathered(factors, index):
 
 def _axis_orders(field, xy, k):
     """Orders ``0..k`` of both factors of each axis at the points ``xy``:
-    ``((X1, X2), (Y1, Y2))``, each a (k + 1, n) array."""
-    (x, ix), (y, iy) = xy.axes if isinstance(xy, PointSet) else distinct_coordinates(xy)
+    ``((X1, X2), (Y1, Y2))``, each a (k + 1, n) array.
+
+    On a :class:`~sgfem.quadrature.PointSet` the orders through 2, those
+    of :meth:`ManufacturedField.derivatives`, are kept as its
+    ``field_orders`` until the next call, which reads them if it is for
+    the same field at order 2 or below, and releases them: a chain
+    computes its lower orders the same way whatever ``k`` is, so the
+    values are those of a fresh evaluation.  A copy is kept, not a view,
+    so that the load's orders 3 and 4 are freed before its solve."""
+    if isinstance(xy, PointSet):
+        kept, xy.field_orders = xy.field_orders, None
+        if kept is not None and kept[0] is field and kept[1].shape[1] > k:
+            return kept[1][:, : k + 1], kept[2][:, : k + 1]
+        (x, ix), (y, iy) = xy.axes
+    else:
+        (x, ix), (y, iy) = distinct_coordinates(xy)
     if field.y is field.x:
         # One call on both axes' coordinates: at a few hundred values the
         # cost of a chain is its per-call overhead.
         both = field.x(np.concatenate([x, y]), k)
-        return _gathered(both, ix), _gathered(both, iy + len(x))
-    return _gathered(field.x(x, k), ix), _gathered(field.y(y, k), iy)
+        orders = _gathered(both, ix), _gathered(both, iy + len(x))
+    else:
+        orders = _gathered(field.x(x, k), ix), _gathered(field.y(y, k), iy)
+    if isinstance(xy, PointSet):
+        xy.field_orders = (field, *(np.ascontiguousarray(o[:, :3]) for o in orders))
+    return orders
 
 
 @dataclass(frozen=True)

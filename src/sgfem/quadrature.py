@@ -125,9 +125,13 @@ class PointSet(np.ndarray):
     :attr:`axes`, the :func:`distinct_coordinates`, computed on first use
     and kept.
 
-    Slices, copies and arithmetic results are point arrays without weights
-    that compute their own distinct coordinates: none reuses its parent's
-    index.
+    ``field_orders`` holds the low orders of the last evaluation of a
+    manufactured field's axis chains at the points, which
+    :mod:`sgfem.manufactured` keeps and reads, so that the load and the
+    energy error of one field evaluate it once.  Slices, copies and
+    arithmetic results are point arrays without weights that compute
+    their own distinct coordinates and keep no evaluation: none reuses
+    its parent's.
     """
 
     def __new__(cls, points, weights):
@@ -139,6 +143,7 @@ class PointSet(np.ndarray):
     def __array_finalize__(self, obj):
         self.weights = None
         self._axes = None
+        self.field_orders = None
 
     @property
     def axes(self):

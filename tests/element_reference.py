@@ -24,8 +24,9 @@ def to_bary(geom, xy):
 def eval_all(basis, bary):
     """Values (n, q), gradients (n, q, 2) and Hessians (n, q, 2, 2) of the
     shapes of a ``LocalBasis`` at barycentric points (q, 3)."""
-    vals, grads, hess = evaluate(basis.coeffs[None], basis.geom.grad_lambda[None], MonoTables(bary))
-    return vals[0], grads[0], hess[0]
+    tables = MonoTables(bary)
+    grads, hess = evaluate(basis.coeffs[None], basis.geom.grad_lambda[None], tables)
+    return basis.coeffs @ tables.M, grads[0], hess[0]
 
 
 def interpolate(basis, value_fn, grad_fn):

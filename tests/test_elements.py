@@ -202,17 +202,17 @@ EDGE3_TABLES = MonoTables(np.vstack([edge_bary(i, GAUSS3.points) for i in range(
 
 def reference_edge_moments(gens, geom, directions, weights):
     """(T, m, 3) weighted three-point sums of directional derivatives."""
-    _, grads, _ = evaluate(gens[None], geom.grad_lambda, EDGE3_TABLES)
+    grads, _ = evaluate(gens[None], geom.grad_lambda, EDGE3_TABLES)
     grads = grads.reshape(grads.shape[:2] + (3, len(weights), 2))
     return (grads @ directions[:, None, :, :, None])[..., 0] @ weights
 
 
 def reference_specht_coeffs(geom):
     ntri = len(geom.grad_lambda)
-    vals, grads, _ = evaluate(_SPECHT_GENS[None], geom.grad_lambda, VERTEX_TABLES)
+    grads, _ = evaluate(_SPECHT_GENS[None], geom.grad_lambda, VERTEX_TABLES)
     system = np.empty((ntri, 12, 12))
     # Rows 3 v, 3 v + 1, 3 v + 2: value, grad_x, grad_y at vertex v.
-    system[:, 0:9:3] = vals[0].T
+    system[:, 0:9:3] = (_SPECHT_GENS @ VERTEX_TABLES.M).T
     system[:, 1:9:3] = grads[..., 0].swapaxes(1, 2)
     system[:, 2:9:3] = grads[..., 1].swapaxes(1, 2)
     xi = 2.0 * GAUSS3.points - 1.0

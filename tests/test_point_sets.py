@@ -3,8 +3,9 @@
 A dof map keeps the quadrature points of the load and the energy error as
 one ``PointSet`` with the distinct coordinates of each axis.  The field's
 axis chains run at those coordinates, in one call for both axes when they
-are one function, and are gathered back to the points; the load's test
-values are computed once per translation class.  Both
+are one function, and are gathered back to the points, and the point set
+keeps the last evaluation, so the energy error reads the load's; the
+load's test values are computed once per translation class.  These
 must give exactly the values of one chain evaluation per point at
 ``xy[:, 0]`` and ``xy[:, 1]`` and of the test values ``coeffs @ M`` per
 triangle, which the references below keep: the assembled right-hand side
@@ -13,14 +14,15 @@ and the energy error are ``np.array_equal`` to theirs.
 
 import hypothesis
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgfem.analysis import energy_error, local_coefficients
 from sgfem.assembly import FIELD_RULE, FIELD_TABLES, MaterialParams, assemble, build_dofmap
 from sgfem.elements import MORLEY_PI1, ElementKind, evaluate
-from sgfem.manufactured import example_field, source
-from sgfem.mesh import make_structured
+from sgfem.manufactured import ManufacturedField, example_field, source
+from sgfem.mesh import make_structured, refine
 from sgfem.quadrature import PointSet
 
 from random_meshes import jittered_mesh
@@ -93,7 +95,7 @@ def reference_energy_error(dofmap, full_dofs, field):
     xy, w = reference_points(dofmap)
     w = w.ravel()
     poly = np.einsum("tac,tam->tcm", local_coefficients(dofmap, full_dofs), dofmap.coeffs)
-    _, G, H = evaluate(poly, dofmap.geom.grad_lambda, FIELD_TABLES)
+    G, H = evaluate(poly, dofmap.geom.grad_lambda, FIELD_TABLES)
     Gu, Hu = reference_derivatives(field, xy)
     dh = Hu - H.swapaxes(1, 2).reshape(Hu.shape)
     err_h = w @ np.einsum("qcjk,qcjk->q", dh, dh)
@@ -169,3 +171,44 @@ def test_point_set_path_is_bitwise_the_per_point_path(mesh, seed):
                 assert np.array_equal(system.rhs, reference_rhs(dofmap, field))
                 got = energy_error(dofmap, full_dofs, field)
                 assert got == reference_energy_error(dofmap, full_dofs, field)
+
+
+def counting_field(field, calls):
+    """``field`` with chains that log ``(axis, k)`` on each call."""
+
+    def counted(axis):
+        def chain(t, k):
+            calls.append((axis, k))
+            return getattr(field, axis)(t, k)
+
+        return chain
+
+    return ManufacturedField(field.name, counted("x"), counted("y"), field.mat)
+
+
+@pytest.mark.parametrize("example_name", ["smooth", "layer"])
+def test_point_set_keeps_the_last_field_evaluation(example_name):
+    """The load's order-4 pass serves the energy error's order-2 read of
+    the same field, once, and no other field's: every result is the plain
+    points' result, bit for bit."""
+    dofmap = build_dofmap(refine(make_structured(2)), "ntw")
+    points = dofmap.points
+    xy = np.array(points)
+    calls = []
+    field_a = counting_field(example_field(example_name, MaterialParams(iota=1e-2)), calls)
+    field_b = example_field(example_name, MaterialParams(iota=1e-4))
+    assert np.array_equal(source(field_a)(points), source(field_a)(xy))
+    calls.clear()
+    for got, expected in zip(field_a.derivatives(points), field_a.derivatives(xy)):
+        assert np.array_equal(got, expected)
+    # Only the plain points ran the chains, and the read released the orders.
+    assert sorted(calls) == [("x", 2), ("y", 2)]
+    assert points.field_orders is None
+    for got, expected in zip(field_b.derivatives(points), field_b.derivatives(xy)):
+        assert np.array_equal(got, expected)
+    calls.clear()
+    for got, expected in zip(field_a.derivatives(points), field_a.derivatives(xy)):
+        assert np.array_equal(got, expected)
+    assert sorted(calls) == [("x", 2), ("x", 2), ("y", 2), ("y", 2)]
+    # A slice keeps no evaluation of its parent's.
+    assert points[::2].field_orders is None

@@ -9,9 +9,14 @@ import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import sgfem.solver
-from sgfem.assembly import MaterialParams, SparseSystem, assemble, build_dofmap
+from sgfem.analysis import coercivity_check, convergence_study
+from sgfem.assembly import MaterialParams, SparseSystem, assemble, build_dofmap, stiffness_matrix
 from sgfem.mesh import make_structured, refine
 from sgfem.solver import SolverError, solve
+
+FAMILIES = ["ntw", "specht", "morley"]
+# The default iotas of ``sgfem convergence``.
+IOTAS = (1.0, 1e-2, 1e-4, 1e-6)
 
 
 def constant_load(xy):
@@ -91,6 +96,94 @@ class TestDirect:
         assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
+def fill(lu) -> int:
+    return lu.L.nnz + lu.U.nnz
+
+
+class TestOrderingReuse:
+    """The first solve on a dof map computes the ordering; every later
+    system on the dof map arrives in that order and is factored as it is."""
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_iota_sweep_matches_one_iota_studies(self, kind):
+        """Only the rounding of the later iotas' factors moves."""
+        swept = convergence_study(kind, "layer", IOTAS, 3, make_structured(2))
+        for iota, report in zip(IOTAS, swept):
+            [alone] = convergence_study(kind, "layer", [iota], 3, make_structured(2))
+            for row, ref in zip(report.rows, alone.rows, strict=True):
+                assert (row.h, row.dofs) == (ref.h, ref.dofs)
+                assert row.rel_energy_err == pytest.approx(ref.rel_energy_err, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_later_factors_keep_the_first_order(self, kind, monkeypatch):
+        """Per mesh up to 512 triangles, one MMD_AT_PLUS_A factor and then
+        NATURAL factors, each with the fill of an MMD_AT_PLUS_A factor of
+        the same matrix in its natural numbering, to 0.1 %."""
+        seen = recording_splu(monkeypatch)
+        mesh = make_structured(2)
+        for level in range(4):
+            mesh = refine(mesh) if level else mesh
+            dofmap = build_dofmap(mesh, kind)
+            for iota in IOTAS:
+                mat = MaterialParams(iota=iota)
+                seen.clear()
+                solve(assemble(dofmap, mat, constant_load))
+                [(_, options, lu)] = seen
+                if iota == IOTAS[0]:
+                    assert options["permc_spec"] == "MMD_AT_PLUS_A"
+                    continue
+                assert options["permc_spec"] == "NATURAL"
+                natural = stiffness_matrix(dofmap, mat)[0].T
+                computed = spla.splu(natural, **{**options, "permc_spec": "MMD_AT_PLUS_A"})
+                assert abs(fill(lu) - fill(computed)) <= 1e-3 * fill(computed)
+
+    def test_report_names_the_ordering(self):
+        dofmap = build_dofmap(refine(make_structured(2)), "ntw")
+        first, later = (
+            solve(assemble(dofmap, MaterialParams(iota=iota), constant_load)) for iota in IOTAS[:2]
+        )
+        assert (first.ordering, later.ordering) == ("MMD_AT_PLUS_A", "NATURAL")
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_ordered_system_is_the_natural_one_renumbered(self, kind):
+        """Bit for bit, and its expanded solution is the natural system's
+        to rounding."""
+        dofmap = build_dofmap(refine(make_structured(2)), kind)
+        mat = MaterialParams(iota=1e-2)
+        natural = assemble(dofmap, mat, constant_load)
+        expected = natural.expand(solve(natural).solution)
+        ordered = assemble(dofmap, mat, constant_load)
+        assert ordered.ordered and not natural.ordered
+        # Row r of the ordered system is row inv[r] of the natural one.
+        inv = np.searchsorted(natural.retained, ordered.retained)
+        assert not np.array_equal(inv, np.arange(len(inv)))
+        assert np.array_equal(natural.retained[inv], ordered.retained)
+        assert np.array_equal(ordered.rhs, natural.rhs[inv])
+        renumbered = natural.matrix[inv][:, inv].tocsr()
+        renumbered.sort_indices()
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(ordered.matrix, name), getattr(renumbered, name))
+        got = ordered.expand(solve(ordered).solution)
+        assert_allclose(got, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_stiffness_and_coercivity_keep_the_natural_numbering(self, kind):
+        mesh = refine(make_structured(2))
+        solved, fresh = build_dofmap(mesh, kind), build_dofmap(mesh, kind)
+        mat = MaterialParams(iota=1e-2)
+        solve(assemble(solved, mat, constant_load))
+        assert assemble(solved, mat, constant_load).ordered
+        got, expected = stiffness_matrix(solved, mat), stiffness_matrix(fresh, mat)
+        assert got[1] == expected[1]
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got[0], name), getattr(expected[0], name))
+        materials = [mat, MaterialParams(iota=1.0)]
+        assert np.array_equal(
+            coercivity_check(solved, materials, 4, seed=5),
+            coercivity_check(fresh, materials, 4, seed=5),
+        )
+
+
 class TestFailures:
     def test_singular_matrix_raises(self):
         A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
@@ -130,6 +223,7 @@ class TestEdgeCases:
         report = solve(system)
         assert report.solution.shape == (0,)
         assert report.rel_residual == 0.0
+        assert report.ordering == "none"
 
     def test_residual_of_huge_system_does_not_overflow(self, ntw_system):
         """Matrix and load near 1e300: the squared norms of the residual
