@@ -2,10 +2,17 @@
 
 The error norm is the broken quantity ``|||v||| = ||grad v|| + iota ||grad^2 v||``
 with elementwise derivatives of the full discrete function, for every
-family: the morley norm also uses the full broken gradient, not the
-gradient of the linear vertex interpolant that its membrane form uses.  The
-relative error divides by the same norm of the exact field computed with
-the same quadrature.
+family: ``||grad v||`` is the L2 norm of the broken gradient, and
+``||grad^2 v||`` the L2 norm of the pointwise full Frobenius norm of the
+broken Hessian, both mixed entries counted.  The morley norm also uses the full
+broken gradient, not the gradient of the linear vertex interpolant that
+its membrane form uses.  The relative error divides by the same norm of
+the exact field computed with the same quadrature; an exact field of norm
+0 has no relative error and raises.  The exact derivatives come from one
+:meth:`~sgfem.manufactured.ManufacturedField.derivative_rows` read per
+error, and the discrete ones are subtracted from those rows in place.
+The coercivity check and the Korn ratio use the distinct-entry Hessian
+norm instead, which counts the mixed entry once.
 
 Every mesh-level function takes a :class:`~sgfem.assembly.DofMap`, which
 carries the geometry and shape coefficients of one family on one mesh, and
@@ -61,6 +68,8 @@ _GRAM_RULE = triangle_rule(8)
 _GRAM_TABLES = MonoTables(_GRAM_RULE.points)
 # Weights of the distinct-entry Hessian norm: (1, 2) and (2, 1) count once.
 _DISTINCT = np.array([[1.0, 1.0], [0.0, 1.0]])
+# Counts of the Hessian rows d_xx, d_xy, d_yy in the full Frobenius norm.
+_FULL_HESSIAN = np.array([1.0, 2.0, 1.0])
 
 
 def mesh_diameter(mesh: Mesh) -> float:
@@ -75,14 +84,28 @@ def local_coefficients(dofmap, full_dofs: np.ndarray) -> np.ndarray:
     return full_dofs.reshape(-1, 2)[dofmap.scatter]
 
 
+def _squares(rows, weights):
+    """Weighted sums of squares of (2, 5, n) derivative rows in the order of
+    :meth:`~sgfem.manufactured.ManufacturedField.derivative_rows`: the
+    squared gradient norm and the squared full Frobenius Hessian norm, which
+    counts the mixed row twice."""
+    sums = ((rows * rows) @ weights).sum(axis=0)
+    return sums[:2].sum(), sums[2:] @ _FULL_HESSIAN
+
+
 def energy_error(dofmap: DofMap, full_dofs: np.ndarray, field: ManufacturedField):
     """Absolute and relative energy error of a discrete solution.
 
-    ``full_dofs`` is the full coefficient vector (boundary entries
-    included, normally zero).  The exact gradient and Hessian come from one
-    ``field.derivatives`` pass over the dof map's quadrature
-    :attr:`~sgfem.assembly.DofMap.points`, the load's.  Returns
-    ``(absolute, relative)``.
+    The norm is ``||grad v|| + iota ||grad^2 v||``: the broken L2 norm of
+    the gradient plus ``iota`` times the broken L2 norm of the full
+    Frobenius Hessian, whose two mixed entries both count.  ``full_dofs``
+    is the full coefficient vector (boundary entries included, normally
+    zero).  The exact derivatives come from one
+    ``field.derivative_rows`` read over the dof map's quadrature
+    :attr:`~sgfem.assembly.DofMap.points`, the load's; the discrete
+    gradient and Hessian are subtracted from them in place, one row at a
+    time, through strided (T, q) views.  Returns ``(absolute, relative)``;
+    raises ``ValueError`` if the exact field's norm is 0 or not finite.
     """
     full_dofs = np.asarray(full_dofs, dtype=float)
     if full_dofs.shape != (dofmap.n_vector,):
@@ -90,22 +113,22 @@ def energy_error(dofmap: DofMap, full_dofs: np.ndarray, field: ManufacturedField
             f"dof vector has shape {full_dofs.shape}, expected ({dofmap.n_vector},)"
         )
     # Each displacement component on each element as one polynomial.
-    poly = np.einsum("tac,tam->tcm", local_coefficients(dofmap, full_dofs), dofmap.coeffs)
+    poly = local_coefficients(dofmap, full_dofs).swapaxes(1, 2) @ dofmap.coeffs
     G, H = evaluate(poly, dofmap.geom.grad_lambda, FIELD_TABLES)
     points = dofmap.points
     w = points.weights.ravel()
-
-    Gu, Hu = field.derivatives(points)
-    dh = Hu - H.swapaxes(1, 2).reshape(Hu.shape)
-    err_h = w @ np.einsum("qcjk,qcjk->q", dh, dh)
-    nrm_h = w @ np.einsum("qcjk,qcjk->q", Hu, Hu)
-    dg = Gu - G.swapaxes(1, 2).reshape(Gu.shape)
-    err_g = w @ np.einsum("qcj,qcj->q", dg, dg)
-    nrm_g = w @ np.einsum("qcj,qcj->q", Gu, Gu)
-
+    rows = field.derivative_rows(points)
     iota = field.mat.iota
-    absolute = np.sqrt(err_g) + iota * np.sqrt(err_h)
+    nrm_g, nrm_h = _squares(rows, w)
     norm = np.sqrt(nrm_g) + iota * np.sqrt(nrm_h)
+    if not (np.isfinite(norm) and norm > 0.0):
+        raise ValueError(f"the exact field has energy norm {norm}, so no relative error")
+    for c, exact in enumerate(rows.reshape(2, 5, *points.weights.shape)):
+        discrete = G[:, c, :, 0], G[:, c, :, 1], H[:, c, :, 0, 0], H[:, c, :, 0, 1], H[:, c, :, 1, 1]
+        for row, view in zip(exact, discrete):
+            row -= view
+    err_g, err_h = _squares(rows, w)
+    absolute = np.sqrt(err_g) + iota * np.sqrt(err_h)
     return float(absolute), float(absolute / norm)
 
 
@@ -149,10 +172,10 @@ def convergence_study(
     """Refine, solve and measure for each iota; one report per iota.
 
     Levels are the outer loop: each mesh gets one :class:`DofMap`, shared
-    by every iota's assembly and energy error, and only one level's shape
-    coefficients are alive at a time.  The first iota's solve on a mesh
-    computes the elimination order and the later ones reuse it
-    (:mod:`sgfem.solver`).
+    by every iota's assembly and energy error, and is released once the
+    level's rows are recorded, so only one level's dof map is alive at a
+    time.  The first iota's solve on a mesh computes the elimination order
+    and the later ones reuse it (:mod:`sgfem.solver`).
     """
     kind = ElementKind(kind)
     if levels < 1:
@@ -187,6 +210,8 @@ def convergence_study(
                     rate=None,
                 )
             )
+        # Release the level before the next one is refined and built.
+        dofmap = system = result = None
     for report in reports:
         rates = rates_from_errors([row.rel_energy_err for row in report.rows])
         for row, rate in zip(report.rows, rates):

@@ -13,8 +13,10 @@ Each axis is one derivative chain: a function ``chain(t, k)`` that returns
 the pair ``(F1, F2)`` of both components' factors along that axis, each
 the list of orders ``0..k`` (``k <= 4``) at ``t``.  The chain evaluates
 every sine, cosine and exponential once, and both factors share them.  So
-the displacement, the derivatives (gradient and Hessian together) and the
-source read the x chain once and the y chain once, at orders 0, 2 and 4.
+the displacement, the derivative rows (first and second derivatives of
+each component together, :meth:`ManufacturedField.derivative_rows`) and
+the source read the x chain once and the y chain once, at orders 0, 2
+and 4.
 
 Each chain runs only at the distinct coordinates of its axis
 (:func:`~sgfem.quadrature.distinct_coordinates`) and every order is
@@ -23,9 +25,10 @@ per point.  A field whose x and y chains are one function, as the layer
 field's are, evaluates it in one call on both axes' distinct coordinates.
 A :class:`~sgfem.quadrature.PointSet`, such as the quadrature points a dof
 map keeps for the load and the energy error, carries its distinct
-coordinates and the low orders of the last field evaluation on it: the
-energy error's order-2 pass reads them from the load's order-4 pass of
-the same field.  Any other (n, 2) array is deduplicated on each call.
+coordinates and the block of orders 0-2 of the last field evaluation on
+it: the energy error's order-2 read takes them from the load's order-4
+pass of the same field.  Any other (n, 2) array is deduplicated on each
+call.
 
 The second example subtracts a boundary corrector, built from ratios of
 exponentials, from both of its factors.  It is evaluated in an
@@ -51,6 +54,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+# The (x, y) derivative orders of the rows of ManufacturedField.derivative_rows:
+# d_x, d_y, d_xx, d_xy, d_yy.
+_ROW_ORDERS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 def _cos_sin(omega, t, k):
@@ -186,25 +192,29 @@ def _layer_axis(iota: float) -> Callable:
     return chain
 
 
-def _gathered(factors, index):
-    """(2, k + 1, n): both factors' orders, evaluated at distinct
-    coordinates, at the points that ``index`` maps to them.  One take keeps
-    every row contiguous."""
+def _gathered(factors, index, k):
+    """Both factors' orders, evaluated at distinct coordinates, at the
+    points that ``index`` maps to them: the (2, min(k, 2) + 1, n) block of
+    orders 0-2 and, for ``k > 2``, the (2, k - 2, n) block of orders 3..k.
+    One take per block keeps every row contiguous."""
     F1, F2 = factors
-    return np.array(F1 + F2).take(index, axis=1).reshape(2, len(F1), len(index))
+    low = np.array(F1[:3] + F2[:3]).take(index, axis=1).reshape(2, -1, len(index))
+    if k <= 2:
+        return low, None
+    return low, np.array(F1[3:] + F2[3:]).take(index, axis=1).reshape(2, -1, len(index))
 
 
 def _axis_orders(field, xy, k):
     """Orders ``0..k`` of both factors of each axis at the points ``xy``:
-    ``((X1, X2), (Y1, Y2))``, each a (k + 1, n) array.
+    ``((X1, X2), (Y1, Y2))``, each a sequence of ``k + 1`` rows of n.
 
-    On a :class:`~sgfem.quadrature.PointSet` the orders through 2, those
-    of :meth:`ManufacturedField.derivatives`, are kept as its
-    ``field_orders`` until the next call, which reads them if it is for
-    the same field at order 2 or below, and releases them: a chain
-    computes its lower orders the same way whatever ``k`` is, so the
-    values are those of a fresh evaluation.  A copy is kept, not a view,
-    so that the load's orders 3 and 4 are freed before its solve."""
+    On a :class:`~sgfem.quadrature.PointSet` the block of orders through 2,
+    those of :meth:`ManufacturedField.derivative_rows`, is kept as its
+    ``field_orders`` until the next call, which reads it if it is for the
+    same field at order 2 or below, and releases it: a chain computes its
+    lower orders the same way whatever ``k`` is, so the values are those of
+    a fresh evaluation.  Orders 3 and 4 are gathered into a block of their
+    own, so the kept block holds none of them through the load's solve."""
     if isinstance(xy, PointSet):
         kept, xy.field_orders = xy.field_orders, None
         if kept is not None and kept[0] is field and kept[1].shape[1] > k:
@@ -216,12 +226,16 @@ def _axis_orders(field, xy, k):
         # One call on both axes' coordinates: at a few hundred values the
         # cost of a chain is its per-call overhead.
         both = field.x(np.concatenate([x, y]), k)
-        orders = _gathered(both, ix), _gathered(both, iy + len(x))
+        blocks = _gathered(both, ix, k), _gathered(both, iy + len(x), k)
     else:
-        orders = _gathered(field.x(x, k), ix), _gathered(field.y(y, k), iy)
+        blocks = _gathered(field.x(x, k), ix, k), _gathered(field.y(y, k), iy, k)
+    (x_low, _), (y_low, _) = blocks
     if isinstance(xy, PointSet):
-        xy.field_orders = (field, *(np.ascontiguousarray(o[:, :3]) for o in orders))
-    return orders
+        xy.field_orders = (field, x_low, y_low)
+    if k <= 2:
+        return x_low, y_low
+    # Each factor's rows of both blocks, in order.
+    return tuple(tuple((*low[i], *high[i]) for i in (0, 1)) for low, high in blocks)
 
 
 @dataclass(frozen=True)
@@ -239,19 +253,24 @@ class ManufacturedField:
         (x1, x2), (y1, y2) = _axis_orders(self, xy, 0)
         return np.stack([x1[0] * y1[0], x2[0] * y2[0]], axis=-1)
 
+    def derivative_rows(self, xy):
+        """(2, 5, n) array: for each displacement component ``u_i`` the rows
+        d_x u_i, d_y u_i, d_xx u_i, d_xy u_i and d_yy u_i over the points,
+        from one order-2 pass."""
+        rows = np.empty((2, 5, len(xy)))
+        for i, (X, Y) in enumerate(zip(*_axis_orders(self, xy, 2))):
+            for r, (a, b) in enumerate(_ROW_ORDERS):
+                np.multiply(X[a], Y[b], out=rows[i, r])
+        return rows
+
     def derivatives(self, xy):
         """The gradient, (n, 2, 2) with entry [i, j] = d_j u_i, and the
         Hessian, (n, 2, 2, 2) with entry [i, j, k] = d_j d_k u_i, from one
-        order-2 pass over the points."""
-        g = np.empty(xy.shape[:1] + (2, 2))
-        h = np.empty(xy.shape[:1] + (2, 2, 2))
-        for i, (X, Y) in enumerate(zip(*_axis_orders(self, xy, 2))):
-            g[:, i, 0] = X[1] * Y[0]
-            g[:, i, 1] = X[0] * Y[1]
-            h[:, i, 0, 0] = X[2] * Y[0]
-            h[:, i, 0, 1] = h[:, i, 1, 0] = X[1] * Y[1]
-            h[:, i, 1, 1] = X[0] * Y[2]
-        return g, h
+        :meth:`derivative_rows` read."""
+        rows = self.derivative_rows(xy)
+        g = rows[:, :2].transpose(2, 0, 1)
+        h = rows[:, [2, 3, 3, 4]].reshape(2, 2, 2, -1).transpose(3, 0, 1, 2)
+        return np.ascontiguousarray(g), np.ascontiguousarray(h)
 
     def gradient(self, xy):
         """(n, 2, 2) array with entry [i, j] = d_j u_i."""

@@ -125,7 +125,7 @@ class PointSet(np.ndarray):
     :attr:`axes`, the :func:`distinct_coordinates`, computed on first use
     and kept.
 
-    ``field_orders`` holds the low orders of the last evaluation of a
+    ``field_orders`` holds the orders 0-2 of the last evaluation of a
     manufactured field's axis chains at the points, which
     :mod:`sgfem.manufactured` keeps and reads, so that the load and the
     energy error of one field evaluate it once.  Slices, copies and

@@ -1,8 +1,11 @@
 """Tests for error measurement, rate extraction and inequality checks."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+import sgfem.analysis
 import sgfem.assembly
 from sgfem.analysis import (
     KORN_BOUND,
@@ -28,30 +31,29 @@ ALL_KINDS = [ElementKind.NTW, ElementKind.SPECHT, ElementKind.MORLEY]
 
 
 class LinearField:
-    """A linear displacement, which every family reproduces; the gradient
-    and the Hessian are the two halves of ``derivatives``, as on
-    ``ManufacturedField``."""
+    """A linear displacement, which every family reproduces; its
+    ``derivative_rows`` are those of ``ManufacturedField``: d_x, d_y,
+    d_xx, d_xy and d_yy of each component over the points."""
 
     mat = MaterialParams(iota=0.5)
+    slopes = np.array([[0.3, -1.2], [-0.7, 0.4]])
 
-    @staticmethod
-    def displacement(xy):
-        u1 = 0.3 * xy[:, 0] - 1.2 * xy[:, 1] + 0.5
-        u2 = -0.7 * xy[:, 0] + 0.4 * xy[:, 1]
-        return np.stack([u1, u2], axis=-1)
+    def displacement(self, xy):
+        return xy @ self.slopes.T + [0.5, 0.0]
 
-    @staticmethod
-    def derivatives(xy):
-        g = np.empty(xy.shape[:1] + (2, 2))
-        g[:, 0, 0], g[:, 0, 1] = 0.3, -1.2
-        g[:, 1, 0], g[:, 1, 1] = -0.7, 0.4
-        return g, np.zeros(xy.shape[:1] + (2, 2, 2))
+    def derivative_rows(self, xy):
+        rows = np.zeros((2, 5, len(xy)))
+        rows[:, :2] = self.slopes[:, :, None]
+        return rows
 
     def gradient(self, xy):
-        return self.derivatives(xy)[0]
+        return np.broadcast_to(self.slopes, (len(xy), 2, 2)).copy()
 
-    def hessian(self, xy):
-        return self.derivatives(xy)[1]
+
+class ZeroField(LinearField):
+    """The zero displacement, whose energy norm is 0."""
+
+    slopes = np.zeros((2, 2))
 
 
 class TestEnergyError:
@@ -65,27 +67,40 @@ class TestEnergyError:
         assert absolute <= 1e-11
 
     def test_reads_the_exact_field_once(self):
-        """One ``derivatives`` pass gives both the gradient and the Hessian
-        of the exact field at the quadrature points."""
+        """One ``derivative_rows`` read gives both the gradient and the
+        Hessian of the exact field at the quadrature points."""
         calls = []
 
         class CountingField(LinearField):
-            def derivatives(self, xy):
-                calls.append("derivatives")
-                return super().derivatives(xy)
+            def derivative_rows(self, xy):
+                calls.append("derivative_rows")
+                return super().derivative_rows(xy)
 
             def gradient(self, xy):
                 calls.append("gradient")
                 return super().gradient(xy)
 
-            def hessian(self, xy):
-                calls.append("hessian")
-                return super().hessian(xy)
-
         dofmap = build_dofmap(make_structured(2), "ntw")
         _, relative = energy_error(dofmap, np.zeros(dofmap.n_vector), CountingField())
-        assert calls == ["derivatives"]
+        assert calls == ["derivative_rows"]
         assert relative == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_zero_norm_field_is_rejected(self, kind):
+        """A relative error against an exact field of norm 0 or of a norm
+        that is not finite is undefined: it raises, with no warning."""
+        dofmap = build_dofmap(make_structured(2), kind)
+        nonzero = np.random.default_rng(3).normal(size=dofmap.n_vector)
+        for full in (np.zeros(dofmap.n_vector), nonzero):
+            with pytest.raises(ValueError, match="energy norm"):
+                energy_error(dofmap, full, ZeroField())
+
+        class NanField(LinearField):
+            slopes = np.array([[np.nan, 0.0], [0.0, 1.0]])
+
+        with pytest.raises(ValueError, match="energy norm"):
+            energy_error(dofmap, nonzero, NanField())
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_zero_solution_has_relative_error_one(self, kind):
@@ -155,6 +170,26 @@ class TestConvergenceStudy:
         for _ in range(2):
             meshes.append(refine(meshes[-1]))
         assert calls == [class_count(mesh) for mesh in meshes] == [2, 13, 18]
+
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_each_level_is_released_before_the_next(self, kind, monkeypatch):
+        """The previous level's dof map, and with it its pattern, forms,
+        points and load caches, is gone when the next one is built."""
+        original = sgfem.analysis.build_dofmap
+        built = []
+
+        def tracked(*args):
+            assert all(ref() is None for ref in built)
+            dofmap = original(*args)
+            built.append(weakref.ref(dofmap))
+            return dofmap
+
+        monkeypatch.setattr(sgfem.analysis, "build_dofmap", tracked)
+        reports = convergence_study(kind, "layer", [1.0, 1e-4], 3, make_structured(2))
+        assert [len(report.rows) for report in reports] == [3, 3]
+        assert len(built) == 3
+        assert all(ref() is None for ref in built)
 
 
 class TestKorn:

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sgfem import manufactured
 from sgfem.analysis import energy_error, local_coefficients
 from sgfem.assembly import FIELD_RULE, FIELD_TABLES, MaterialParams, assemble, build_dofmap
 from sgfem.elements import MORLEY_PI1, ElementKind, evaluate
@@ -35,6 +36,7 @@ POINT_SET_SEED = int(
     "b22a0d618c264596f39ea75d4d21d947d726a06ce489dae8",
     16,
 )
+ENERGY_ERROR_SEED = int("5d0c9e61a2b74f38e1c06b93d2a8f5174e9b3c20", 16)
 
 
 def reference_displacement(field, xy):
@@ -91,7 +93,48 @@ def reference_rhs(dofmap, field):
     return rhs[dofmap.pattern.retained]
 
 
+def reference_rows(field, xy):
+    """(2, 5, n) rows d_x, d_y, d_xx, d_xy, d_yy of each component."""
+    rows = np.empty((2, 5, len(xy)))
+    for i, (X, Y) in enumerate(zip(field.x(xy[:, 0], 2), field.y(xy[:, 1], 2))):
+        for r, (a, b) in enumerate(((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))):
+            rows[i, r] = X[a] * Y[b]
+    return rows
+
+
+def discrete_derivatives(dofmap, full_dofs):
+    poly = local_coefficients(dofmap, full_dofs).swapaxes(1, 2) @ dofmap.coeffs
+    return evaluate(poly, dofmap.geom.grad_lambda, FIELD_TABLES)
+
+
 def reference_energy_error(dofmap, full_dofs, field):
+    """The row-by-row formula of ``energy_error`` on per-point arrays: each
+    exact row minus the matching (T, q) view of the discrete derivatives,
+    the squares summed with the weights row by row, the mixed row twice."""
+    xy, w = reference_points(dofmap)
+    G, H = discrete_derivatives(dofmap, full_dofs)
+    rows = reference_rows(field, xy)
+
+    def squares(rows):
+        sums = ((rows * rows) @ w.ravel()).sum(axis=0)
+        return sums[:2].sum(), sums[2:] @ np.array([1.0, 2.0, 1.0])
+
+    nrm_g, nrm_h = squares(rows)
+    for c, exact in enumerate(rows.reshape(2, 5, *w.shape)):
+        discrete = G[:, c, :, 0], G[:, c, :, 1], H[:, c, :, 0, 0], H[:, c, :, 0, 1], H[:, c, :, 1, 1]
+        for row, view in zip(exact, discrete):
+            row -= view
+    err_g, err_h = squares(rows)
+    iota = field.mat.iota
+    absolute = np.sqrt(err_g) + iota * np.sqrt(err_h)
+    norm = np.sqrt(nrm_g) + iota * np.sqrt(nrm_h)
+    return float(absolute), float(absolute / norm)
+
+
+def einsum_energy_error(dofmap, full_dofs, field):
+    """The energy error as point-major (n, 2, 2) and (n, 2, 2, 2) tensors
+    reduced by einsum, the formula ``energy_error`` used before it read the
+    exact derivatives row by row."""
     xy, w = reference_points(dofmap)
     w = w.ravel()
     poly = np.einsum("tac,tam->tcm", local_coefficients(dofmap, full_dofs), dofmap.coeffs)
@@ -212,3 +255,64 @@ def test_point_set_keeps_the_last_field_evaluation(example_name):
     assert sorted(calls) == [("x", 2), ("x", 2), ("y", 2), ("y", 2)]
     # A slice keeps no evaluation of its parent's.
     assert points[::2].field_orders is None
+
+
+@hypothesis.seed(ENERGY_ERROR_SEED)
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(mesh=meshes, seed=st.integers(0, 2**32 - 1))
+@example(mesh=make_structured(1), seed=0)
+@example(mesh=make_structured(3), seed=1)
+@example(mesh=jittered_mesh(2, 0.9, 1e-3, 5), seed=2)
+def test_energy_error_matches_the_einsum_formula(mesh, seed):
+    """The row-by-row energy error rounds differently from the point-major
+    einsum reduction it replaced, by no more than 1e-13 relative."""
+    rng = np.random.default_rng(seed)
+    for kind in ElementKind:
+        dofmap = build_dofmap(mesh, kind)
+        full_dofs = rng.normal(size=dofmap.n_vector)
+        for example_name in ("smooth", "layer"):
+            for iota in (1.0, 1e-2, 1e-6):
+                field = example_field(example_name, MaterialParams(iota=iota))
+                got = energy_error(dofmap, full_dofs, field)
+                expected = einsum_energy_error(dofmap, full_dofs, field)
+                np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", list(ElementKind))
+@pytest.mark.parametrize("example_name", ["smooth", "layer"])
+def test_load_keeps_the_gathered_low_orders(kind, example_name, monkeypatch):
+    """The orders a load leaves on its points are the gathered block of
+    orders 0-2 itself, not a copy, and hold no order-3 or order-4 row; the
+    energy error's read releases them."""
+    gathered = []
+    original = manufactured._gathered
+
+    def recording(*args):
+        blocks = original(*args)
+        gathered.append(blocks)
+        return blocks
+
+    monkeypatch.setattr(manufactured, "_gathered", recording)
+    dofmap = build_dofmap(refine(make_structured(2)), kind)
+    points = dofmap.points
+    xy = np.asarray(points)
+    field = example_field(example_name, MaterialParams(iota=1e-2))
+    assemble(dofmap, field.mat, source(field))
+    kept = points.field_orders
+    assert kept[0] is field
+    (x_low, x_high), (y_low, y_high) = gathered
+    chains = field.x(xy[:, 0], 4), field.y(xy[:, 1], 4)
+    for orders, low, high, chain in zip(kept[1:], (x_low, y_low), (x_high, y_high), chains):
+        assert orders.shape == (2, 3, len(points))
+        assert np.shares_memory(orders, low)
+        # The memory behind the kept orders is theirs alone.
+        owner = orders
+        while owner.base is not None:
+            owner = owner.base
+        assert owner.nbytes == orders.nbytes
+        assert high.shape == (2, 2, len(points))
+        assert not np.shares_memory(orders, high)
+        assert np.array_equal(orders, [factor[:3] for factor in chain])
+        assert np.array_equal(high, [factor[3:] for factor in chain])
+    energy_error(dofmap, np.zeros(dofmap.n_vector), field)
+    assert points.field_orders is None
