@@ -335,7 +335,7 @@ def edge_means(coeffs, geom: ElementGeometry, local_coeffs, normals):
     of ``grad u_c . normals[t, i]``, where ``u_c`` is component ``c`` of
     the field with local coefficients ``local_coeffs`` (T, nloc, 2).
     """
-    poly = np.einsum("tac,tam->tcm", local_coeffs, coeffs)
+    poly = local_coeffs.swapaxes(1, 2) @ coeffs
     return edge_normal_moments(poly, geom, normals).swapaxes(1, 2)
 
 

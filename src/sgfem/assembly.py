@@ -55,17 +55,7 @@ these data (:class:`FormPattern`).  :func:`assemble` then only adds the
 two data arrays for its ``iota``, checks and removes their asymmetry
 through the pattern's transpose permutation, and assembles the load.  The
 matrix structure is the same for every ``iota`` and every rounding of the
-entries.
-
-So is the elimination order, which the first solve on a dof map computes
-and keeps there (:meth:`DofMap.keep_ordering`).  From then on
-:func:`assemble` emits each system with rows and columns renumbered to
-that order, in one gather of the data through a renumbered copy of the
-pattern's order map, so the solver factors it as it comes.  A system's
-rows follow its ``retained``: row ``r`` is vector degree of freedom
-``retained[r]``, in either numbering, and :meth:`SparseSystem.expand`
-reads it from there.  :func:`stiffness_matrix` and the Gram matrices keep
-the pattern's own numbering.
+entries, and every system is numbered as the pattern is.
 """
 
 import math
@@ -186,25 +176,8 @@ class FormPattern:
 
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """The reduced CSR matrix with ``data`` on the pattern."""
-        return _gather(self.order, data)
-
-    def renumbered(self, inv: np.ndarray):
-        """``(order, retained)`` of the reduced matrix with its rows and
-        columns renumbered so that row ``r`` is row ``inv[r]`` of the
-        pattern's: :attr:`order` as ``order[inv][:, inv]`` with sorted
-        column indices, and ``retained[inv]``."""
-        rows = self.order[inv]
-        order = sp.csr_matrix(
-            (rows.data, np.argsort(inv)[rows.indices], rows.indptr), shape=rows.shape
-        )
-        order.sort_indices()
-        return _read_only(order), _read_only(self.retained[inv])
-
-
-def _gather(order: sp.csr_matrix, data: np.ndarray) -> sp.csr_matrix:
-    """The CSR matrix on the structure of the order map ``order`` whose
-    entries are read from ``data`` at the positions it holds."""
-    return sp.csr_matrix((data[order.data], order.indices, order.indptr), shape=order.shape)
+        order = self.order
+        return sp.csr_matrix((data[order.data], order.indices, order.indptr), shape=order.shape)
 
 
 def _read_only(a):
@@ -219,10 +192,9 @@ class DofMap:
 
     ``scatter[t]`` lists the global scalar ids of element ``t`` in the
     local order of the family basis; ``boundary`` flags the scalar ids
-    whose entity lies on the domain boundary; ``signs`` are the per-element
-    edge normal signs that orient moment degrees of freedom.  ``geom`` is
-    the batched geometry of every triangle of ``mesh`` and ``coeffs`` the
-    (T, nloc, nmono) shape coefficients on it; both are built once, by
+    whose entity lies on the domain boundary.  ``geom`` is the batched
+    geometry of every triangle of ``mesh`` and ``coeffs`` the (T, nloc,
+    nmono) shape coefficients on it; both are built once, by
     :func:`build_dofmap`, and every mesh-level computation reads them.
 
     ``classes[t]`` is the class of triangle ``t``: triangles equal up to
@@ -234,16 +206,13 @@ class DofMap:
     The reduced matrix pattern, the ``iota``-free forms on it, the
     quadrature points of :data:`FIELD_RULE` and the load's test values
     and scatter index are built on first use (:attr:`pattern`,
-    :meth:`forms`, :attr:`points`) and kept.  So is the elimination order
-    of the first solve on the dof map (:meth:`keep_ordering`), in which
-    every later :func:`assemble` numbers its rows (:meth:`numbering`).
+    :meth:`forms`, :attr:`points`) and kept.
     """
 
     kind: ElementKind
     n_scalar: int
     scatter: np.ndarray
     boundary: np.ndarray
-    signs: np.ndarray
     mesh: Mesh
     geom: ElementGeometry
     coeffs: np.ndarray
@@ -251,8 +220,9 @@ class DofMap:
     class_geom: ElementGeometry
     class_coeffs: np.ndarray
     _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # The kept elimination order "inv" and the "numbering" built from it.
-    _ordering: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # Read and written by sgfem.solver.solve alone: the elimination order
+    # of the first solve on the dof map.
+    _solver: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def nloc(self) -> int:
@@ -320,29 +290,6 @@ class DofMap:
         vids = np.repeat(2 * self.scatter, 2, axis=1) + np.tile([0, 1], self.nloc)
         return vids.ravel()
 
-    @property
-    def ordered(self) -> bool:
-        """Whether an elimination order is kept (:meth:`keep_ordering`)."""
-        return "inv" in self._ordering
-
-    def keep_ordering(self, system: "SparseSystem", perm_c: np.ndarray) -> None:
-        """Keep the column order of a factorization of ``system``, which
-        put column ``j`` at position ``perm_c[j]``, unless an order is kept
-        already or ``system`` is not numbered as :attr:`pattern` is."""
-        if not self.ordered and np.array_equal(system.retained, self.pattern.retained):
-            self._ordering["inv"] = np.argsort(perm_c)
-
-    def numbering(self):
-        """``(order, retained)`` of the systems :func:`assemble` builds:
-        the :attr:`pattern`'s order map and retained ids, or, once an
-        elimination order is kept, both renumbered to it, built on first
-        use and kept."""
-        if not self.ordered:
-            return self.pattern.order, self.pattern.retained
-        if "numbering" not in self._ordering:
-            self._ordering["numbering"] = self.pattern.renumbered(self._ordering["inv"])
-        return self._ordering["numbering"]
-
     def forms(self, lam: float, mu: float):
         """Data of ``A_m`` and ``A_g`` on :attr:`pattern` for one Lame pair,
         built on first use and kept: the reduced matrix for ``iota`` has
@@ -385,7 +332,6 @@ def build_dofmap(mesh: Mesh, kind) -> DofMap:
         n_scalar=n_scalar,
         scatter=scatter.astype(np.int64),
         boundary=boundary,
-        signs=mesh.tri_edge_signs,
         mesh=mesh,
         geom=geom,
         coeffs=class_coeffs[classes],
@@ -401,9 +347,7 @@ class SparseSystem:
 
     ``retained[r]`` is the global vector degree of freedom behind row ``r``;
     ``asymmetry`` is ``max|A - A^T| / max|A|`` of the reduced matrix before
-    it was symmetrized.  ``ordered`` says that the rows already follow the
-    elimination order kept on ``dofmap``, so the factorization needs no
-    ordering of its own.
+    it was symmetrized.
     """
 
     matrix: sp.csr_matrix
@@ -412,7 +356,6 @@ class SparseSystem:
     n_total: int
     dofmap: DofMap
     asymmetry: float = field(default=0.0, compare=False)
-    ordered: bool = False
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
         """Embed a reduced solution into the full vector of coefficients."""
@@ -527,13 +470,6 @@ def stiffness_matrix(dofmap: DofMap, mat: MaterialParams):
     constants large enough to overflow) or the asymmetry exceeds
     ``MAX_ASYMMETRY``.
     """
-    data, asymmetry = _symmetrized(dofmap, mat)
-    return dofmap.pattern.matrix(data), asymmetry
-
-
-def _symmetrized(dofmap: DofMap, mat: MaterialParams):
-    """The data of :func:`stiffness_matrix` on the pattern, and the
-    asymmetry."""
     A_m, A_g = dofmap.forms(mat.lam, mat.mu)
     with np.errstate(over="ignore", invalid="ignore"):
         data = A_m + mat.iota**2 * A_g
@@ -548,28 +484,28 @@ def _symmetrized(dofmap: DofMap, mat: MaterialParams):
         raise AssemblyError(
             f"assembled matrix asymmetry {asymmetry:.2e} exceeds {MAX_ASYMMETRY:.0e}"
         )
-    return 0.5 * (data + data_t), asymmetry
+    return dofmap.pattern.matrix(0.5 * (data + data_t)), asymmetry
 
 
 def assemble(dofmap: DofMap, mat: MaterialParams, f) -> SparseSystem:
-    """Assemble the reduced system for one family on one mesh.
+    """Assemble the reduced system for one family on one mesh: the
+    :func:`stiffness_matrix` and the load, numbered as the dof map's
+    :attr:`~DofMap.pattern`.
 
     ``f(xy)`` maps points of shape (q, 2) to load values of shape (q, 2);
-    it is called once, on the dof map's :attr:`~DofMap.points`.  The rows
-    follow the dof map's :meth:`~DofMap.numbering`, as ``retained`` says.
-    Raises :class:`AssemblyError` if the matrix is not finite or not
-    symmetric to ``MAX_ASYMMETRY``.
+    it is called once, on the dof map's :attr:`~DofMap.points`.  Raises
+    :class:`AssemblyError` if the matrix is not finite or not symmetric to
+    ``MAX_ASYMMETRY``.
     """
-    data, asymmetry = _symmetrized(dofmap, mat)
-    order, retained = dofmap.numbering()
+    matrix, asymmetry = stiffness_matrix(dofmap, mat)
+    retained = dofmap.pattern.retained
     loads = _loads(dofmap._load_tests, dofmap.points, f)
     rhs = np.bincount(dofmap._load_index, loads.ravel(), dofmap.n_vector)
     return SparseSystem(
-        matrix=_gather(order, data),
+        matrix=matrix,
         rhs=rhs[retained],
         retained=retained,
         n_total=dofmap.n_vector,
         dofmap=dofmap,
         asymmetry=asymmetry,
-        ordered=dofmap.ordered,
     )

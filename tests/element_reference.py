@@ -57,9 +57,8 @@ def interpolate_field(dofmap, value, grad):
     values = np.asarray(value(xy.reshape(-1, 2))).reshape(ntri, npts, 2)
     grads = np.asarray(grad(xy.reshape(-1, 2))).reshape(ntri, npts, 2, 2)
     # (T, component, local dof)
-    local = apply_dofs(
-        dofmap.kind, values.swapaxes(1, 2), grads.swapaxes(1, 2), dofmap.geom, dofmap.signs
-    )
+    signs = dofmap.mesh.tri_edge_signs
+    local = apply_dofs(dofmap.kind, values.swapaxes(1, 2), grads.swapaxes(1, 2), dofmap.geom, signs)
     ids = 2 * dofmap.scatter[:, None, :] + np.arange(2)[:, None]
     full = np.full(dofmap.n_vector, np.nan)
     full[ids] = local

@@ -360,7 +360,7 @@ def reference_evaluate_at(mesh, kind, full_dofs, pts):
                 if bary[0, corner] >= 1.0 - 1e-12:
                     out[row] = locals_[t][vertex_stride * corner]
                 else:
-                    basis = build_basis(kind, geom, dofmap.signs[t])
+                    basis = build_basis(kind, geom, dofmap.mesh.tri_edge_signs[t])
                     out[row] = locals_[t].T @ eval_all(basis, bary)[0][:, 0]
                 break
         else:

@@ -61,13 +61,16 @@ class TestDirect:
         assert report.wall_seconds >= 0.0
         assert report.solution.shape == ntw_system.rhs.shape
 
-    def test_factors_in_symmetric_mode(self, ntw_system, monkeypatch):
+    def test_factors_in_symmetric_mode(self, monkeypatch):
         """The SPD matrix is factored with diagonal pivots and a minimum
         degree ordering of A^T + A applied symmetrically, on unrelaxed
         supernodes.  The matrix handed over is A^T: the CSC form of the
-        bitwise symmetric A on A's own arrays, not a copy."""
+        bitwise symmetric A on A's own arrays, not a copy.  The dof map is
+        a fresh one, so it holds no order from an earlier solve."""
+        dofmap = build_dofmap(make_structured(2), "ntw")
+        system = assemble(dofmap, MaterialParams(iota=0.5), constant_load)
         seen = recording_splu(monkeypatch)
-        report = solve(ntw_system)
+        report = solve(system)
         assert report.rel_residual <= 1e-8
         [(A, options, _)] = seen
         assert options == {
@@ -78,7 +81,7 @@ class TestDirect:
         }
         assert A.format == "csc"
         for name in ("data", "indices", "indptr"):
-            assert np.shares_memory(getattr(A, name), getattr(ntw_system.matrix, name))
+            assert np.shares_memory(getattr(A, name), getattr(system.matrix, name))
 
     @pytest.mark.parametrize("kind", ["ntw", "specht", "morley"])
     def test_ordering_fills_less_than_colamd(self, kind, monkeypatch):
@@ -101,8 +104,8 @@ def fill(lu) -> int:
 
 
 class TestOrderingReuse:
-    """The first solve on a dof map computes the ordering; every later
-    system on the dof map arrives in that order and is factored as it is."""
+    """The first solve on a dof map computes the ordering and keeps it;
+    every later solve on the dof map factors its system renumbered to it."""
 
     @pytest.mark.parametrize("kind", FAMILIES)
     def test_iota_sweep_matches_one_iota_studies(self, kind):
@@ -145,26 +148,40 @@ class TestOrderingReuse:
         assert (first.ordering, later.ordering) == ("MMD_AT_PLUS_A", "NATURAL")
 
     @pytest.mark.parametrize("kind", FAMILIES)
-    def test_ordered_system_is_the_natural_one_renumbered(self, kind):
-        """Bit for bit, and its expanded solution is the natural system's
-        to rounding."""
+    def test_ordered_system_is_the_natural_one_renumbered(self, kind, monkeypatch):
+        """The second solve factors the natural matrix renumbered to the
+        first solve's order, bit for bit, and its solution is the first
+        one to rounding."""
         dofmap = build_dofmap(refine(make_structured(2)), kind)
         mat = MaterialParams(iota=1e-2)
+        seen = recording_splu(monkeypatch)
         natural = assemble(dofmap, mat, constant_load)
-        expected = natural.expand(solve(natural).solution)
-        ordered = assemble(dofmap, mat, constant_load)
-        assert ordered.ordered and not natural.ordered
-        # Row r of the ordered system is row inv[r] of the natural one.
-        inv = np.searchsorted(natural.retained, ordered.retained)
+        first = solve(natural)
+        second = solve(assemble(dofmap, mat, constant_load))
+        assert (first.ordering, second.ordering) == ("MMD_AT_PLUS_A", "NATURAL")
+        [(_, _, lu), (factored, options, _)] = seen
+        assert options["permc_spec"] == "NATURAL"
+        inv = np.argsort(lu.perm_c)
         assert not np.array_equal(inv, np.arange(len(inv)))
-        assert np.array_equal(natural.retained[inv], ordered.retained)
-        assert np.array_equal(ordered.rhs, natural.rhs[inv])
         renumbered = natural.matrix[inv][:, inv].tocsr()
         renumbered.sort_indices()
+        # The CSC form of the symmetric renumbered matrix on its CSR arrays.
+        assert factored.format == "csc"
         for name in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(ordered.matrix, name), getattr(renumbered, name))
-        got = ordered.expand(solve(ordered).solution)
-        assert_allclose(got, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+            assert np.array_equal(getattr(factored, name), getattr(renumbered, name))
+        scale = np.abs(first.solution).max()
+        assert_allclose(second.solution, first.solution, rtol=0, atol=1e-10 * scale)
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_assemble_keeps_the_pattern_numbering_after_a_solve(self, kind):
+        dofmap = build_dofmap(refine(make_structured(2)), kind)
+        mat = MaterialParams(iota=1e-2)
+        solve(assemble(dofmap, mat, constant_load))
+        system = assemble(dofmap, mat, constant_load)
+        assert system.retained is dofmap.pattern.retained
+        expected = stiffness_matrix(dofmap, mat)[0]
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(system.matrix, name), getattr(expected, name))
 
     @pytest.mark.parametrize("kind", FAMILIES)
     def test_stiffness_and_coercivity_keep_the_natural_numbering(self, kind):
@@ -172,7 +189,6 @@ class TestOrderingReuse:
         solved, fresh = build_dofmap(mesh, kind), build_dofmap(mesh, kind)
         mat = MaterialParams(iota=1e-2)
         solve(assemble(solved, mat, constant_load))
-        assert assemble(solved, mat, constant_load).ordered
         got, expected = stiffness_matrix(solved, mat), stiffness_matrix(fresh, mat)
         assert got[1] == expected[1]
         for name in ("data", "indices", "indptr"):
@@ -182,6 +198,23 @@ class TestOrderingReuse:
             coercivity_check(solved, materials, 4, seed=5),
             coercivity_check(fresh, materials, 4, seed=5),
         )
+
+    def test_a_system_numbered_otherwise_leaves_no_order(self):
+        """A permuted system on a fresh dof map computes its own order and
+        leaves none: the first assembled system still computes one."""
+        dofmap = build_dofmap(make_structured(2), "ntw")
+        system = assemble(dofmap, MaterialParams(iota=0.5), constant_load)
+        perm = np.random.default_rng(7).permutation(system.matrix.shape[0])
+        permuted = SparseSystem(
+            matrix=system.matrix[perm][:, perm].tocsr(),
+            rhs=system.rhs[perm],
+            retained=system.retained[perm],
+            n_total=system.n_total,
+            dofmap=dofmap,
+        )
+        assert solve(permuted).ordering == "MMD_AT_PLUS_A"
+        assert solve(system).ordering == "MMD_AT_PLUS_A"
+        assert solve(system).ordering == "NATURAL"
 
 
 class TestFailures:
@@ -255,6 +288,9 @@ class TestEdgeCases:
         )
         base = solve(ntw_system)
         other = solve(permuted)
+        # The dof map is solved, but the permuted system is not numbered as
+        # its pattern, so it computes an order of its own.
+        assert other.ordering == "MMD_AT_PLUS_A"
         scale = np.abs(base.solution).max()
         assert_allclose(other.solution, base.solution[perm], atol=1e-9 * scale)
 
