@@ -180,6 +180,21 @@ class FormPattern:
         return sp.csr_matrix((data[order.data], order.indices, order.indptr), shape=order.shape)
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of nonnegative integer ``keys``,
+    by a least-significant-digit radix sort: one stable sort of uint16
+    digits, which numpy radix-sorts, per 16 bits of the largest key and at
+    least one."""
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    top = int(keys.max()) if len(keys) else 0
+    shift = 16
+    while top >> shift:
+        digit = (keys >> shift).astype(np.uint16)[order]
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
 def _read_only(a):
     for array in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
         array.flags.writeable = False
@@ -236,7 +251,10 @@ class DofMap:
     def pattern(self) -> FormPattern:
         """The reduced matrix structure, built from scalar element pairs:
         each coupling of two scalar degrees of freedom is one 2 x 2 block
-        of vector entries (see :class:`FormPattern`)."""
+        of vector entries (see :class:`FormPattern`).  A stable radix sort
+        of the coupling keys (:func:`_stable_order`, linear time) keeps each
+        coupling's triangles in mesh order; a stable sort of the columns
+        gives the transpose permutation."""
         keep = ~self.boundary
         n_red = int(keep.sum())
         reduced = np.full(self.n_scalar, -1, dtype=np.int64)
@@ -245,26 +263,31 @@ class DofMap:
         n = loc.shape[1]
         pairs = (loc[:, :, None] >= 0) & (loc[:, None, :] >= 0)
         keys = (loc[:, :, None] * n_red + loc[:, None, :])[pairs]
-        # A stable sort keeps each coupling's triangles in mesh order.
-        order = np.argsort(keys, kind="stable")
+        order = _stable_order(keys)
         keys = keys[order]
         starts = np.flatnonzero(np.diff(keys, prepend=-1))
         rows, cols = np.divmod(keys[starts], n_red)
-        entries = (n * n * self.classes[:, None, None] + np.arange(n * n).reshape(n, n))[pairs]
+        # scipy keeps int32 index arrays as given; int64 ones it scans and copies.
+        width = len(self.class_coeffs) * n * n
+        index = np.int32 if max(len(keys), width) <= np.iinfo(np.int32).max else np.int64
+        local = np.arange(n * n, dtype=index).reshape(n, n)
+        entries = (n * n * self.classes.astype(index)[:, None, None] + local)[pairs]
         operator = sp.csr_matrix(
-            (np.ones(len(keys)), entries[order], np.append(starts, len(keys))),
-            shape=(len(starts), len(self.class_coeffs) * n * n),
+            (np.ones(len(keys)), entries[order], np.append(starts, len(keys)).astype(index)),
+            shape=(len(starts), width),
         )
         indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=n_red)))
-        # The pattern is symmetric: the CSR of the transpose of the coupling
-        # numbers, one counting sort, maps each coupling (i, j) to (j, i),
-        # and entry (a, b) of its block to (b, a).
-        numbers = sp.csr_matrix((np.arange(len(cols)), cols, indptr), shape=(n_red, n_red))
-        mirror = numbers.T.tocsr().data
+        # The pattern is symmetric: a stable sort of the columns lists the
+        # couplings (i, j) in the CSR order of the transposed couplings
+        # (j, i), and entry (a, b) of a block maps to (b, a).
+        quad = 4 * _stable_order(cols)
+        transpose = np.empty((len(quad), 4), dtype=quad.dtype)
+        for b, a in enumerate((0, 2, 1, 3)):
+            np.add(quad, a, out=transpose[:, b])
         return FormPattern(
             indptr=_read_only(indptr),
             indices=_read_only(cols),
-            transpose=_read_only((4 * mirror[:, None] + [0, 2, 1, 3]).ravel()),
+            transpose=_read_only(transpose.ravel()),
             operator=_read_only(operator),
             retained=_read_only(np.flatnonzero(np.repeat(keep, 2))),
         )
@@ -484,7 +507,10 @@ def stiffness_matrix(dofmap: DofMap, mat: MaterialParams):
         raise AssemblyError(
             f"assembled matrix asymmetry {asymmetry:.2e} exceeds {MAX_ASYMMETRY:.0e}"
         )
-    return dofmap.pattern.matrix(0.5 * (data + data_t)), asymmetry
+    # In place, with the bits of 0.5 * (data + data_t).
+    data += data_t
+    data *= 0.5
+    return dofmap.pattern.matrix(data), asymmetry
 
 
 def assemble(dofmap: DofMap, mat: MaterialParams, f) -> SparseSystem:

@@ -316,14 +316,21 @@ def source(field: ManufacturedField):
     def f(xy):
         (x1, x2), (y1, y2) = _axis_orders(field, xy, 4)
 
-        g1 = mu * (x1[2] * y1[0] + x1[0] * y1[2]) + lm * (x1[2] * y1[0] + x2[1] * y2[1])
-        g2 = mu * (x2[2] * y2[0] + x2[0] * y2[2]) + lm * (x1[1] * y1[1] + x2[0] * y2[2])
-        lap_g1 = mu * (x1[4] * y1[0] + 2.0 * x1[2] * y1[2] + x1[0] * y1[4]) + lm * (
-            x1[4] * y1[0] + x1[2] * y1[2] + x2[3] * y2[1] + x2[1] * y2[3]
+        # Each product that the formula repeats is formed once, and the
+        # sums keep its order of operations, so every bit is as written out.
+        p1, p2 = x1[2] * y1[0], x2[0] * y2[2]
+        q1, q2 = x1[4] * y1[0], x2[0] * y2[4]
+        g1 = mu * (p1 + x1[0] * y1[2]) + lm * (p1 + x2[1] * y2[1])
+        g2 = mu * (x2[2] * y2[0] + p2) + lm * (x1[1] * y1[1] + p2)
+        lap_g1 = mu * (q1 + 2.0 * x1[2] * y1[2] + x1[0] * y1[4]) + lm * (
+            q1 + x1[2] * y1[2] + x2[3] * y2[1] + x2[1] * y2[3]
         )
-        lap_g2 = mu * (x2[4] * y2[0] + 2.0 * x2[2] * y2[2] + x2[0] * y2[4]) + lm * (
-            x1[3] * y1[1] + x1[1] * y1[3] + x2[2] * y2[2] + x2[0] * y2[4]
+        lap_g2 = mu * (x2[4] * y2[0] + 2.0 * x2[2] * y2[2] + q2) + lm * (
+            x1[3] * y1[1] + x1[1] * y1[3] + x2[2] * y2[2] + q2
         )
-        return np.stack([i2 * lap_g1 - g1, i2 * lap_g2 - g2], axis=-1)
+        out = np.empty((len(g1), 2))
+        np.subtract(i2 * lap_g1, g1, out=out[:, 0])
+        np.subtract(i2 * lap_g2, g2, out=out[:, 1])
+        return out
 
     return f

@@ -7,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from sgfem.assembly import MaterialParams
+from sgfem.assembly import MaterialParams, build_dofmap
 from sgfem.manufactured import (
     ManufacturedField,
+    _axis_orders,
     example_field,
     example_layer,
     example_smooth,
     source,
 )
+from sgfem.mesh import make_structured, refine
 from sgfem.verify import boundary_points, fd_source
 
 
@@ -390,6 +392,23 @@ class TestDerivativeTensors:
         assert_allclose(H, np.swapaxes(H, 2, 3), rtol=1e-14)
 
 
+def reference_source(field, xy):
+    """f = iota^2 Delta g - g with every product written out where it
+    occurs and the two components stacked."""
+    lam, mu, i2 = field.mat.lam, field.mat.mu, field.mat.iota**2
+    lm = lam + mu
+    (x1, x2), (y1, y2) = _axis_orders(field, xy, 4)
+    g1 = mu * (x1[2] * y1[0] + x1[0] * y1[2]) + lm * (x1[2] * y1[0] + x2[1] * y2[1])
+    g2 = mu * (x2[2] * y2[0] + x2[0] * y2[2]) + lm * (x1[1] * y1[1] + x2[0] * y2[2])
+    lap_g1 = mu * (x1[4] * y1[0] + 2.0 * x1[2] * y1[2] + x1[0] * y1[4]) + lm * (
+        x1[4] * y1[0] + x1[2] * y1[2] + x2[3] * y2[1] + x2[1] * y2[3]
+    )
+    lap_g2 = mu * (x2[4] * y2[0] + 2.0 * x2[2] * y2[2] + x2[0] * y2[4]) + lm * (
+        x1[3] * y1[1] + x1[1] * y1[3] + x2[2] * y2[2] + x2[0] * y2[4]
+    )
+    return np.stack([i2 * lap_g1 - g1, i2 * lap_g2 - g2], axis=-1)
+
+
 class TestSource:
     def test_zero_field_gives_zero_source(self):
         def flat(t, k):
@@ -429,6 +448,22 @@ class TestSource:
             value = getattr(counting, method)(pts)
             assert sorted(calls) == [("x", order), ("y", order)]
             assert np.array_equal(value, getattr(field, method)(pts))
+
+    @pytest.mark.parametrize("iota", [1.0, 1e-2, 1e-6])
+    @pytest.mark.parametrize("example", ["smooth", "layer"])
+    def test_bits_equal_written_out_formula(self, example, iota):
+        """On plain points, and on a dof map's quadrature points as the
+        load reads them, the source has the bits of the formula with each
+        product written out where it occurs."""
+        field = example_field(example, MaterialParams(iota=iota))
+        rng = np.random.default_rng(31)
+        # Points near the walls reach the layer's steep and tiny values.
+        near_walls = np.concatenate([rng.uniform(size=(200, 2)), rng.uniform(0, 1e-5, (50, 2))])
+        points = build_dofmap(refine(make_structured(2)), "ntw").points
+        for xy in (near_walls, points):
+            f = source(field)(xy)
+            assert f.shape == (len(xy), 2) and f.flags.c_contiguous
+            assert np.array_equal(f, reference_source(field, np.array(xy)))
 
     @pytest.mark.parametrize("iota", [1.0, 1e-2])
     @pytest.mark.parametrize("example", ["smooth", "layer"])
