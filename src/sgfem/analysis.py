@@ -34,7 +34,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .assembly import FIELD_TABLES, DofMap, MaterialParams, assemble, build_dofmap
+from .assembly import DofMap, MaterialParams, assemble, build_dofmap
 from .assembly import stiffness_matrix
 from .elements import MORLEY_PI1, ElementKind, MonoTables, edge_normal_moments, evaluate
 from .elements import build_basis  # noqa: F401  (bound for the benchmark tracer, which wraps it)
@@ -102,19 +102,19 @@ def energy_error(dofmap: DofMap, full_dofs: np.ndarray, field: ManufacturedField
     is the full coefficient vector (boundary entries included, normally
     zero).  The exact derivatives come from one
     ``field.derivative_rows`` read over the dof map's quadrature
-    :attr:`~sgfem.assembly.DofMap.points`, the load's; the discrete
-    gradient and Hessian are subtracted from them in place, one row at a
-    time, through strided (T, q) views.  Returns ``(absolute, relative)``;
-    raises ``ValueError`` if the exact field's norm is 0 or not finite.
+    :attr:`~sgfem.assembly.DofMap.points`, the load's, in block order.  The
+    discrete ones come from the class
+    :attr:`~sgfem.assembly.DofMap.derivative_tables`, one matrix product
+    per class block (:attr:`~sgfem.assembly.DofMap.blocks`), and are
+    subtracted from the exact rows in place.  Returns
+    ``(absolute, relative)``; raises ``ValueError`` if the exact field's
+    norm is 0 or not finite.
     """
     full_dofs = np.asarray(full_dofs, dtype=float)
     if full_dofs.shape != (dofmap.n_vector,):
         raise ValueError(
             f"dof vector has shape {full_dofs.shape}, expected ({dofmap.n_vector},)"
         )
-    # Each displacement component on each element as one polynomial.
-    poly = local_coefficients(dofmap, full_dofs).swapaxes(1, 2) @ dofmap.coeffs
-    G, H = evaluate(poly, dofmap.geom.grad_lambda, FIELD_TABLES)
     points = dofmap.points
     w = points.weights.ravel()
     rows = field.derivative_rows(points)
@@ -123,10 +123,13 @@ def energy_error(dofmap: DofMap, full_dofs: np.ndarray, field: ManufacturedField
     norm = np.sqrt(nrm_g) + iota * np.sqrt(nrm_h)
     if not (np.isfinite(norm) and norm > 0.0):
         raise ValueError(f"the exact field has energy norm {norm}, so no relative error")
-    for c, exact in enumerate(rows.reshape(2, 5, *points.weights.shape)):
-        discrete = G[:, c, :, 0], G[:, c, :, 1], H[:, c, :, 0, 0], H[:, c, :, 0, 1], H[:, c, :, 1, 1]
-        for row, view in zip(exact, discrete):
-            row -= view
+    local = local_coefficients(dofmap, full_dofs)[dofmap.order]
+    by_point = rows.reshape(2, 5, *points.weights.shape)
+    tables = dofmap.derivative_tables
+    for tris, cls, k, m in dofmap.blocks:
+        # Row 2 i + c of class j: component c on the class's triangle i.
+        discrete = local[tris].swapaxes(1, 2).reshape(k, 2 * m, -1) @ tables[cls]
+        by_point[:, :, tris] -= discrete.reshape(k * m, 2, 5, -1).transpose(1, 2, 0, 3)
     err_g, err_h = _squares(rows, w)
     absolute = np.sqrt(err_g) + iota * np.sqrt(err_h)
     return float(absolute), float(absolute / norm)
@@ -307,8 +310,11 @@ def coercivity_check(dofmap: DofMap, materials, n_trials: int, seed: int = 0) ->
     with the distinct-entry Hessian norm; the morley family uses the
     constant ``mu/2`` and the vertex-interpolant gradient.  Values at or
     above 1 confirm the inequality.  Every material sees the same
-    ``n_trials`` fields, and the Gram matrices are built once.
+    ``n_trials`` fields, and the Gram matrices are built once.  Raises
+    ``ValueError`` if ``n_trials < 1``.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     n = len(dofmap.pattern.retained)
     if n == 0:
         return np.full(len(materials), np.inf)
@@ -350,7 +356,7 @@ def edge_mean_jumps(dofmap: DofMap, local_coeffs: np.ndarray):
     """
     mesh = dofmap.mesh
     normals = mesh.edge_normals[mesh.tri_edges]
-    means = edge_means(dofmap.coeffs, dofmap.geom, local_coeffs, normals)
+    means = edge_means(dofmap.class_coeffs[dofmap.classes], dofmap.geom, local_coeffs, normals)
     # Side 0 of an edge is edge_tris[e, 0], side 1 the other triangle.
     own = np.arange(mesh.num_triangles)[:, None]
     side = (mesh.edge_tris[mesh.tri_edges, 1] == own).astype(np.int64)
@@ -366,8 +372,11 @@ def jump_check(dofmap: DofMap, n_trials: int, seed: int = 0, corrupt: bool = Fal
 
     With ``corrupt=True`` one element's coefficients are perturbed
     directly, bypassing the shared degrees of freedom; the result must
-    then be far from zero (negative control for the detector).
+    then be far from zero (negative control for the detector).  Raises
+    ``ValueError`` if ``n_trials < 1``.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_trials):

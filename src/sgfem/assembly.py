@@ -17,10 +17,10 @@ on the elementwise linear interpolant of the arguments and the load pairs
 ``f`` with that interpolant.
 
 A :class:`DofMap` is one family on one mesh: besides the degree-of-freedom
-layout it carries the mesh's geometry and the family's shape coefficients,
-computed once by :func:`build_dofmap` and shared by assembly, the energy
-error, the Gram matrices, the edge jumps and the probes.  Element matrices
-and loads are batches of triangles, with a leading triangle axis.
+layout it carries the mesh's geometry and the family's shapes, computed
+once by :func:`build_dofmap` and shared by assembly, the energy error, the
+Gram matrices, the edge jumps and the probes.  Element matrices and loads
+are batches of triangles, with a leading triangle axis.
 
 Shapes and element forms depend on a triangle only through its edge
 vectors and its edge normal signs, so :func:`build_dofmap` groups the
@@ -30,17 +30,22 @@ forms and the Gram blocks are computed once per class, on its first
 triangle, and summed into matrix data without an expansion to the
 triangles.  A red-refined uniform mesh has a few dozen classes at every
 level; a perturbed mesh has one class per triangle and pays only for the
-grouping.  The per-element shape coefficients stay on the dof map for the
-loads, the energy error, the jumps and the probes.
+grouping.  No shape array is kept per triangle.
 
-The load and the energy error integrate with one rule, :data:`FIELD_RULE`.
-A dof map keeps its points on every triangle as one
+The load and the energy error integrate with one rule, :data:`FIELD_RULE`,
+and work on class blocks (:attr:`DofMap.blocks`): the triangles sorted by
+class multiplicity, class and index, so that the ``k`` classes of one
+multiplicity ``m`` are ``k`` runs of ``m`` triangles.  A dof map keeps its
+points on every triangle, in that order, as one
 :class:`~sgfem.quadrature.PointSet` (:attr:`DofMap.points`), with their
 weights and their distinct axis coordinates, so a separable manufactured
 field is evaluated once per distinct coordinate, not once per point, by
-every load and error on the mesh.  The load's test values are computed
-once per class, gathered to the triangles and kept, times the weights,
-with the load's scatter index.
+every load and error on the mesh.  Per class it keeps the load's test
+values times the weights and the energy error's derivative tables, and
+each kernel does one matrix product per block, so the number of products
+is the number of distinct multiplicities, not of classes.  The element
+loads go back to mesh order before they are summed, so the load has the
+bits of a per-triangle assembly.
 
 The form is affine in ``iota**2``: ``A = A_m + iota**2 A_g``.  A dof map
 builds, on first use, the fixed pattern of the reduced matrix and, per
@@ -61,6 +66,7 @@ entries, and every system is numbered as the pattern is.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,9 +84,11 @@ __all__ = [
     "AssemblyError",
     "MaterialParams",
     "DofMap",
+    "ClassBlock",
     "FormPattern",
     "SparseSystem",
     "build_dofmap",
+    "class_blocks",
     "element_forms",
     "element_matrices",
     "element_loads",
@@ -103,6 +111,11 @@ _STIFFNESS_TABLES = MonoTables(_STIFFNESS_RULE.points)
 # manufactured field, and the monomials at its points.
 FIELD_RULE = triangle_rule(10)
 FIELD_TABLES = MonoTables(FIELD_RULE.points)
+# Classes per `evaluate` when a dof map builds its derivative tables.  Its
+# temporaries take about 27 kB per class (ntw); a perturbed mesh has one
+# class per triangle, and evaluating all 5721 classes of a jittered
+# 8192-triangle mesh at once raised a study's peak RSS by up to 21 %.
+_TABLE_CLASSES = 256
 
 
 class AssemblyError(ValueError):
@@ -181,24 +194,60 @@ class FormPattern:
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` of nonnegative integer ``keys``,
-    by a least-significant-digit radix sort: one stable sort of uint16
-    digits, which numpy radix-sorts, per 16 bits of the largest key and at
-    least one."""
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
-    top = int(keys.max()) if len(keys) else 0
-    shift = 16
-    while top >> shift:
-        digit = (keys >> shift).astype(np.uint16)[order]
-        order = order[np.argsort(digit, kind="stable")]
-        shift += 16
-    return order
+    """``np.argsort(keys, kind="stable")`` of nonnegative int64 ``keys``.
+
+    Each key is packed with its position, ``(key << b) | i`` with ``b`` the
+    bit length of ``len(keys)``; the packed values are distinct, so one
+    unstable sort of them gives the stable order in their low bits.  Keys
+    too large to pack into 63 bits take the stable argsort.
+    """
+    n = len(keys)
+    b = n.bit_length()
+    if n and int(keys.max()).bit_length() + b > 63:
+        return np.argsort(keys, kind="stable")
+    return np.sort((keys << b) | np.arange(n)) & ((1 << b) - 1)
 
 
 def _read_only(a):
     for array in (a.data, a.indices, a.indptr) if sp.issparse(a) else (a,):
         array.flags.writeable = False
     return a
+
+
+class ClassBlock(NamedTuple):
+    """The ``k`` classes of one multiplicity ``m`` (:func:`class_blocks`):
+    ``triangles`` slices the block order of the triangles, ``k`` runs of
+    ``m`` triangles, one run per class, and ``classes`` the block order of
+    the classes, the rows of a dof map's per-class tables."""
+
+    triangles: slice
+    classes: slice
+    k: int
+    m: int
+
+
+def class_blocks(classes: np.ndarray):
+    """The block layout of the triangles of class ``classes[t]``.
+
+    Returns ``(order, rank, class_order, blocks)``: ``order`` lists the
+    triangles sorted by (class multiplicity, class, index) and ``rank`` is
+    its inverse, ``class_order`` lists the classes sorted by (multiplicity,
+    class), and ``blocks`` holds one :class:`ClassBlock` per distinct
+    multiplicity, in increasing order.  Each class is one contiguous run of
+    ``order``, and the blocks cover every triangle once.
+    """
+    counts = np.bincount(classes)
+    order = np.lexsort((classes, counts[classes]))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    blocks = []
+    start = first = 0
+    for m, k in zip(*np.unique(counts, return_counts=True)):
+        m, k = int(m), int(k)
+        blocks.append(ClassBlock(slice(start, start + k * m), slice(first, first + k), k, m))
+        start += k * m
+        first += k
+    return order, rank, np.argsort(counts, kind="stable"), tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -208,20 +257,23 @@ class DofMap:
     ``scatter[t]`` lists the global scalar ids of element ``t`` in the
     local order of the family basis; ``boundary`` flags the scalar ids
     whose entity lies on the domain boundary.  ``geom`` is the batched
-    geometry of every triangle of ``mesh`` and ``coeffs`` the (T, nloc,
-    nmono) shape coefficients on it; both are built once, by
-    :func:`build_dofmap`, and every mesh-level computation reads them.
+    geometry of every triangle of ``mesh``, built once, by
+    :func:`build_dofmap`, and read by every mesh-level computation.
 
     ``classes[t]`` is the class of triangle ``t``: triangles equal up to
     translation with equal signs share one.  ``class_geom`` and
     ``class_coeffs`` are the geometry and shapes of one triangle per
-    class; ``coeffs`` is ``class_coeffs[classes]``.  The element forms and
-    the Gram blocks are computed on the classes and summed by the pattern.
+    class, and ``class_coeffs[classes]`` the shapes of every triangle.  The
+    element forms and the Gram blocks are computed on the classes and
+    summed by the pattern.  ``order``, ``rank``, ``class_order`` and
+    ``blocks`` are the :func:`class_blocks` layout of the classes, on which
+    the load and the energy error run.
 
     The reduced matrix pattern, the ``iota``-free forms on it, the
-    quadrature points of :data:`FIELD_RULE` and the load's test values
-    and scatter index are built on first use (:attr:`pattern`,
-    :meth:`forms`, :attr:`points`) and kept.
+    quadrature points of :data:`FIELD_RULE`, the load's test values and
+    scatter index and the energy error's derivative tables are built on
+    first use (:attr:`pattern`, :meth:`forms`, :attr:`points`,
+    :attr:`derivative_tables`) and kept.
     """
 
     kind: ElementKind
@@ -230,10 +282,13 @@ class DofMap:
     boundary: np.ndarray
     mesh: Mesh
     geom: ElementGeometry
-    coeffs: np.ndarray
     classes: np.ndarray
     class_geom: ElementGeometry
     class_coeffs: np.ndarray
+    order: np.ndarray
+    rank: np.ndarray
+    class_order: np.ndarray
+    blocks: tuple
     _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # Read and written by sgfem.solver.solve alone: the elimination order
     # of the first solve on the dof map.
@@ -294,17 +349,34 @@ class DofMap:
 
     @cached_property
     def points(self) -> PointSet:
-        """The :func:`quadrature_points` of every triangle, shared by the
-        loads and the energy errors on this dof map."""
-        return quadrature_points(self.geom)
+        """The :func:`quadrature_points` of every triangle in block order
+        (:attr:`order`), shared by the loads and the energy errors on this
+        dof map."""
+        return quadrature_points(self.geom, self.order)
 
     @cached_property
     def _load_tests(self) -> np.ndarray:
-        """(T, n, q) test values of the load at :attr:`points` times their
-        weights, computed once per class and gathered to the triangles."""
-        morley = self.kind is ElementKind.MORLEY
-        vals = _load_values(self.class_coeffs, morley)
-        return (vals if morley else vals[self.classes]) * self.points.weights[:, None]
+        """(C, n, q) test values of the load at the points of
+        :data:`FIELD_RULE` times their weights, per class in block order
+        (:attr:`class_order`)."""
+        vals = _load_values(self.class_coeffs, self.kind is ElementKind.MORLEY)
+        weights = self.class_geom.area[:, None] * FIELD_RULE.weights
+        return (vals * weights[:, None])[self.class_order]
+
+    @cached_property
+    def derivative_tables(self) -> np.ndarray:
+        """(C, n, 5 q) rows d_x, d_y, d_xx, d_xy and d_yy of every shape at
+        the points of :data:`FIELD_RULE`, per class in block order
+        (:attr:`class_order`): entry ``[c, a, r q + p]`` is row ``r`` of
+        shape ``a`` at point ``p``."""
+        order = self.class_order
+        tables = np.empty((len(order), self.nloc, 5, len(FIELD_RULE.weights)))
+        for start in range(0, len(order), _TABLE_CLASSES):
+            part = order[start : start + _TABLE_CLASSES]
+            G, H = evaluate(self.class_coeffs[part], self.class_geom.grad_lambda[part], FIELD_TABLES)
+            rows = G[..., 0], G[..., 1], H[..., 0, 0], H[..., 0, 1], H[..., 1, 1]
+            np.stack(rows, axis=2, out=tables[start : start + len(part)])
+        return tables.reshape(len(order), self.nloc, -1)
 
     @cached_property
     def _load_index(self) -> np.ndarray:
@@ -350,6 +422,7 @@ def build_dofmap(mesh: Mesh, kind) -> DofMap:
     first, classes = translation_classes(mesh)
     class_geom = triangle_geometry(geom.vertices[first])
     class_coeffs = basis_coefficients(kind, class_geom, mesh.tri_edge_signs[first])
+    order, rank, class_order, blocks = class_blocks(classes)
     return DofMap(
         kind=kind,
         n_scalar=n_scalar,
@@ -357,10 +430,13 @@ def build_dofmap(mesh: Mesh, kind) -> DofMap:
         boundary=boundary,
         mesh=mesh,
         geom=geom,
-        coeffs=class_coeffs[classes],
         classes=classes,
         class_geom=class_geom,
         class_coeffs=class_coeffs,
+        order=order,
+        rank=rank,
+        class_order=class_order,
+        blocks=blocks,
     )
 
 
@@ -435,11 +511,12 @@ def element_matrices(coeffs, geom: ElementGeometry, mat: MaterialParams, morley:
     return K_m + mat.iota**2 * K_g
 
 
-def quadrature_points(geom: ElementGeometry) -> PointSet:
-    """The (T * q, 2) points of :data:`FIELD_RULE` on the batch ``geom``,
-    triangle by triangle, with (T, q) weights ``area * w_q``."""
-    xy = FIELD_RULE.points @ geom.vertices
-    return PointSet(xy.reshape(-1, 2), geom.area[:, None] * FIELD_RULE.weights)
+def quadrature_points(geom: ElementGeometry, order=slice(None)) -> PointSet:
+    """The (T * q, 2) points of :data:`FIELD_RULE` on the triangles
+    ``order`` of the batch ``geom``, triangle by triangle, with (T, q)
+    weights ``area * w_q``."""
+    xy = FIELD_RULE.points @ geom.vertices[order]
+    return PointSet(xy.reshape(-1, 2), geom.area[order, None] * FIELD_RULE.weights)
 
 
 def _load_values(coeffs, morley: bool):
@@ -450,21 +527,15 @@ def _load_values(coeffs, morley: bool):
     return coeffs @ FIELD_TABLES.M
 
 
-def _loads(tests, points: PointSet, f):
-    """(T, 2n) load vectors of the (T, n, q) test values times weights
-    ``tests`` against ``f``, which is called once, on the whole point set."""
-    ntri = len(points.weights)
-    F = np.asarray(f(points)).reshape(ntri, -1, 2)
-    return (tests @ F).reshape(ntri, -1)
-
-
 def element_loads(coeffs, geom: ElementGeometry, f, morley: bool):
     """(T, 2n) element load vectors ``(f, v)``, or ``(f, pi1 v)`` with ``morley``.
 
     ``f`` is called once, on the :func:`quadrature_points` of the batch.
     """
     points = quadrature_points(geom)
-    return _loads(_load_values(coeffs, morley) * points.weights[:, None], points, f)
+    ntri = len(points.weights)
+    tests = _load_values(coeffs, morley) * points.weights[:, None]
+    return (tests @ np.asarray(f(points)).reshape(ntri, -1, 2)).reshape(ntri, -1)
 
 
 def element_stiffness(basis: LocalBasis, mat: MaterialParams) -> np.ndarray:
@@ -525,8 +596,15 @@ def assemble(dofmap: DofMap, mat: MaterialParams, f) -> SparseSystem:
     """
     matrix, asymmetry = stiffness_matrix(dofmap, mat)
     retained = dofmap.pattern.retained
-    loads = _loads(dofmap._load_tests, dofmap.points, f)
-    rhs = np.bincount(dofmap._load_index, loads.ravel(), dofmap.n_vector)
+    points, tests = dofmap.points, dofmap._load_tests
+    F = np.asarray(f(points)).reshape(len(points.weights), -1, 2)
+    loads = np.empty((len(F), dofmap.nloc, 2))
+    for tris, cls, k, m in dofmap.blocks:
+        # The class test values against each of the class's m triangles.
+        block = tests[cls, None] @ F[tris].reshape(k, m, -1, 2)
+        loads[tris] = block.reshape(k * m, -1, 2)
+    # Summed in mesh order, as the triangles' loads are.
+    rhs = np.bincount(dofmap._load_index, loads[dofmap.rank].ravel(), dofmap.n_vector)
     return SparseSystem(
         matrix=matrix,
         rhs=rhs[retained],

@@ -237,7 +237,7 @@ def _evaluate_at(dofmap, full_dofs, pts: np.ndarray) -> np.ndarray:
             # At a vertex the nodal value dof is the exact value.
             out[row] = locals_[t][vertex_stride * corner]
         else:
-            shapes = dofmap.coeffs[t] @ MonoTables(bary[row, t]).M
+            shapes = dofmap.class_coeffs[dofmap.classes[t]] @ MonoTables(bary[row, t]).M
             out[row] = locals_[t].T @ shapes[:, 0]
     return out
 

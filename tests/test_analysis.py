@@ -251,6 +251,11 @@ class TestCoercivity:
         (worst,) = coercivity_check(build_dofmap(mesh, kind), [mat], n_trials=50, seed=3)
         assert worst >= 1.0 - 1e-9
 
+    def test_rejects_zero_trials(self):
+        dofmap = build_dofmap(make_structured(2), "ntw")
+        with pytest.raises(ValueError, match="n_trials"):
+            coercivity_check(dofmap, [MaterialParams()], n_trials=0)
+
     def test_lambda_zero_still_coercive(self):
         mesh = make_structured(4)
         mat = MaterialParams(lam=0.0, mu=1.0, iota=0.5)
@@ -269,6 +274,11 @@ class TestJumps:
         mesh = make_structured(2)
         dofmap = build_dofmap(mesh, kind)
         assert jump_check(dofmap, n_trials=3, seed=13, corrupt=True) > 1e-6
+
+    def test_rejects_zero_trials(self):
+        dofmap = build_dofmap(make_structured(2), "ntw")
+        with pytest.raises(ValueError, match="n_trials"):
+            jump_check(dofmap, n_trials=0)
 
     def test_jump_table_shape(self):
         mesh = make_structured(2)

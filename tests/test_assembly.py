@@ -337,7 +337,8 @@ class TestGlobalAssembly:
         value, grad, hess = quadratic_field()
         # The unreduced energy: no boundary condition, every dof retained.
         dofmap = build_dofmap(mesh, kind)
-        K = element_matrices(dofmap.coeffs, dofmap.geom, mat, kind is ElementKind.MORLEY)
+        coeffs = dofmap.class_coeffs[dofmap.classes]
+        K = element_matrices(coeffs, dofmap.geom, mat, kind is ElementKind.MORLEY)
         v = interpolate_field(dofmap, value, grad)
         ids = np.repeat(2 * dofmap.scatter, 2, axis=1) + np.tile([0, 1], dofmap.nloc)
         discrete = np.einsum("ti,tij,tj->", v[ids], K, v[ids])
@@ -361,7 +362,7 @@ class TestGlobalAssembly:
 
         # The unreduced load: no boundary condition, every dof retained.
         dofmap = build_dofmap(mesh, "ntw")
-        loads = element_loads(dofmap.coeffs, dofmap.geom, f, False)
+        loads = element_loads(dofmap.class_coeffs[dofmap.classes], dofmap.geom, f, False)
         ids = np.repeat(2 * dofmap.scatter, 2, axis=1) + np.tile([0, 1], dofmap.nloc)
         full = np.zeros(dofmap.n_vector)
         np.add.at(full, ids.ravel(), loads.ravel())

@@ -23,8 +23,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from sgfem.analysis import _gram_matrices, edge_means, gram_blocks, local_coefficients
+from sgfem.analysis import (
+    _gram_matrices,
+    edge_means,
+    energy_error,
+    gram_blocks,
+    local_coefficients,
+)
+from sgfem import assembly
 from sgfem.assembly import (
+    FIELD_TABLES,
     MaterialParams,
     assemble,
     build_dofmap,
@@ -35,7 +43,8 @@ from sgfem.assembly import (
     element_stiffness,
     element_stiffness_morley,
 )
-from sgfem.elements import DOF_TABLES, ElementKind, basis_coefficients, build_basis
+from sgfem.elements import DOF_TABLES, ElementKind, basis_coefficients, build_basis, evaluate
+from sgfem.manufactured import example_field, source
 from sgfem.mesh import element_geometry, make_structured, refine, translation_classes
 
 from element_reference import class_count, eval_all
@@ -84,7 +93,7 @@ def test_batch_matches_batch_of_one(n, amplitude, squash, seed):
     for kind in ElementKind:
         morley = kind is ElementKind.MORLEY
         dofmap = build_dofmap(mesh, kind)
-        coeffs, geom = dofmap.coeffs, dofmap.geom
+        coeffs, geom = dofmap.class_coeffs[dofmap.classes], dofmap.geom
         K = element_matrices(coeffs, geom, mat, morley)
         b = element_loads(coeffs, geom, load, morley)
         gram_g, gram_h = gram_blocks(coeffs, geom, morley)
@@ -113,7 +122,8 @@ def unsplit_system(dofmap, mat, f):
     matrices at ``mat.iota`` summed by one COO to CSR conversion, boundary
     rows and columns dropped, then ``0.5 (A + A^T)``."""
     morley = dofmap.kind is ElementKind.MORLEY
-    K = element_matrices(dofmap.coeffs, dofmap.geom, mat, morley)
+    coeffs = dofmap.class_coeffs[dofmap.classes]
+    K = element_matrices(coeffs, dofmap.geom, mat, morley)
     vids = np.repeat(2 * dofmap.scatter, 2, axis=1) + np.tile([0, 1], dofmap.nloc)
     m = vids.shape[1]
     rows = np.repeat(vids, m, axis=1).ravel()
@@ -121,7 +131,7 @@ def unsplit_system(dofmap, mat, f):
     n = dofmap.n_vector
     A = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     rhs = np.zeros(n)
-    np.add.at(rhs, vids.ravel(), element_loads(dofmap.coeffs, dofmap.geom, f, morley).ravel())
+    np.add.at(rhs, vids.ravel(), element_loads(coeffs, dofmap.geom, f, morley).ravel())
     retained = np.flatnonzero(~np.repeat(dofmap.boundary, 2))
     A = A[retained][:, retained]
     return 0.5 * (A + A.T), rhs[retained]
@@ -269,6 +279,69 @@ def test_class_count_is_bounded_under_refinement():
     assert len(translation_classes(jittered)[0]) == jittered.num_triangles
 
 
+def test_class_blocks_layout():
+    """Each class is one contiguous run of the block order, the blocks
+    cover every triangle once, in runs of their multiplicity, and there is
+    one block per distinct multiplicity: one on a jittered mesh, whose
+    classes are single triangles."""
+    for mesh in class_meshes():
+        dofmap = build_dofmap(mesh, ElementKind.MORLEY)
+        classes, order = dofmap.classes, dofmap.order
+        counts = np.bincount(classes)
+        assert np.array_equal(np.sort(order), np.arange(mesh.num_triangles))
+        assert np.array_equal(order[dofmap.rank], np.arange(mesh.num_triangles))
+        assert np.array_equal(np.sort(dofmap.class_order), np.arange(len(counts)))
+        assert len(dofmap.blocks) == len(np.unique(counts))
+        covered = np.zeros(mesh.num_triangles, dtype=int)
+        start = first = 0
+        for tris, cls, k, m in dofmap.blocks:
+            assert (tris.start, cls.start) == (start, first)
+            assert (tris.stop - start, cls.stop - first) == (k * m, k)
+            covered[order[tris]] += 1
+            # Run j of the block is class class_order[cls][j], m triangles
+            # in index order.
+            runs = classes[order[tris]].reshape(k, m)
+            assert np.array_equal(runs, np.repeat(dofmap.class_order[cls][:, None], m, axis=1))
+            assert np.all(np.diff(order[tris].reshape(k, m), axis=1) > 0)
+            assert np.all(counts[dofmap.class_order[cls]] == m)
+            start, first = tris.stop, cls.stop
+        assert np.all(covered == 1)
+        assert [b.m for b in dofmap.blocks] == sorted({b.m for b in dofmap.blocks})
+    jittered = build_dofmap(jittered_mesh(4, 0.3, 1.0, 2), ElementKind.NTW)
+    assert len(jittered.blocks) == 1 and jittered.blocks[0].m == 1
+
+
+def test_derivative_tables_match_one_evaluate_on_all_classes():
+    """The tables, built a chunk of classes at a time, hold the derivative
+    rows of one ``evaluate`` on every class, within 1e-13 of their largest
+    entry, on a mesh with more classes than one chunk."""
+    mesh = jittered_mesh(12, 0.3, 1.0, 7)
+    assert mesh.num_triangles > assembly._TABLE_CLASSES
+    for kind in ElementKind:
+        dofmap = build_dofmap(mesh, kind)
+        geom = dofmap.class_geom
+        G, H = evaluate(dofmap.class_coeffs, geom.grad_lambda, FIELD_TABLES)
+        rows = np.stack([G[..., 0], G[..., 1], H[..., 0, 0], H[..., 0, 1], H[..., 1, 1]], axis=2)
+        expected = rows[dofmap.class_order].reshape(dofmap.derivative_tables.shape)
+        assert_close(dofmap.derivative_tables, expected)
+
+
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_no_shape_array_per_triangle(kind):
+    """After an assembly and an energy error, no array on the dof map, in
+    its fields or in what it has built and kept, has a leading (T, nloc)."""
+    mesh = refine(make_structured(2))
+    dofmap = build_dofmap(mesh, kind)
+    field = example_field("smooth", MaterialParams(iota=1e-2))
+    system = assemble(dofmap, field.mat, source(field))
+    energy_error(dofmap, system.expand(np.zeros(len(system.rhs))), field)
+    assert {"points", "_load_tests", "derivative_tables"} <= vars(dofmap).keys()
+    kept = list(vars(dofmap).values()) + list(vars(dofmap.geom).values())
+    lead = (mesh.num_triangles, dofmap.nloc)
+    shapes = [a.shape for a in kept if isinstance(a, np.ndarray) and a.ndim >= 3]
+    assert shapes and all(shape[:2] != lead for shape in shapes)
+
+
 @pytest.mark.parametrize("kind", list(ElementKind))
 def test_class_shapes_forms_and_grams_match_every_triangle(kind):
     """The gathered shapes equal the all-triangle build bit for bit; the
@@ -280,7 +353,7 @@ def test_class_shapes_forms_and_grams_match_every_triangle(kind):
         dofmap = build_dofmap(mesh, kind)
         pattern = dofmap.pattern
         coeffs = basis_coefficients(kind, dofmap.geom, mesh.tri_edge_signs)
-        assert np.array_equal(dofmap.coeffs, coeffs)
+        assert np.array_equal(dofmap.class_coeffs[dofmap.classes], coeffs)
         forms = element_forms(coeffs, dofmap.geom, 10.0, 1.0, morley)
         grams = gram_blocks(coeffs, dofmap.geom, morley)
         got = [pattern.matrix(data) for data in dofmap.forms(10.0, 1.0)]

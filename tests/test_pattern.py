@@ -109,3 +109,12 @@ def test_stable_order_of_no_keys():
 def test_stable_order_keeps_ties_in_input_order():
     keys = np.array([2**20, 3, 2**20, 3, 0, 2**20 + 1, 0], dtype=np.int64)
     assert _stable_order(keys).tolist() == [4, 6, 1, 3, 0, 2, 5]
+
+
+def test_stable_order_falls_back_when_packed_keys_overflow():
+    """Keys whose bit length plus that of their count exceeds 63 cannot be
+    packed with their positions; the stable argsort orders them."""
+    rng = np.random.default_rng(5)
+    keys = np.append(rng.integers(0, 2**62, size=1000), [2**62, 7, 2**62, 7])
+    assert int(keys.max()).bit_length() + len(keys).bit_length() > 63
+    assert np.array_equal(_stable_order(keys), np.argsort(keys, kind="stable"))

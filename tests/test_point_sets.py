@@ -9,7 +9,9 @@ load's test values are computed once per translation class.  These
 must give exactly the values of one chain evaluation per point at
 ``xy[:, 0]`` and ``xy[:, 1]`` and of the test values ``coeffs @ M`` per
 triangle, which the references below keep: the assembled right-hand side
-and the energy error are ``np.array_equal`` to theirs.
+and the energy error are ``np.array_equal`` to theirs.  The points are in
+the dof map's block order, the mesh-order points permuted; the load is
+summed in mesh order, as the per-triangle reference sums it.
 """
 
 import hypothesis
@@ -84,7 +86,7 @@ def reference_rhs(dofmap, field):
     if dofmap.kind is ElementKind.MORLEY:
         vals = (FIELD_RULE.points @ MORLEY_PI1).T[None]
     else:
-        vals = dofmap.coeffs @ FIELD_TABLES.M
+        vals = dofmap.class_coeffs[dofmap.classes] @ FIELD_TABLES.M
     ntri = len(w)
     F = reference_source(field, xy).reshape(ntri, -1, 2)
     loads = ((vals * w[:, None]) @ F).reshape(ntri, -1)
@@ -102,17 +104,28 @@ def reference_rows(field, xy):
     return rows
 
 
-def discrete_derivatives(dofmap, full_dofs):
-    poly = local_coefficients(dofmap, full_dofs).swapaxes(1, 2) @ dofmap.coeffs
-    return evaluate(poly, dofmap.geom.grad_lambda, FIELD_TABLES)
+def block_points(dofmap):
+    """The mesh-order points and weights permuted to the dof map's order."""
+    xy, w = reference_points(dofmap)
+    return xy.reshape(len(w), -1, 2)[dofmap.order].reshape(-1, 2), w[dofmap.order]
+
+
+def discrete_rows(dofmap, full_dofs):
+    """(2, 5, T, q) discrete derivative rows in block order, triangle by
+    triangle from its class's derivative table."""
+    table_of = np.empty_like(dofmap.class_order)
+    table_of[dofmap.class_order] = np.arange(len(table_of))
+    tables = dofmap.derivative_tables[table_of[dofmap.classes[dofmap.order]]]
+    local = local_coefficients(dofmap, full_dofs)[dofmap.order]
+    rows = local.swapaxes(1, 2) @ tables
+    return rows.reshape(len(local), 2, 5, -1).transpose(1, 2, 0, 3)
 
 
 def reference_energy_error(dofmap, full_dofs, field):
     """The row-by-row formula of ``energy_error`` on per-point arrays: each
     exact row minus the matching (T, q) view of the discrete derivatives,
     the squares summed with the weights row by row, the mixed row twice."""
-    xy, w = reference_points(dofmap)
-    G, H = discrete_derivatives(dofmap, full_dofs)
+    xy, w = block_points(dofmap)
     rows = reference_rows(field, xy)
 
     def squares(rows):
@@ -120,10 +133,7 @@ def reference_energy_error(dofmap, full_dofs, field):
         return sums[:2].sum(), sums[2:] @ np.array([1.0, 2.0, 1.0])
 
     nrm_g, nrm_h = squares(rows)
-    for c, exact in enumerate(rows.reshape(2, 5, *w.shape)):
-        discrete = G[:, c, :, 0], G[:, c, :, 1], H[:, c, :, 0, 0], H[:, c, :, 0, 1], H[:, c, :, 1, 1]
-        for row, view in zip(exact, discrete):
-            row -= view
+    rows.reshape(2, 5, *w.shape)[...] -= discrete_rows(dofmap, full_dofs)
     err_g, err_h = squares(rows)
     iota = field.mat.iota
     absolute = np.sqrt(err_g) + iota * np.sqrt(err_h)
@@ -133,11 +143,14 @@ def reference_energy_error(dofmap, full_dofs, field):
 
 def einsum_energy_error(dofmap, full_dofs, field):
     """The energy error as point-major (n, 2, 2) and (n, 2, 2, 2) tensors
-    reduced by einsum, the formula ``energy_error`` used before it read the
-    exact derivatives row by row."""
+    reduced by einsum, with the derivatives of each triangle's polynomials
+    from ``evaluate``, on the points in mesh order: the formula
+    ``energy_error`` used before it read the exact derivatives row by row
+    and the discrete ones from class tables."""
     xy, w = reference_points(dofmap)
     w = w.ravel()
-    poly = np.einsum("tac,tam->tcm", local_coefficients(dofmap, full_dofs), dofmap.coeffs)
+    coeffs = dofmap.class_coeffs[dofmap.classes]
+    poly = np.einsum("tac,tam->tcm", local_coefficients(dofmap, full_dofs), coeffs)
     G, H = evaluate(poly, dofmap.geom.grad_lambda, FIELD_TABLES)
     Gu, Hu = reference_derivatives(field, xy)
     dh = Hu - H.swapaxes(1, 2).reshape(Hu.shape)
@@ -195,7 +208,7 @@ def test_point_set_path_is_bitwise_the_per_point_path(mesh, seed):
         points = dofmap.points
         assert isinstance(points, PointSet)
         assert points is dofmap.points
-        xy, w = reference_points(dofmap)
+        xy, w = block_points(dofmap)
         assert np.array_equal(points, xy)
         assert np.array_equal(points.weights, w)
         assert_distinct_coordinates(points)
@@ -264,8 +277,9 @@ def test_point_set_keeps_the_last_field_evaluation(example_name):
 @example(mesh=make_structured(3), seed=1)
 @example(mesh=jittered_mesh(2, 0.9, 1e-3, 5), seed=2)
 def test_energy_error_matches_the_einsum_formula(mesh, seed):
-    """The row-by-row energy error rounds differently from the point-major
-    einsum reduction it replaced, by no more than 1e-13 relative."""
+    """The energy error from class tables on the block order rounds
+    differently from the per-triangle, point-major einsum reduction, by no
+    more than 1e-13 relative."""
     rng = np.random.default_rng(seed)
     for kind in ElementKind:
         dofmap = build_dofmap(mesh, kind)
