@@ -15,12 +15,12 @@ The coercivity check and the Korn ratio use the distinct-entry Hessian
 norm instead, which counts the mixed entry once.
 
 Every mesh-level function takes a :class:`~sgfem.assembly.DofMap`, which
-carries the geometry and shape coefficients of one family on one mesh, and
-keeps the matrix pattern, the two ``iota``-free forms and the first
-solve's elimination order once they are built, so a study computes them
-once per mesh and shares them across every ``iota``, the solve and the
-energy error.  The coercivity check reuses the same forms, and its Gram
-matrices are assembled on the same pattern.
+carries the geometry and shape coefficients of one family on one mesh per
+class of triangles, and keeps the matrix pattern, the two ``iota``-free
+forms and the first solve's elimination order once they are built, so a
+study computes them once per mesh and shares them across every ``iota``,
+the solve and the energy error.  The coercivity check reuses the same
+forms, and its Gram matrices are assembled on the same pattern.
 
 The inequality checks certify, numerically and with independently
 assembled right-hand sides, the three structural facts the convergence
@@ -56,7 +56,6 @@ __all__ = [
     "coercivity_check",
     "jump_check",
     "edge_mean_jumps",
-    "edge_means",
     "gram_blocks",
     "mesh_diameter",
     "local_coefficients",
@@ -334,36 +333,29 @@ def coercivity_check(dofmap: DofMap, materials, n_trials: int, seed: int = 0) ->
     return np.array(ratios)
 
 
-def edge_means(coeffs, geom: ElementGeometry, local_coeffs, normals):
-    """(T, 3, 2) one-sided mean normal derivatives on the local edges.
-
-    Entry ``[t, i, c]`` is the mean over local edge ``i`` of element ``t``
-    of ``grad u_c . normals[t, i]``, where ``u_c`` is component ``c`` of
-    the field with local coefficients ``local_coeffs`` (T, nloc, 2).
-    """
-    poly = local_coeffs.swapaxes(1, 2) @ coeffs
-    return edge_normal_moments(poly, geom, normals).swapaxes(1, 2)
-
-
 def edge_mean_jumps(dofmap: DofMap, local_coeffs: np.ndarray):
     """Mean normal-derivative jumps across interior edges.
 
     ``local_coeffs`` has shape (ntri, nloc, 2); the normal is the fixed
     global edge normal, used on both sides, so a conforming field gives
-    zeros.  Returns ``(jumps, scale)`` where jumps has one row per
-    interior edge and two columns (one per displacement component), and
-    scale is the largest one-sided mean magnitude.
+    zeros.  The shapes' edge moments are taken once per class, along the
+    outward normal, which the edge sign turns into the global one.
+    Returns ``(jumps, scale)`` where jumps has one row per interior edge
+    and two columns (one per displacement component), and scale is the
+    largest one-sided mean magnitude.
     """
-    mesh = dofmap.mesh
-    normals = mesh.edge_normals[mesh.tri_edges]
-    means = edge_means(dofmap.class_coeffs[dofmap.classes], dofmap.geom, local_coeffs, normals)
+    mesh, geom = dofmap.mesh, dofmap.class_geom
+    moments = edge_normal_moments(dofmap.class_coeffs, geom, geom.normals)
+    # (T, 3, 2): component c's mean derivative on local edge i of triangle t.
+    outward = moments[dofmap.classes].swapaxes(1, 2) @ local_coeffs
+    means = mesh.tri_edge_signs[:, :, None] * outward
     # Side 0 of an edge is edge_tris[e, 0], side 1 the other triangle.
     own = np.arange(mesh.num_triangles)[:, None]
     side = (mesh.edge_tris[mesh.tri_edges, 1] == own).astype(np.int64)
     by_edge = np.zeros((mesh.num_edges, 2, 2))
     by_edge[mesh.tri_edges, side] = means
     interior = by_edge[~mesh.edge_is_boundary]
-    scale = float(np.abs(interior).max()) if len(interior) else 0.0
+    scale = float(np.abs(interior).max(initial=0.0))
     return interior[:, 0] - interior[:, 1], scale
 
 
@@ -372,8 +364,9 @@ def jump_check(dofmap: DofMap, n_trials: int, seed: int = 0, corrupt: bool = Fal
 
     With ``corrupt=True`` one element's coefficients are perturbed
     directly, bypassing the shared degrees of freedom; the result must
-    then be far from zero (negative control for the detector).  Raises
-    ``ValueError`` if ``n_trials < 1``.
+    then be far from zero (negative control for the detector).  A mesh
+    with no interior edge has no jump and gives 0.  Raises ``ValueError``
+    if ``n_trials < 1``.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
@@ -386,5 +379,5 @@ def jump_check(dofmap: DofMap, n_trials: int, seed: int = 0, corrupt: bool = Fal
             t = int(rng.integers(dofmap.mesh.num_triangles))
             coeffs[t] += rng.normal(size=coeffs[t].shape)
         jumps, scale = edge_mean_jumps(dofmap, coeffs)
-        worst = max(worst, np.abs(jumps).max() / max(scale, 1.0))
+        worst = max(worst, np.abs(jumps).max(initial=0.0) / max(scale, 1.0))
     return float(worst)

@@ -17,7 +17,7 @@ on the elementwise linear interpolant of the arguments and the load pairs
 ``f`` with that interpolant.
 
 A :class:`DofMap` is one family on one mesh: besides the degree-of-freedom
-layout it carries the mesh's geometry and the family's shapes, computed
+layout it carries the family's geometry and shapes per class, computed
 once by :func:`build_dofmap` and shared by assembly, the energy error, the
 Gram matrices, the edge jumps and the probes.  Element matrices and loads
 are batches of triangles, with a leading triangle axis.
@@ -26,16 +26,17 @@ Shapes and element forms depend on a triangle only through its edge
 vectors and its edge normal signs, so :func:`build_dofmap` groups the
 triangles into classes that are equal up to translation
 (:func:`~sgfem.mesh.translation_classes`).  The shapes, the two element
-forms and the Gram blocks are computed once per class, on its first
-triangle, and summed into matrix data without an expansion to the
-triangles.  A red-refined uniform mesh has a few dozen classes at every
-level; a perturbed mesh has one class per triangle and pays only for the
-grouping.  No shape array is kept per triangle.
+forms, the Gram blocks and the jumps' edge moments are computed once per
+class, on its first triangle, without an expansion to the triangles.  A
+red-refined uniform mesh has a few dozen classes at every level; a
+perturbed mesh has one class per triangle and pays only for the grouping.
+No shape array and no geometry is kept per triangle.
 
 The load and the energy error integrate with one rule, :data:`FIELD_RULE`,
-and work on class blocks (:attr:`DofMap.blocks`): the triangles sorted by
-class multiplicity, class and index, so that the ``k`` classes of one
-multiplicity ``m`` are ``k`` runs of ``m`` triangles.  A dof map keeps its
+and work on class blocks (:attr:`DofMap.blocks`): the classes numbered by
+multiplicity and the triangles sorted by class and index, so that the
+``k`` classes of one multiplicity ``m`` are ``k`` runs of ``m`` triangles
+and ``k`` rows of every per-class table.  A dof map keeps its
 points on every triangle, in that order, as one
 :class:`~sgfem.quadrature.PointSet` (:attr:`DofMap.points`), with their
 weights and their distinct axis coordinates, so a separable manufactured
@@ -73,7 +74,7 @@ import scipy.sparse as sp
 
 from .elements import MORLEY_PI1, ElementKind, LocalBasis, MonoTables, basis_coefficients, evaluate
 from .elements import build_basis  # noqa: F401  (bound for the benchmark tracer, which wraps it)
-from .mesh import ElementGeometry, Mesh, mesh_geometry, translation_classes, triangle_geometry
+from .mesh import ElementGeometry, Mesh, translation_classes, triangle_geometry
 from .mesh import element_geometry  # noqa: F401  (bound for the benchmark tracer, which wraps it)
 from .quadrature import PointSet, triangle_rule
 
@@ -217,8 +218,8 @@ def _read_only(a):
 class ClassBlock(NamedTuple):
     """The ``k`` classes of one multiplicity ``m`` (:func:`class_blocks`):
     ``triangles`` slices the block order of the triangles, ``k`` runs of
-    ``m`` triangles, one run per class, and ``classes`` the block order of
-    the classes, the rows of a dof map's per-class tables."""
+    ``m`` triangles, one run per class, and ``classes`` the ids of those
+    classes, the rows of a dof map's per-class tables."""
 
     triangles: slice
     classes: slice
@@ -227,17 +228,17 @@ class ClassBlock(NamedTuple):
 
 
 def class_blocks(classes: np.ndarray):
-    """The block layout of the triangles of class ``classes[t]``.
+    """The block layout of the triangles of class ``classes[t]``, whose
+    classes are numbered by nondecreasing multiplicity.
 
-    Returns ``(order, rank, class_order, blocks)``: ``order`` lists the
-    triangles sorted by (class multiplicity, class, index) and ``rank`` is
-    its inverse, ``class_order`` lists the classes sorted by (multiplicity,
-    class), and ``blocks`` holds one :class:`ClassBlock` per distinct
-    multiplicity, in increasing order.  Each class is one contiguous run of
-    ``order``, and the blocks cover every triangle once.
+    Returns ``(order, rank, blocks)``: ``order`` lists the triangles
+    sorted by (class, index) and ``rank`` is its inverse, and ``blocks``
+    holds one :class:`ClassBlock` per distinct multiplicity, in increasing
+    order.  Each class is one contiguous run of ``order``, and the blocks
+    cover every triangle once.
     """
     counts = np.bincount(classes)
-    order = np.lexsort((classes, counts[classes]))
+    order = _stable_order(classes)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     blocks = []
@@ -247,27 +248,25 @@ def class_blocks(classes: np.ndarray):
         blocks.append(ClassBlock(slice(start, start + k * m), slice(first, first + k), k, m))
         start += k * m
         first += k
-    return order, rank, np.argsort(counts, kind="stable"), tuple(blocks)
+    return order, rank, tuple(blocks)
 
 
 @dataclass(frozen=True)
 class DofMap:
-    """One family on one mesh: degree-of-freedom layout, geometry and shapes.
+    """One family on one mesh: degree-of-freedom layout and class data.
 
     ``scatter[t]`` lists the global scalar ids of element ``t`` in the
     local order of the family basis; ``boundary`` flags the scalar ids
-    whose entity lies on the domain boundary.  ``geom`` is the batched
-    geometry of every triangle of ``mesh``, built once, by
-    :func:`build_dofmap`, and read by every mesh-level computation.
+    whose entity lies on the domain boundary.
 
     ``classes[t]`` is the class of triangle ``t``: triangles equal up to
-    translation with equal signs share one.  ``class_geom`` and
-    ``class_coeffs`` are the geometry and shapes of one triangle per
-    class, and ``class_coeffs[classes]`` the shapes of every triangle.  The
-    element forms and the Gram blocks are computed on the classes and
-    summed by the pattern.  ``order``, ``rank``, ``class_order`` and
-    ``blocks`` are the :func:`class_blocks` layout of the classes, on which
-    the load and the energy error run.
+    translation with equal signs share one, and the classes are numbered
+    by nondecreasing multiplicity.  ``class_geom`` and ``class_coeffs``
+    are the geometry and shapes of one triangle per class.  A per-triangle
+    quantity comes from the mesh's arrays or from a class row gathered
+    through ``classes``.  ``order``, ``rank`` and ``blocks`` are the
+    :func:`class_blocks` layout of the classes, on which the load and the
+    energy error run.
 
     The reduced matrix pattern, the ``iota``-free forms on it, the
     quadrature points of :data:`FIELD_RULE`, the load's test values and
@@ -281,13 +280,11 @@ class DofMap:
     scatter: np.ndarray
     boundary: np.ndarray
     mesh: Mesh
-    geom: ElementGeometry
     classes: np.ndarray
     class_geom: ElementGeometry
     class_coeffs: np.ndarray
     order: np.ndarray
     rank: np.ndarray
-    class_order: np.ndarray
     blocks: tuple
     _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # Read and written by sgfem.solver.solve alone: the elimination order
@@ -352,31 +349,31 @@ class DofMap:
         """The :func:`quadrature_points` of every triangle in block order
         (:attr:`order`), shared by the loads and the energy errors on this
         dof map."""
-        return quadrature_points(self.geom, self.order)
+        mesh, order = self.mesh, self.order
+        area = self.class_geom.area[self.classes[order]]
+        return quadrature_points(mesh.vertices[mesh.triangles[order]], area)
 
     @cached_property
     def _load_tests(self) -> np.ndarray:
         """(C, n, q) test values of the load at the points of
-        :data:`FIELD_RULE` times their weights, per class in block order
-        (:attr:`class_order`)."""
+        :data:`FIELD_RULE` times their weights, per class."""
         vals = _load_values(self.class_coeffs, self.kind is ElementKind.MORLEY)
         weights = self.class_geom.area[:, None] * FIELD_RULE.weights
-        return (vals * weights[:, None])[self.class_order]
+        return vals * weights[:, None]
 
     @cached_property
     def derivative_tables(self) -> np.ndarray:
         """(C, n, 5 q) rows d_x, d_y, d_xx, d_xy and d_yy of every shape at
-        the points of :data:`FIELD_RULE`, per class in block order
-        (:attr:`class_order`): entry ``[c, a, r q + p]`` is row ``r`` of
-        shape ``a`` at point ``p``."""
-        order = self.class_order
-        tables = np.empty((len(order), self.nloc, 5, len(FIELD_RULE.weights)))
-        for start in range(0, len(order), _TABLE_CLASSES):
-            part = order[start : start + _TABLE_CLASSES]
+        the points of :data:`FIELD_RULE`, per class: entry ``[c, a, r q + p]``
+        is row ``r`` of shape ``a`` at point ``p``."""
+        ncls = len(self.class_coeffs)
+        tables = np.empty((ncls, self.nloc, 5, len(FIELD_RULE.weights)))
+        for start in range(0, ncls, _TABLE_CLASSES):
+            part = slice(start, start + _TABLE_CLASSES)
             G, H = evaluate(self.class_coeffs[part], self.class_geom.grad_lambda[part], FIELD_TABLES)
             rows = G[..., 0], G[..., 1], H[..., 0, 0], H[..., 0, 1], H[..., 1, 1]
-            np.stack(rows, axis=2, out=tables[start : start + len(part)])
-        return tables.reshape(len(order), self.nloc, -1)
+            np.stack(rows, axis=2, out=tables[part])
+        return tables.reshape(ncls, self.nloc, -1)
 
     @cached_property
     def _load_index(self) -> np.ndarray:
@@ -400,7 +397,7 @@ class DofMap:
 
 
 def build_dofmap(mesh: Mesh, kind) -> DofMap:
-    """The degree-of-freedom layout, geometry and shapes of ``kind`` on ``mesh``."""
+    """The degree-of-freedom layout and class data of ``kind`` on ``mesh``."""
     kind = ElementKind(kind)
     tris = mesh.triangles
     nv, ne = mesh.num_vertices, mesh.num_edges
@@ -418,24 +415,24 @@ def build_dofmap(mesh: Mesh, kind) -> DofMap:
         n_scalar = nv + ne
         scatter = np.hstack([tris, nv + mesh.tri_edges])
         boundary = np.concatenate([mesh.vertex_is_boundary, mesh.edge_is_boundary])
-    geom = mesh_geometry(mesh)
     first, classes = translation_classes(mesh)
-    class_geom = triangle_geometry(geom.vertices[first])
+    # Classes by (multiplicity, class): the class data in block order.
+    by_count = _stable_order(np.bincount(classes))
+    first, classes = first[by_count], np.argsort(by_count)[classes]
+    class_geom = triangle_geometry(mesh.vertices[mesh.triangles[first]])
     class_coeffs = basis_coefficients(kind, class_geom, mesh.tri_edge_signs[first])
-    order, rank, class_order, blocks = class_blocks(classes)
+    order, rank, blocks = class_blocks(classes)
     return DofMap(
         kind=kind,
         n_scalar=n_scalar,
         scatter=scatter.astype(np.int64),
         boundary=boundary,
         mesh=mesh,
-        geom=geom,
         classes=classes,
         class_geom=class_geom,
         class_coeffs=class_coeffs,
         order=order,
         rank=rank,
-        class_order=class_order,
         blocks=blocks,
     )
 
@@ -511,12 +508,12 @@ def element_matrices(coeffs, geom: ElementGeometry, mat: MaterialParams, morley:
     return K_m + mat.iota**2 * K_g
 
 
-def quadrature_points(geom: ElementGeometry, order=slice(None)) -> PointSet:
-    """The (T * q, 2) points of :data:`FIELD_RULE` on the triangles
-    ``order`` of the batch ``geom``, triangle by triangle, with (T, q)
-    weights ``area * w_q``."""
-    xy = FIELD_RULE.points @ geom.vertices[order]
-    return PointSet(xy.reshape(-1, 2), geom.area[order, None] * FIELD_RULE.weights)
+def quadrature_points(vertices: np.ndarray, area: np.ndarray) -> PointSet:
+    """The (T * q, 2) points of :data:`FIELD_RULE` on the triangles of
+    (T, 3, 2) ``vertices`` and (T,) ``area``, triangle by triangle, with
+    (T, q) weights ``area * w_q``."""
+    xy = FIELD_RULE.points @ vertices
+    return PointSet(xy.reshape(-1, 2), area[:, None] * FIELD_RULE.weights)
 
 
 def _load_values(coeffs, morley: bool):
@@ -532,7 +529,7 @@ def element_loads(coeffs, geom: ElementGeometry, f, morley: bool):
 
     ``f`` is called once, on the :func:`quadrature_points` of the batch.
     """
-    points = quadrature_points(geom)
+    points = quadrature_points(geom.vertices, geom.area)
     ntri = len(points.weights)
     tests = _load_values(coeffs, morley) * points.weights[:, None]
     return (tests @ np.asarray(f(points)).reshape(ntri, -1, 2)).reshape(ntri, -1)

@@ -222,10 +222,11 @@ def _evaluate_at(dofmap, full_dofs, pts: np.ndarray) -> np.ndarray:
     triangle (by index) that contains the point."""
     locals_ = local_coefficients(dofmap, full_dofs)
     vertex_stride = 3 if dofmap.kind is ElementKind.SPECHT else 1
-    geom = dofmap.geom
+    mesh = dofmap.mesh
+    grad_lambda = dofmap.class_geom.grad_lambda[dofmap.classes]
     # Barycentric coordinates of every point in every triangle, (P, T, 3).
-    offsets = pts[:, None, None, :] - geom.vertices.mean(axis=1)[:, None]
-    bary = 1.0 / 3.0 + (offsets @ geom.grad_lambda.swapaxes(1, 2))[:, :, 0]
+    offsets = pts[:, None, None, :] - mesh.vertices[mesh.triangles].mean(axis=1)[:, None]
+    bary = 1.0 / 3.0 + (offsets @ grad_lambda.swapaxes(1, 2))[:, :, 0]
     inside = bary.min(axis=2) >= -1e-9
     out = np.empty_like(pts)
     for row, p in enumerate(pts):

@@ -230,8 +230,9 @@ def translation_classes(mesh: Mesh):
     :func:`triangle_geometry` computes them, and of its signs.  Everything
     that geometry derives from the vertices apart from ``vertices`` and
     ``midpoints`` is a function of the edge vectors alone, so it is
-    bit-for-bit equal across a class.  A red-refined uniform mesh has a few
-    classes at every level; a perturbed mesh has one class per triangle.
+    bit-for-bit equal across a class, ``area`` and ``grad_lambda``
+    included.  A red-refined uniform mesh has a few classes at every
+    level; a perturbed mesh has one class per triangle.
     """
     coords = mesh.vertices[mesh.triangles]
     edge_vec = coords[:, _HEAD] - coords[:, _TAIL]
@@ -305,18 +306,21 @@ def load_mesh(path) -> Mesh:
     except ValueError as exc:
         raise ValueError(f"{path}: malformed entry") from exc
     vertices = np.array(values).reshape(nv, 2)
-    triangles = np.array(indices).reshape(nt, 3)
+    triangles = np.array(indices, dtype=np.int64).reshape(nt, 3)
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= nv:
         raise ValueError(f"{path}: triangle vertex index out of range")
-    for t, (i, j, k) in enumerate(triangles):
-        if len({i, j, k}) != 3:
-            raise ValueError(f"{path}: triangle {t} repeats a vertex")
-        a, b, c = vertices[i], vertices[j], vertices[k]
-        twice_area = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        if abs(twice_area) < 1e-14:
-            raise ValueError(f"{path}: triangle {t} is degenerate")
-        if twice_area < 0.0:
-            triangles[t] = [i, k, j]
+    i, j, k = triangles.T
+    repeats = (i == j) | (j == k) | (k == i)
+    a, b, c = vertices[triangles.T]
+    ab, ac = b - a, c - a
+    twice_area = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
+    bad = repeats | (np.abs(twice_area) < 1e-14)
+    if bad.any():
+        t = int(bad.argmax())
+        problem = "repeats a vertex" if repeats[t] else "is degenerate"
+        raise ValueError(f"{path}: triangle {t} {problem}")
+    flip = twice_area < 0.0
+    triangles[flip] = triangles[flip][:, [0, 2, 1]]
     mesh = Mesh(vertices, triangles)
     mesh.validate()
     return mesh

@@ -12,6 +12,7 @@ import numpy as np
 from numpy.testing import assert_allclose
 
 from sgfem.elements import MonoTables, apply_dofs, dof_points, evaluate
+from sgfem.mesh import mesh_geometry
 
 
 def to_bary(geom, xy):
@@ -52,13 +53,14 @@ def interpolate_field(dofmap, value, grad):
     degrees of freedom must receive the same value from every adjacent
     element; that agreement is asserted on the way.
     """
-    xy = dof_points(dofmap.geom)
+    geom = mesh_geometry(dofmap.mesh)
+    xy = dof_points(geom)
     ntri, npts = xy.shape[:2]
     values = np.asarray(value(xy.reshape(-1, 2))).reshape(ntri, npts, 2)
     grads = np.asarray(grad(xy.reshape(-1, 2))).reshape(ntri, npts, 2, 2)
     # (T, component, local dof)
     signs = dofmap.mesh.tri_edge_signs
-    local = apply_dofs(dofmap.kind, values.swapaxes(1, 2), grads.swapaxes(1, 2), dofmap.geom, signs)
+    local = apply_dofs(dofmap.kind, values.swapaxes(1, 2), grads.swapaxes(1, 2), geom, signs)
     ids = 2 * dofmap.scatter[:, None, :] + np.arange(2)[:, None]
     full = np.full(dofmap.n_vector, np.nan)
     full[ids] = local

@@ -23,7 +23,7 @@ from sgfem.analysis import (
 from sgfem.assembly import MaterialParams, build_dofmap
 from sgfem.elements import ElementKind
 from sgfem.manufactured import example_smooth
-from sgfem.mesh import make_structured, refine
+from sgfem.mesh import Mesh, make_structured, refine
 
 from element_reference import class_count, interpolate_field
 
@@ -279,6 +279,15 @@ class TestJumps:
         dofmap = build_dofmap(make_structured(2), "ntw")
         with pytest.raises(ValueError, match="n_trials"):
             jump_check(dofmap, n_trials=0)
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_mesh_without_interior_edge_has_no_jump(self, kind, corrupt):
+        mesh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
+        dofmap = build_dofmap(mesh, kind)
+        jumps, scale = edge_mean_jumps(dofmap, local_coefficients(dofmap, np.ones(dofmap.n_vector)))
+        assert jumps.shape == (0, 2) and scale == 0.0
+        assert jump_check(dofmap, n_trials=2, seed=3, corrupt=corrupt) == 0.0
 
     def test_jump_table_shape(self):
         mesh = make_structured(2)

@@ -25,7 +25,7 @@ from sgfem.assembly import (
     stiffness_matrix,
 )
 from sgfem.elements import ElementKind, build_basis
-from sgfem.mesh import element_geometry, make_structured
+from sgfem.mesh import element_geometry, make_structured, mesh_geometry
 from sgfem.quadrature import triangle_rule
 from sgfem.verify import random_geometry
 
@@ -338,7 +338,7 @@ class TestGlobalAssembly:
         # The unreduced energy: no boundary condition, every dof retained.
         dofmap = build_dofmap(mesh, kind)
         coeffs = dofmap.class_coeffs[dofmap.classes]
-        K = element_matrices(coeffs, dofmap.geom, mat, kind is ElementKind.MORLEY)
+        K = element_matrices(coeffs, mesh_geometry(mesh), mat, kind is ElementKind.MORLEY)
         v = interpolate_field(dofmap, value, grad)
         ids = np.repeat(2 * dofmap.scatter, 2, axis=1) + np.tile([0, 1], dofmap.nloc)
         discrete = np.einsum("ti,tij,tj->", v[ids], K, v[ids])
@@ -362,7 +362,8 @@ class TestGlobalAssembly:
 
         # The unreduced load: no boundary condition, every dof retained.
         dofmap = build_dofmap(mesh, "ntw")
-        loads = element_loads(dofmap.class_coeffs[dofmap.classes], dofmap.geom, f, False)
+        coeffs = dofmap.class_coeffs[dofmap.classes]
+        loads = element_loads(coeffs, mesh_geometry(mesh), f, False)
         ids = np.repeat(2 * dofmap.scatter, 2, axis=1) + np.tile([0, 1], dofmap.nloc)
         full = np.zeros(dofmap.n_vector)
         np.add.at(full, ids.ravel(), loads.ravel())

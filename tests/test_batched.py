@@ -1,11 +1,11 @@
 """The batched element pipeline against its batch-of-one form.
 
 Assembly, the energy error, the Gram matrices and the edge jumps evaluate
-every element quantity for all triangles at once, on the geometry and
-shape coefficients a ``DofMap`` carries; the per-element API
+every element quantity for all triangles at once, on the per-class
+geometry and shape coefficients a ``DofMap`` carries; the per-element API
 (``build_basis``, ``element_stiffness``, ``element_load``) runs the same
-kernels on one triangle.  Both must agree triangle by triangle, also on
-nearly degenerate triangles.
+kernels on one triangle.  Both must agree triangle by triangle, and the
+edge jumps edge by edge, also on nearly degenerate triangles.
 
 The reduced matrix, combined per ``iota`` from the two forms on the dof
 map's fixed pattern, is checked against the unsplit assembly it replaced.
@@ -14,6 +14,8 @@ Shapes, forms and Gram blocks are computed once per translation class of
 triangles, and the pattern's operator sums the class blocks; they are
 checked against the same kernels run on every triangle.
 """
+
+import dataclasses
 
 import hypothesis
 import numpy as np
@@ -25,9 +27,11 @@ from numpy.testing import assert_allclose
 
 from sgfem.analysis import (
     _gram_matrices,
-    edge_means,
+    coercivity_check,
+    edge_mean_jumps,
     energy_error,
     gram_blocks,
+    jump_check,
     local_coefficients,
 )
 from sgfem import assembly
@@ -43,11 +47,26 @@ from sgfem.assembly import (
     element_stiffness,
     element_stiffness_morley,
 )
-from sgfem.elements import DOF_TABLES, ElementKind, basis_coefficients, build_basis, evaluate
+from sgfem.elements import (
+    DOF_TABLES,
+    ElementKind,
+    basis_coefficients,
+    build_basis,
+    edge_normal_moments,
+    evaluate,
+)
 from sgfem.manufactured import example_field, source
-from sgfem.mesh import element_geometry, make_structured, refine, translation_classes
+from sgfem.mesh import (
+    element_geometry,
+    make_structured,
+    mesh_geometry,
+    refine,
+    translation_classes,
+)
+from sgfem.quadrature import PointSet
+from sgfem.solver import solve
 
-from element_reference import class_count, eval_all
+from element_reference import class_count
 from random_meshes import jittered_mesh
 
 # Hypothesis seeds of the derandomized property tests below.  Derandomized
@@ -76,6 +95,21 @@ def load(xy):
     return np.stack([np.sin(3.0 * xy[:, 0]) + xy[:, 1], xy[:, 0] * xy[:, 1]], axis=-1)
 
 
+def reference_jumps(mesh, means):
+    """Edge by edge, the jumps and the scale of :func:`edge_mean_jumps`
+    from (T, 3, 2) one-sided means along the global normals, and the two
+    triangles of each interior edge."""
+    jumps, sides, pairs = [], [], []
+    for e in np.flatnonzero(~mesh.edge_is_boundary):
+        pair = mesh.edge_tris[e]
+        side = [means[t, list(mesh.tri_edges[t]).index(e)] for t in pair]
+        jumps.append(side[0] - side[1])
+        sides += side
+        pairs.append(pair)
+    scale = np.abs(sides).max() if sides else 0.0
+    return np.reshape(jumps, (-1, 2)), scale, np.reshape(pairs, (-1, 2))
+
+
 @hypothesis.seed(BATCH_OF_ONE_SEED)
 @settings(max_examples=15, derandomize=True, database=None, deadline=None)
 @given(
@@ -89,16 +123,18 @@ def test_batch_matches_batch_of_one(n, amplitude, squash, seed):
     mat = MaterialParams(lam=10.0, mu=1.0, iota=0.3)
     signs = mesh.tri_edge_signs
     normals = mesh.edge_normals[mesh.tri_edges]
+    geom = mesh_geometry(mesh)
     rng = np.random.default_rng(seed)
     for kind in ElementKind:
         morley = kind is ElementKind.MORLEY
         dofmap = build_dofmap(mesh, kind)
-        coeffs, geom = dofmap.class_coeffs[dofmap.classes], dofmap.geom
+        coeffs = dofmap.class_coeffs[dofmap.classes]
         K = element_matrices(coeffs, geom, mat, morley)
         b = element_loads(coeffs, geom, load, morley)
         gram_g, gram_h = gram_blocks(coeffs, geom, morley)
         local = local_coefficients(dofmap, rng.normal(size=dofmap.n_vector))
-        means = edge_means(coeffs, geom, local, normals)
+        means = np.empty((mesh.num_triangles, 3, 2))
+        grad_scale = np.empty(mesh.num_triangles)
         stiffness = element_stiffness_morley if morley else element_stiffness
         for t in range(mesh.num_triangles):
             basis = build_basis(kind, element_geometry(mesh, t), signs[t])
@@ -109,12 +145,24 @@ def test_batch_matches_batch_of_one(n, amplitude, squash, seed):
             g1, h1 = gram_blocks(basis.coeffs[None], one, morley)
             assert_close(gram_g[t], g1[0])
             assert_close(gram_h[t], h1[0])
-            m1 = edge_means(basis.coeffs[None], one, local[t : t + 1], normals[t : t + 1])
-            # On flat triangles a mean normal derivative can be O(1) while
-            # the gradient it projects is O(1/flatness), so the means are
-            # compared on the scale of that gradient.
-            grads = np.einsum("ac,aqj->cqj", local[t], eval_all(basis, DOF_TABLES.bary[6:])[1])
-            assert_close(means[t], m1[0], scale=np.abs(grads).max())
+            # The one-sided means along the global normals, from the
+            # polynomials of this triangle's field.
+            poly = local[t].T @ basis.coeffs
+            means[t] = edge_normal_moments(poly[None], one, normals[t : t + 1])[0].T
+            # The gradients on the edges summed in absolute value over the
+            # coefficients, the monomials and the barycentric directions.
+            terms = np.abs(basis.coeffs) @ np.abs(DOF_TABLES.D1[:, 6:]).swapaxes(0, 1)
+            terms = (terms @ np.abs(basis.geom.grad_lambda)).max(axis=(0, 2))
+            grad_scale[t] = (np.abs(local[t]).T @ terms).max()
+        jumps, scale = edge_mean_jumps(dofmap, local)
+        expected, expected_scale, pairs = reference_jumps(mesh, means)
+        # On flat triangles a mean normal derivative can be O(1) while the
+        # terms it sums are O(1/flatness), so each jump is compared on the
+        # scale of the gradient terms on its two sides.
+        tol = 1e-13 * grad_scale[pairs].max(axis=1)
+        assert jumps.shape == expected.shape
+        assert np.all(np.abs(jumps - expected) <= tol[:, None])
+        assert abs(scale - expected_scale) <= 1e-13 * grad_scale.max()
 
 
 def unsplit_system(dofmap, mat, f):
@@ -123,7 +171,8 @@ def unsplit_system(dofmap, mat, f):
     rows and columns dropped, then ``0.5 (A + A^T)``."""
     morley = dofmap.kind is ElementKind.MORLEY
     coeffs = dofmap.class_coeffs[dofmap.classes]
-    K = element_matrices(coeffs, dofmap.geom, mat, morley)
+    geom = mesh_geometry(dofmap.mesh)
+    K = element_matrices(coeffs, geom, mat, morley)
     vids = np.repeat(2 * dofmap.scatter, 2, axis=1) + np.tile([0, 1], dofmap.nloc)
     m = vids.shape[1]
     rows = np.repeat(vids, m, axis=1).ravel()
@@ -131,7 +180,7 @@ def unsplit_system(dofmap, mat, f):
     n = dofmap.n_vector
     A = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     rhs = np.zeros(n)
-    np.add.at(rhs, vids.ravel(), element_loads(coeffs, dofmap.geom, f, morley).ravel())
+    np.add.at(rhs, vids.ravel(), element_loads(coeffs, geom, f, morley).ravel())
     retained = np.flatnonzero(~np.repeat(dofmap.boundary, 2))
     A = A[retained][:, retained]
     return 0.5 * (A + A.T), rhs[retained]
@@ -245,17 +294,21 @@ def class_meshes():
 
 def test_translation_classes():
     """Members of a class have bit-identical edge vectors, signs and
-    derived geometry; the count is the row-wise reference's."""
+    derived geometry, so a dof map's class row of the area or the
+    barycentric gradients is each member's; the count is the row-wise
+    reference's."""
     for mesh in class_meshes():
         first, classes = translation_classes(mesh)
         assert len(first) == classes.max() + 1 == class_count(mesh)
         assert np.array_equal(classes[first], np.arange(len(first)))
         assert np.array_equal(mesh.tri_edge_signs, mesh.tri_edge_signs[first][classes])
         dofmap = build_dofmap(mesh, ElementKind.NTW)
-        geom, rep = dofmap.geom, dofmap.class_geom
+        geom, rep = mesh_geometry(mesh), dofmap.class_geom
         for name in ("area", "grad_lambda", "edge_lengths", "altitudes", "normals", "chunkiness"):
-            assert np.array_equal(getattr(rep, name)[classes], getattr(geom, name)), name
-        assert np.array_equal(rep.vertices, geom.vertices[first])
+            assert np.array_equal(getattr(rep, name)[dofmap.classes], getattr(geom, name)), name
+        # Each class row is built on the class's first triangle.
+        _, first_of = np.unique(dofmap.classes, return_index=True)
+        assert np.array_equal(rep.vertices, geom.vertices[first_of])
 
 
 def test_class_count_is_bounded_under_refinement():
@@ -280,17 +333,23 @@ def test_class_count_is_bounded_under_refinement():
 
 
 def test_class_blocks_layout():
-    """Each class is one contiguous run of the block order, the blocks
-    cover every triangle once, in runs of their multiplicity, and there is
-    one block per distinct multiplicity: one on a jittered mesh, whose
-    classes are single triangles."""
+    """The classes are numbered by nondecreasing multiplicity, then by
+    their translation class, so the block order is the triangles sorted by
+    (multiplicity, translation class, index).  Each class is one
+    contiguous run of the block order, the blocks cover every triangle
+    once, in runs of their multiplicity, and there is one block per
+    distinct multiplicity: one on a jittered mesh, whose classes are
+    single triangles."""
     for mesh in class_meshes():
         dofmap = build_dofmap(mesh, ElementKind.MORLEY)
         classes, order = dofmap.classes, dofmap.order
         counts = np.bincount(classes)
+        assert np.all(np.diff(counts) >= 0)
+        translation = translation_classes(mesh)[1]
+        by_count = np.bincount(translation)[translation]
+        assert np.array_equal(order, np.lexsort((translation, by_count)))
         assert np.array_equal(np.sort(order), np.arange(mesh.num_triangles))
         assert np.array_equal(order[dofmap.rank], np.arange(mesh.num_triangles))
-        assert np.array_equal(np.sort(dofmap.class_order), np.arange(len(counts)))
         assert len(dofmap.blocks) == len(np.unique(counts))
         covered = np.zeros(mesh.num_triangles, dtype=int)
         start = first = 0
@@ -298,12 +357,13 @@ def test_class_blocks_layout():
             assert (tris.start, cls.start) == (start, first)
             assert (tris.stop - start, cls.stop - first) == (k * m, k)
             covered[order[tris]] += 1
-            # Run j of the block is class class_order[cls][j], m triangles
-            # in index order.
+            # Run j of the block is class cls.start + j, m triangles in
+            # index order.
             runs = classes[order[tris]].reshape(k, m)
-            assert np.array_equal(runs, np.repeat(dofmap.class_order[cls][:, None], m, axis=1))
+            ids = np.arange(cls.start, cls.stop)
+            assert np.array_equal(runs, np.repeat(ids[:, None], m, axis=1))
             assert np.all(np.diff(order[tris].reshape(k, m), axis=1) > 0)
-            assert np.all(counts[dofmap.class_order[cls]] == m)
+            assert np.all(counts[cls] == m)
             start, first = tris.stop, cls.stop
         assert np.all(covered == 1)
         assert [b.m for b in dofmap.blocks] == sorted({b.m for b in dofmap.blocks})
@@ -322,24 +382,53 @@ def test_derivative_tables_match_one_evaluate_on_all_classes():
         geom = dofmap.class_geom
         G, H = evaluate(dofmap.class_coeffs, geom.grad_lambda, FIELD_TABLES)
         rows = np.stack([G[..., 0], G[..., 1], H[..., 0, 0], H[..., 0, 1], H[..., 1, 1]], axis=2)
-        expected = rows[dofmap.class_order].reshape(dofmap.derivative_tables.shape)
+        expected = rows.reshape(dofmap.derivative_tables.shape)
         assert_close(dofmap.derivative_tables, expected)
+
+
+def kept_arrays(value):
+    """The arrays that ``value`` holds: itself, or those of its items or of
+    its dataclass fields, recursively.  The mesh, the dof map's input, is
+    not a dataclass and is not walked; of a point set only the weights
+    are."""
+    if isinstance(value, PointSet):
+        yield value.weights
+    elif isinstance(value, np.ndarray):
+        yield value
+    elif sp.issparse(value):
+        yield from (value.data, value.indices, value.indptr)
+    elif isinstance(value, (dict, tuple, list)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from kept_arrays(item)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        yield from kept_arrays(vars(value))
 
 
 @pytest.mark.parametrize("kind", list(ElementKind))
 def test_no_shape_array_per_triangle(kind):
-    """After an assembly and an energy error, no array on the dof map, in
-    its fields or in what it has built and kept, has a leading (T, nloc)."""
+    """After an assembly, a solve, an energy error, a coercivity check and
+    a jump check, no float array on the dof map, in its fields or in what
+    it has built and kept, has a leading triangle axis, apart from the
+    weights of its point set: no shape and no geometry is kept per
+    triangle."""
     mesh = refine(make_structured(2))
     dofmap = build_dofmap(mesh, kind)
+    assert len(dofmap.class_coeffs) < mesh.num_triangles
     field = example_field("smooth", MaterialParams(iota=1e-2))
     system = assemble(dofmap, field.mat, source(field))
-    energy_error(dofmap, system.expand(np.zeros(len(system.rhs))), field)
-    assert {"points", "_load_tests", "derivative_tables"} <= vars(dofmap).keys()
-    kept = list(vars(dofmap).values()) + list(vars(dofmap.geom).values())
-    lead = (mesh.num_triangles, dofmap.nloc)
-    shapes = [a.shape for a in kept if isinstance(a, np.ndarray) and a.ndim >= 3]
-    assert shapes and all(shape[:2] != lead for shape in shapes)
+    energy_error(dofmap, system.expand(solve(system).solution), field)
+    coercivity_check(dofmap, [field.mat], n_trials=2)
+    jump_check(dofmap, n_trials=1)
+    assert {"points", "_load_tests", "derivative_tables", "pattern"} <= vars(dofmap).keys()
+    kept = list(kept_arrays(dofmap))
+    per_triangle = [
+        a.shape
+        for a in kept
+        if a.dtype.kind == "f" and a.shape[:1] == (mesh.num_triangles,)
+        and a is not dofmap.points.weights
+    ]
+    assert any(a is dofmap.points.weights for a in kept)
+    assert per_triangle == []
 
 
 @pytest.mark.parametrize("kind", list(ElementKind))
@@ -352,10 +441,11 @@ def test_class_shapes_forms_and_grams_match_every_triangle(kind):
     for mesh in class_meshes():
         dofmap = build_dofmap(mesh, kind)
         pattern = dofmap.pattern
-        coeffs = basis_coefficients(kind, dofmap.geom, mesh.tri_edge_signs)
+        geom = mesh_geometry(mesh)
+        coeffs = basis_coefficients(kind, geom, mesh.tri_edge_signs)
         assert np.array_equal(dofmap.class_coeffs[dofmap.classes], coeffs)
-        forms = element_forms(coeffs, dofmap.geom, 10.0, 1.0, morley)
-        grams = gram_blocks(coeffs, dofmap.geom, morley)
+        forms = element_forms(coeffs, geom, 10.0, 1.0, morley)
+        grams = gram_blocks(coeffs, geom, morley)
         got = [pattern.matrix(data) for data in dofmap.forms(10.0, 1.0)]
         got += _gram_matrices(dofmap)
         blocks = list(forms) + [np.kron(G, np.eye(2)) for G in grams]

@@ -285,6 +285,17 @@ def test_load_mesh_reorients_clockwise(tmp_path):
     assert element_geometry(mesh, 0).area > 0.0
 
 
+def reference_oriented(vertices, triangles):
+    """The per-triangle loop that ``load_mesh`` replaced with array code:
+    a clockwise triangle ``(i, j, k)`` becomes ``(i, k, j)``."""
+    out = triangles.copy()
+    for t, (i, j, k) in enumerate(triangles):
+        a, b, c = vertices[i], vertices[j], vertices[k]
+        if (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]) < 0.0:
+            out[t] = [i, k, j]
+    return out
+
+
 @hypothesis.seed(PERMUTED_FILE_SEED)
 @settings(max_examples=12, derandomize=True, database=None, deadline=None)
 @given(
@@ -315,7 +326,7 @@ def test_load_mesh_of_permuted_and_flipped_file(tmp_path_factory, n, amplitude, 
     e2 = coords[:, 2] - coords[:, 0]
     assert np.all(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] > 0.0)
     assert np.array_equal(loaded.vertices, mesh.vertices[perm])
-    assert np.array_equal(np.sort(loaded.triangles, axis=1), np.sort(triangles, axis=1))
+    assert np.array_equal(loaded.triangles, reference_oriented(loaded.vertices, triangles))
     assert loaded.num_edges == mesh.num_edges
 
 
@@ -334,4 +345,21 @@ def test_load_mesh_rejects_malformed(tmp_path, body):
     path = tmp_path / "bad.txt"
     path.write_text(body)
     with pytest.raises(ValueError):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # Triangle 2 repeats a vertex and triangle 3 is flat; 2 is named.
+        (["0 1 2", "1 3 2", "1 1 2", "0 1 4"], "triangle 2 repeats a vertex"),
+        # Triangle 1 is flat, though clockwise triangle 0 comes first.
+        (["0 2 1", "0 1 4", "3 3 2"], "triangle 1 is degenerate"),
+    ],
+)
+def test_load_mesh_names_first_bad_triangle(tmp_path, rows, message):
+    path = tmp_path / "bad.txt"
+    vertices = ["0 0", "1 0", "0 1", "1 1", "2 0"]
+    path.write_text("\n".join([f"5 {len(rows)}"] + vertices + rows) + "\n")
+    with pytest.raises(ValueError, match=f"bad.txt: {message}$"):
         load_mesh(path)

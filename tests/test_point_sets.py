@@ -25,7 +25,7 @@ from sgfem.analysis import energy_error, local_coefficients
 from sgfem.assembly import FIELD_RULE, FIELD_TABLES, MaterialParams, assemble, build_dofmap
 from sgfem.elements import MORLEY_PI1, ElementKind, evaluate
 from sgfem.manufactured import ManufacturedField, example_field, source
-from sgfem.mesh import make_structured, refine
+from sgfem.mesh import make_structured, mesh_geometry, refine
 from sgfem.quadrature import PointSet
 
 from random_meshes import jittered_mesh
@@ -74,7 +74,7 @@ def reference_source(field, xy):
 
 
 def reference_points(dofmap):
-    geom = dofmap.geom
+    geom = mesh_geometry(dofmap.mesh)
     xy = (FIELD_RULE.points @ geom.vertices).reshape(-1, 2)
     return xy, geom.area[:, None] * FIELD_RULE.weights
 
@@ -113,9 +113,7 @@ def block_points(dofmap):
 def discrete_rows(dofmap, full_dofs):
     """(2, 5, T, q) discrete derivative rows in block order, triangle by
     triangle from its class's derivative table."""
-    table_of = np.empty_like(dofmap.class_order)
-    table_of[dofmap.class_order] = np.arange(len(table_of))
-    tables = dofmap.derivative_tables[table_of[dofmap.classes[dofmap.order]]]
+    tables = dofmap.derivative_tables[dofmap.classes[dofmap.order]]
     local = local_coefficients(dofmap, full_dofs)[dofmap.order]
     rows = local.swapaxes(1, 2) @ tables
     return rows.reshape(len(local), 2, 5, -1).transpose(1, 2, 0, 3)
@@ -151,7 +149,7 @@ def einsum_energy_error(dofmap, full_dofs, field):
     w = w.ravel()
     coeffs = dofmap.class_coeffs[dofmap.classes]
     poly = np.einsum("tac,tam->tcm", local_coefficients(dofmap, full_dofs), coeffs)
-    G, H = evaluate(poly, dofmap.geom.grad_lambda, FIELD_TABLES)
+    G, H = evaluate(poly, mesh_geometry(dofmap.mesh).grad_lambda, FIELD_TABLES)
     Gu, Hu = reference_derivatives(field, xy)
     dh = Hu - H.swapaxes(1, 2).reshape(Hu.shape)
     err_h = w @ np.einsum("qcjk,qcjk->q", dh, dh)
