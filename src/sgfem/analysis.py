@@ -31,6 +31,7 @@ normal-derivative jumps across interior edges.
 """
 
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -259,15 +260,20 @@ def korn_ratio_min(n_samples: int, seed: int = 0) -> KornSearch:
     In the 6 distinct entries the ratio is a quotient of quadratic forms
     whose denominator is the squared Euclidean norm, so the minimum over
     all directions is the smallest eigenvalue of the numerator's matrix.
+    The sampled ratios are the two forms evaluated at each sample, with no
+    third-derivative array built; they agree with :func:`korn_ratio` to
+    rounding.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     rng = np.random.default_rng(seed)
     params = rng.normal(size=(n_samples, 6))
-    ratios = korn_ratio(_from_six(params))
     # Row p: the symmetrized gradient of unit entry p, flattened.
     D = _from_six(np.eye(6))
     sym = (0.5 * (D + np.swapaxes(D, -3, -2))).reshape(6, -1)
+    # |grad eps|^2 = |params @ sym|^2; the denominator counts each of the
+    # six distinct entries once.
+    ratios = np.square(params @ sym).sum(axis=1) / np.square(params).sum(axis=1)
     return KornSearch(
         min_sampled=float(ratios.min()),
         min_directed=float(np.linalg.eigvalsh(sym @ sym.T)[0]),
@@ -333,28 +339,56 @@ def coercivity_check(dofmap: DofMap, materials, n_trials: int, seed: int = 0) ->
     return np.array(ratios)
 
 
-def edge_mean_jumps(dofmap: DofMap, local_coeffs: np.ndarray):
+class _JumpLayout(NamedTuple):
+    """What :func:`edge_mean_jumps` reads of a dof map besides the
+    coefficients: ``moments[c, a, i]`` is the mean derivative of shape
+    ``a`` of class ``c`` along the global normal of local edge ``i``, and
+    ``slots[3 t + i]`` the row of that edge's side of triangle ``t`` in the
+    (2 n_interior + 1, 2) side table: ``2 k + s`` for side ``s`` of interior
+    edge ``k``, the spare last row for a boundary edge."""
+
+    moments: np.ndarray
+    slots: np.ndarray
+    n_interior: int
+
+
+def _jump_layout(dofmap: DofMap) -> _JumpLayout:
+    mesh, geom = dofmap.mesh, dofmap.class_geom
+    # The outward normal times the edge sign is the global normal; the
+    # signs are equal across a class.
+    signs = np.empty((len(dofmap.class_coeffs), 3))
+    signs[dofmap.classes] = mesh.tri_edge_signs
+    moments = edge_normal_moments(dofmap.class_coeffs, geom, geom.normals) * signs[:, None, :]
+    interior = ~mesh.edge_is_boundary
+    n_interior = int(np.count_nonzero(interior))
+    row = np.where(interior, 2 * (np.cumsum(interior) - 1), 2 * n_interior)
+    # Side 0 of an edge is edge_tris[e, 0], side 1 the other triangle.
+    own = np.arange(mesh.num_triangles)[:, None]
+    side = mesh.edge_tris[mesh.tri_edges, 1] == own
+    slots = row[mesh.tri_edges] + side
+    return _JumpLayout(moments, slots.ravel(), n_interior)
+
+
+def edge_mean_jumps(dofmap: DofMap, local_coeffs: np.ndarray, layout: _JumpLayout | None = None):
     """Mean normal-derivative jumps across interior edges.
 
     ``local_coeffs`` has shape (ntri, nloc, 2); the normal is the fixed
     global edge normal, used on both sides, so a conforming field gives
     zeros.  The shapes' edge moments are taken once per class, along the
     outward normal, which the edge sign turns into the global one.
-    Returns ``(jumps, scale)`` where jumps has one row per interior edge
-    and two columns (one per displacement component), and scale is the
-    largest one-sided mean magnitude.
+    ``layout`` is those moments and the edge sides of the dof map
+    (:func:`_jump_layout`), built here when not given.  Returns
+    ``(jumps, scale)`` where jumps has one row per interior edge and two
+    columns (one per displacement component), and scale is the largest
+    one-sided mean magnitude.
     """
-    mesh, geom = dofmap.mesh, dofmap.class_geom
-    moments = edge_normal_moments(dofmap.class_coeffs, geom, geom.normals)
+    if layout is None:
+        layout = _jump_layout(dofmap)
     # (T, 3, 2): component c's mean derivative on local edge i of triangle t.
-    outward = moments[dofmap.classes].swapaxes(1, 2) @ local_coeffs
-    means = mesh.tri_edge_signs[:, :, None] * outward
-    # Side 0 of an edge is edge_tris[e, 0], side 1 the other triangle.
-    own = np.arange(mesh.num_triangles)[:, None]
-    side = (mesh.edge_tris[mesh.tri_edges, 1] == own).astype(np.int64)
-    by_edge = np.zeros((mesh.num_edges, 2, 2))
-    by_edge[mesh.tri_edges, side] = means
-    interior = by_edge[~mesh.edge_is_boundary]
+    means = layout.moments[dofmap.classes].swapaxes(1, 2) @ local_coeffs
+    sides = np.empty((2 * layout.n_interior + 1, 2))
+    sides[layout.slots] = means.reshape(-1, 2)
+    interior = sides[:-1].reshape(-1, 2, 2)
     scale = float(np.abs(interior).max(initial=0.0))
     return interior[:, 0] - interior[:, 1], scale
 
@@ -365,11 +399,13 @@ def jump_check(dofmap: DofMap, n_trials: int, seed: int = 0, corrupt: bool = Fal
     With ``corrupt=True`` one element's coefficients are perturbed
     directly, bypassing the shared degrees of freedom; the result must
     then be far from zero (negative control for the detector).  A mesh
-    with no interior edge has no jump and gives 0.  Raises ``ValueError``
-    if ``n_trials < 1``.
+    with no interior edge has no jump and gives 0.  The class edge moments
+    and the edge sides are built once and read by every trial's
+    :func:`edge_mean_jumps`.  Raises ``ValueError`` if ``n_trials < 1``.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
+    layout = _jump_layout(dofmap)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_trials):
@@ -378,6 +414,6 @@ def jump_check(dofmap: DofMap, n_trials: int, seed: int = 0, corrupt: bool = Fal
         if corrupt:
             t = int(rng.integers(dofmap.mesh.num_triangles))
             coeffs[t] += rng.normal(size=coeffs[t].shape)
-        jumps, scale = edge_mean_jumps(dofmap, coeffs)
+        jumps, scale = edge_mean_jumps(dofmap, coeffs, layout)
         worst = max(worst, np.abs(jumps).max(initial=0.0) / max(scale, 1.0))
     return float(worst)

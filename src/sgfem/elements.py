@@ -30,7 +30,8 @@ the shapes as its :class:`DofDescriptor` states it, independently of
 inverted by the dual solve;
 :func:`specht_constraint_residual` takes the specht shapes' Legendre edge
 moments on a three-point edge rule of its own, so that a wrong constraint
-in the dual solve shows, and :func:`verify_affine_identity`
+in the dual solve shows (both take shapes built once by the caller), and
+:func:`verify_affine_identity`
 interpolates one sampled function per triangle in ntw and its affine
 relative.
 
@@ -69,6 +70,7 @@ __all__ = [
     "DofDescriptor",
     "LocalBasis",
     "MonoTables",
+    "monomial_values",
     "MORLEY_PI1",
     "evaluate",
     "edge_normal_moments",
@@ -117,7 +119,7 @@ _DERIV_T = np.stack([_deriv_matrix(v).T for v in range(3)])
 _EDGE6 = edge_rule(6)
 
 
-def _mono_values(bary):
+def monomial_values(bary):
     """Values of all monomials at barycentric points; shape (nmono, npts)."""
     bary = np.atleast_2d(np.asarray(bary, dtype=float))
     rng = np.arange(_MAX_DEGREE + 1)[:, None]
@@ -135,7 +137,7 @@ class MonoTables:
 
     def __init__(self, bary):
         self.bary = np.atleast_2d(np.asarray(bary, dtype=float))
-        self.M = _mono_values(self.bary)
+        self.M = monomial_values(self.bary)
         first = _DERIV_T @ self.M
         self.D1 = np.ascontiguousarray(first.transpose(1, 2, 0))
         self.D2 = np.ascontiguousarray((_DERIV_T[:, None] @ first[None]).transpose(2, 3, 0, 1))
@@ -453,7 +455,7 @@ def apply_dofs(family, values, grads, geom: ElementGeometry, signs) -> np.ndarra
     return np.concatenate([vertex, values[..., 3:6], moments], axis=-1)
 
 
-def dof_matrices(family, geom: ElementGeometry, signs=None) -> np.ndarray:
+def dof_matrices(family, geom: ElementGeometry, signs=None, coeffs=None) -> np.ndarray:
     """(T, n, n) functionals applied to shapes on a batch of triangles.
 
     Entry ``[t, d, a]`` is degree of freedom ``d`` of shape ``a`` on
@@ -461,13 +463,15 @@ def dof_matrices(family, geom: ElementGeometry, signs=None) -> np.ndarray:
     ``family`` is an :class:`ElementKind` or ``"ntw_affine"``.  Each
     functional is applied as its :class:`DofDescriptor` states it, apart
     from :func:`apply_dofs`, which the specht and morley shapes invert: a
-    wrong functional there shows here instead of cancelling.
+    wrong functional there shows here instead of cancelling.  ``coeffs``
+    are the family's shapes on ``geom`` with ``signs``
+    (:func:`basis_coefficients`), built here when not given.
     """
     if signs is None:
         signs = np.ones((len(geom.vertices), 3))
     if family == "ntw_affine":
         coeffs = _NTW_AFFINE[None]
-    else:
+    elif coeffs is None:
         coeffs = basis_coefficients(family, geom, signs)
     vals, grads = _sample(coeffs, geom)
     rows = []
@@ -491,10 +495,11 @@ def dof_matrices(family, geom: ElementGeometry, signs=None) -> np.ndarray:
     return np.stack(rows, axis=1)
 
 
-def duality_residual(family, geom: ElementGeometry, signs=None) -> np.ndarray:
+def duality_residual(family, geom: ElementGeometry, signs=None, coeffs=None) -> np.ndarray:
     """Per triangle of a batch, the max deviation of the dof/shape pairing
-    from the identity matrix; shape (T,)."""
-    mats = dof_matrices(family, geom, signs)
+    from the identity matrix; shape (T,).  ``coeffs`` as in
+    :func:`dof_matrices`."""
+    mats = dof_matrices(family, geom, signs, coeffs)
     return np.abs(mats - np.eye(mats.shape[-1])).max(axis=(1, 2))
 
 
@@ -506,11 +511,14 @@ _GAUSS3_TABLES = MonoTables(np.vstack([_edge_bary(i, _GAUSS3.points) for i in ra
 _P2_GAUSS3 = 0.5 * (3.0 * (2.0 * _GAUSS3.points - 1.0) ** 2 - 1.0) * _GAUSS3.weights
 
 
-def specht_constraint_residual(geom: ElementGeometry) -> np.ndarray:
+def specht_constraint_residual(geom: ElementGeometry, coeffs=None) -> np.ndarray:
     """Per triangle of a batch, the largest edge moment of a specht shape's
     normal derivative against the quadratic Legendre polynomial, normalized
-    by the gradient scale on the edges (at least 1); shape (T,)."""
-    coeffs = basis_coefficients(ElementKind.SPECHT, geom, None)
+    by the gradient scale on the edges (at least 1); shape (T,).
+    ``coeffs`` are the specht shapes on ``geom``, built here when not
+    given, so one batch of shapes can serve :func:`duality_residual` too."""
+    if coeffs is None:
+        coeffs = basis_coefficients(ElementKind.SPECHT, geom, None)
     grads = _gradients(coeffs, geom.grad_lambda, _GAUSS3_TABLES)
     moments = _edge_moments(grads, geom.normals, _P2_GAUSS3)
     gscale = np.abs(grads).max(axis=(1, 2, 3))
@@ -520,7 +528,7 @@ def specht_constraint_residual(geom: ElementGeometry) -> np.ndarray:
 # Monomial values at the barycentric sample points of
 # verify_affine_identity: a lattice of seven points per side.
 _SIDE = np.linspace(0.0, 1.0, 7)
-_LATTICE = _mono_values(
+_LATTICE = monomial_values(
     [(a, b, 1.0 - a - b) for a in _SIDE for b in _SIDE if a + b <= 1.0 + 1e-12]
 )
 

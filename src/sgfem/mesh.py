@@ -254,18 +254,13 @@ def make_structured(n: int) -> Mesh:
     ticks = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(ticks, ticks, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    triangles = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            triangles.append([v00, v10, v11])
-            triangles.append([v00, v11, v01])
-    return Mesh(vertices, np.array(triangles))
+    # Cell (i, j), row by row, has lower-left vertex j (n + 1) + i and
+    # gives the triangles (v00, v10, v11) and (v00, v11, v01) in turn.
+    j, i = np.divmod(np.arange(n * n), n)
+    v00 = j * (n + 1) + i
+    v01 = v00 + n + 1
+    triangles = np.column_stack([v00, v00 + 1, v01 + 1, v00, v01 + 1, v01])
+    return Mesh(vertices, triangles.reshape(-1, 3))
 
 
 def refine(mesh: Mesh) -> Mesh:

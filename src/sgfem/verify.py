@@ -5,7 +5,9 @@ and quartics here.  The finite-difference oracle differentiates black-box
 evaluators only, so it stays independent of the analytic derivative chains
 it is used to check.  Each Richardson stencil stacks all its shifted point
 sets and calls its evaluator once, so the nested source oracle evaluates
-the displacement four times per call.
+the displacement twice per call: once for the inner Laplacian and once for
+the inner gradient of the divergence, both on every point of the outer
+stencil, whose center gives the source's g term.
 """
 
 import math
@@ -119,12 +121,9 @@ def _evaluate_stacked(F, point_sets):
     return values.reshape((len(point_sets), len(point_sets[0])) + values.shape[1:])
 
 
-def richardson_laplacian(F, xy, h):
-    """Componentwise Laplacian of F(xy) with one Richardson sweep.
-
-    F is called once, on the center and its four neighbours at the steps
-    h/2 and h stacked together.
-    """
+def _laplacian_and_center(F, xy, h):
+    """:func:`richardson_laplacian` and the center values ``F(xy)`` it
+    reads."""
     steps = (0.5 * h, h)
     shifted = [
         _shifted(xy, axis, sign * hh) for hh in steps for axis in (0, 1) for sign in (-1.0, 1.0)
@@ -138,7 +137,16 @@ def richardson_laplacian(F, xy, h):
             out = out + value
         return out / hh**2
 
-    return (4.0 * lap(0, steps[0]) - lap(1, steps[1])) / 3.0
+    return (4.0 * lap(0, steps[0]) - lap(1, steps[1])) / 3.0, center
+
+
+def richardson_laplacian(F, xy, h):
+    """Componentwise Laplacian of F(xy) with one Richardson sweep.
+
+    F is called once, on the center and its four neighbours at the steps
+    h/2 and h stacked together.
+    """
+    return _laplacian_and_center(F, xy, h)[0]
 
 
 def richardson_grad_div(F, xy, h):
@@ -180,7 +188,8 @@ def fd_source(field, pts):
 
     The inner stage (step 1e-3) differentiates the displacement into g, the
     outer stage (step 1e-2) differentiates that again for Delta g; both are
-    Richardson extrapolated central stencils.
+    Richardson extrapolated central stencils.  g at ``pts`` is the center
+    of the outer stencil, so g is evaluated once.
     """
     mat = field.mat
     u = field.displacement
@@ -190,4 +199,5 @@ def fd_source(field, pts):
             mat.lam + mat.mu
         ) * richardson_grad_div(u, xy, 1e-3)
 
-    return mat.iota**2 * richardson_laplacian(g, pts, 1e-2) - g(pts)
+    lap_g, g_pts = _laplacian_and_center(g, pts, 1e-2)
+    return mat.iota**2 * lap_g - g_pts

@@ -18,6 +18,7 @@ from sgfem.analysis import (
 )
 from sgfem.assembly import MaterialParams, build_dofmap
 from sgfem.elements import (
+    basis_coefficients,
     duality_residual,
     specht_constraint_residual,
     verify_affine_identity,
@@ -124,8 +125,12 @@ def test_criterion_6_interpolation_identity():
 def test_criterion_7_unisolvence_and_jumps():
     rng = np.random.default_rng(23)
     geom = random_geometries(rng, 1000)
-    duality = {kind: duality_residual(kind, geom).max() for kind in KINDS}
-    constraint = specht_constraint_residual(geom).max()
+    # One batch of specht shapes serves both specht checks, as in the CLI.
+    specht = basis_coefficients("specht", geom, None)
+    duality = {"specht": duality_residual("specht", geom, coeffs=specht).max()}
+    constraint = specht_constraint_residual(geom, specht).max()
+    del specht
+    duality.update((kind, duality_residual(kind, geom).max()) for kind in ("ntw", "morley"))
     mesh = make_structured(3)
     jumps = {kind: jump_check(build_dofmap(mesh, kind), n_trials=5, seed=3) for kind in KINDS}
     ok = (

@@ -2,13 +2,17 @@
 
 import weakref
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgfem.analysis
 import sgfem.assembly
 from sgfem.analysis import (
     KORN_BOUND,
+    _from_six,
     coercivity_check,
     convergence_study,
     edge_mean_jumps,
@@ -21,13 +25,56 @@ from sgfem.analysis import (
     rates_from_errors,
 )
 from sgfem.assembly import MaterialParams, build_dofmap
-from sgfem.elements import ElementKind
+from sgfem.elements import ElementKind, edge_normal_moments
 from sgfem.manufactured import example_smooth
 from sgfem.mesh import Mesh, make_structured, refine
 
 from element_reference import class_count, interpolate_field
+from random_meshes import jittered_mesh
 
 ALL_KINDS = [ElementKind.NTW, ElementKind.SPECHT, ElementKind.MORLEY]
+
+# Hypothesis seed of the jump check property test.  Derandomized examples
+# are seeded from a test's source text; a fixed seed keeps the test on the
+# same examples when its body is edited.
+JUMP_CHECK_SEED = int(
+    "3c1f0e5b9d7a26c48e0f51b3a7d9c2e64b8a1f0d3c5e7b92"
+    "a4d6f8e0c2b41a3957e6d8c0b2f4a6e8d0c2b4f6a8e0d2c4",
+    16,
+)
+
+
+def reference_edge_mean_jumps(dofmap, local_coeffs):
+    """Edge jumps with the class edge moments and the edge sides rebuilt
+    on every call, as :func:`jump_check` read them before it built them
+    once per check."""
+    mesh, geom = dofmap.mesh, dofmap.class_geom
+    moments = edge_normal_moments(dofmap.class_coeffs, geom, geom.normals)
+    outward = moments[dofmap.classes].swapaxes(1, 2) @ local_coeffs
+    means = mesh.tri_edge_signs[:, :, None] * outward
+    own = np.arange(mesh.num_triangles)[:, None]
+    side = (mesh.edge_tris[mesh.tri_edges, 1] == own).astype(np.int64)
+    by_edge = np.zeros((mesh.num_edges, 2, 2))
+    by_edge[mesh.tri_edges, side] = means
+    interior = by_edge[~mesh.edge_is_boundary]
+    scale = float(np.abs(interior).max(initial=0.0))
+    return interior[:, 0] - interior[:, 1], scale
+
+
+def reference_jump_check(dofmap, n_trials, seed=0, corrupt=False):
+    """The per-trial loop of :func:`jump_check` on
+    :func:`reference_edge_mean_jumps`, drawing the same random stream."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_trials):
+        full = rng.normal(size=dofmap.n_vector)
+        coeffs = local_coefficients(dofmap, full)
+        if corrupt:
+            t = int(rng.integers(dofmap.mesh.num_triangles))
+            coeffs[t] += rng.normal(size=coeffs[t].shape)
+        jumps, scale = reference_edge_mean_jumps(dofmap, coeffs)
+        worst = max(worst, np.abs(jumps).max(initial=0.0) / max(scale, 1.0))
+    return float(worst)
 
 
 class LinearField:
@@ -242,6 +289,15 @@ class TestKorn:
         with pytest.raises(ValueError):
             korn_ratio_min(0)
 
+    @pytest.mark.parametrize("n_samples, seed", [(1, 0), (7, 3), (10000, 0), (10000, 2026)])
+    def test_sampled_minimum_matches_third_derivative_arrays(self, n_samples, seed):
+        """The quadratic forms give the minimum of :func:`korn_ratio` on the
+        same draws, to rounding."""
+        params = np.random.default_rng(seed).normal(size=(n_samples, 6))
+        expected = korn_ratio(_from_six(params)).min()
+        sampled = korn_ratio_min(n_samples, seed=seed).min_sampled
+        assert abs(sampled - expected) <= 1e-15 * expected
+
 
 class TestCoercivity:
     @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -289,6 +345,30 @@ class TestJumps:
         assert jumps.shape == (0, 2) and scale == 0.0
         assert jump_check(dofmap, n_trials=2, seed=3, corrupt=corrupt) == 0.0
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_moments_built_once_per_check(self, kind, monkeypatch):
+        """One class moment build per check; every trial still calls
+        ``edge_mean_jumps`` through the module attribute."""
+        counts = {"moments": 0, "jumps": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            sgfem.analysis,
+            "edge_normal_moments",
+            counted("moments", sgfem.analysis.edge_normal_moments),
+        )
+        monkeypatch.setattr(
+            sgfem.analysis, "edge_mean_jumps", counted("jumps", sgfem.analysis.edge_mean_jumps)
+        )
+        jump_check(build_dofmap(make_structured(2), kind), n_trials=4, seed=1)
+        assert counts == {"moments": 1, "jumps": 4}
+
     def test_jump_table_shape(self):
         mesh = make_structured(2)
         dofmap = build_dofmap(mesh, "morley")
@@ -298,3 +378,26 @@ class TestJumps:
         n_interior = int((~mesh.edge_is_boundary).sum())
         assert jumps.shape == (n_interior, 2)
         assert scale > 0.0
+
+
+@hypothesis.seed(JUMP_CHECK_SEED)
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    n=st.integers(1, 4),
+    amplitude=st.sampled_from([0.0, 0.3, 0.9]),
+    mesh_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+    n_trials=st.integers(1, 5),
+    corrupt=st.booleans(),
+)
+def test_jump_check_matches_per_trial_reference(
+    kind, n, amplitude, mesh_seed, seed, n_trials, corrupt
+):
+    """Built once per check, the moments and edge sides give the bits of
+    rebuilding them on every trial, on structured (amplitude 0) and
+    jittered meshes."""
+    mesh = jittered_mesh(n, amplitude, 1.0, mesh_seed) if amplitude else make_structured(n)
+    dofmap = build_dofmap(mesh, kind)
+    expected = reference_jump_check(dofmap, n_trials, seed, corrupt)
+    assert jump_check(dofmap, n_trials, seed, corrupt) == expected

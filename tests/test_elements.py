@@ -29,6 +29,7 @@ from sgfem.elements import (
 )
 from sgfem.mesh import make_structured, element_geometry, triangle_geometry
 from sgfem.quadrature import edge_rule
+from sgfem.verify import random_geometries
 
 from element_reference import eval_all, interpolate, to_bary
 
@@ -298,6 +299,38 @@ def test_constraint_check_sees_a_wrong_constraint(monkeypatch, capsys):
     assert np.all(specht_constraint_residual(geom) > 1e-6)
     assert sgfem.cli.main(["verify", "elements", "--seed", "0"]) == 3
     assert "FAIL specht edge constraints" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind", list(ElementKind))
+def test_checks_read_given_shapes(kind):
+    """Given the shapes they would build, the checks return the same bits."""
+    geom = random_geometries(np.random.default_rng(15), 30)
+    signs = np.ones((30, 3))
+    coeffs = basis_coefficients(kind, geom, signs)
+    assert np.array_equal(
+        duality_residual(kind, geom, coeffs=coeffs), duality_residual(kind, geom)
+    )
+    if kind is ElementKind.SPECHT:
+        assert np.array_equal(
+            specht_constraint_residual(geom, coeffs), specht_constraint_residual(geom)
+        )
+
+
+def test_elements_suite_builds_specht_shapes_once(monkeypatch):
+    """``sgfem verify elements`` builds one batch of specht shapes for its
+    duality and constraint checks."""
+    built = []
+    original = sgfem.elements.basis_coefficients
+
+    def counted(kind, geom, signs):
+        built.append(ElementKind(kind))
+        return original(kind, geom, signs)
+
+    monkeypatch.setattr(sgfem.elements, "basis_coefficients", counted)
+    monkeypatch.setattr(sgfem.cli, "basis_coefficients", counted)
+    checks = sgfem.cli._verify_elements(0)
+    assert all(ok for _, ok, _ in checks)
+    assert built.count(ElementKind.SPECHT) == 1
 
 
 def test_ntw_moment_shape_values_at_barycenter():

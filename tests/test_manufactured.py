@@ -1,5 +1,7 @@
 """Tests for the closed-form solutions and their synthesized sources."""
 
+from types import SimpleNamespace
+
 import hypothesis
 import numpy as np
 import pytest
@@ -17,7 +19,12 @@ from sgfem.manufactured import (
     source,
 )
 from sgfem.mesh import make_structured, refine
-from sgfem.verify import boundary_points, fd_source
+from sgfem.verify import (
+    boundary_points,
+    fd_source,
+    richardson_grad_div,
+    richardson_laplacian,
+)
 
 
 # Hypothesis seed of the derandomized property test below.  Derandomized
@@ -472,6 +479,30 @@ class TestSource:
         field = example_field(example, MaterialParams(iota=iota))
         pts = np.random.default_rng(29).uniform(0.1, 0.9, size=(7, 2))
         assert np.array_equal(fd_source(field, pts), reference_fd_source(field, pts))
+
+    @pytest.mark.parametrize("iota", [1.0, 1e-2])
+    @pytest.mark.parametrize("example", ["smooth", "layer"])
+    def test_oracle_reads_g_from_the_stencil_center(self, example, iota):
+        """Taken from the outer stencil's center, g has the bits of a
+        second call on the points, and the displacement is evaluated twice."""
+        field = example_field(example, MaterialParams(iota=iota))
+        pts = np.random.default_rng(37).uniform(0.1, 0.9, size=(20, 2))
+        mat, u = field.mat, field.displacement
+        calls = []
+
+        def counted(xy):
+            calls.append(len(xy))
+            return u(xy)
+
+        def g(xy):
+            return mat.mu * richardson_laplacian(u, xy, 1e-3) + (
+                mat.lam + mat.mu
+            ) * richardson_grad_div(u, xy, 1e-3)
+
+        expected = mat.iota**2 * richardson_laplacian(g, pts, 1e-2) - g(pts)
+        counting = SimpleNamespace(mat=mat, displacement=counted)
+        assert np.array_equal(fd_source(counting, pts), expected)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("iota", [1.0, 1e-2])
     @pytest.mark.parametrize("example", ["smooth", "layer"])

@@ -70,6 +70,26 @@ def reference_children(mesh):
     return np.array(children)
 
 
+def reference_structured_triangles(n):
+    """The triangles of ``make_structured(n)`` by the per-cell loop."""
+    triangles = []
+    for j in range(n):
+        for i in range(n):
+            v00, v10 = j * (n + 1) + i, j * (n + 1) + i + 1
+            v01, v11 = (j + 1) * (n + 1) + i, (j + 1) * (n + 1) + i + 1
+            triangles.append([v00, v10, v11])
+            triangles.append([v00, v11, v01])
+    return np.array(triangles)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_structured_triangles_match_cell_loop(n):
+    expected = reference_structured_triangles(n)
+    triangles = make_structured(n).triangles
+    assert triangles.dtype == expected.dtype
+    assert np.array_equal(triangles, expected)
+
+
 def mesh_area(mesh):
     return sum(element_geometry(mesh, t).area for t in range(mesh.num_triangles))
 
