@@ -16,11 +16,11 @@ norm instead, which counts the mixed entry once.
 
 Every mesh-level function takes a :class:`~sgfem.assembly.DofMap`, which
 carries the geometry and shape coefficients of one family on one mesh per
-class of triangles, and keeps the matrix pattern, the two ``iota``-free
-forms and the first solve's elimination order once they are built, so a
-study computes them once per mesh and shares them across every ``iota``,
-the solve and the energy error.  The coercivity check reuses the same
-forms, and its Gram matrices are assembled on the same pattern.
+class of triangles, and keeps the matrix pattern and the two ``iota``-free
+forms once they are built, so a study computes them once per mesh and
+shares them across every ``iota``, the solve and the energy error.  The
+coercivity check reuses the same forms, and its Gram matrices are
+assembled on the same pattern.
 
 The inequality checks certify, numerically and with independently
 assembled right-hand sides, the three structural facts the convergence
@@ -177,8 +177,8 @@ def convergence_study(
     Levels are the outer loop: each mesh gets one :class:`DofMap`, shared
     by every iota's assembly and energy error, and is released once the
     level's rows are recorded, so only one level's dof map is alive at a
-    time.  The first iota's solve on a mesh computes the elimination order
-    and the later ones reuse it (:mod:`sgfem.solver`).
+    time.  Every solve computes its own elimination order, so each iota's
+    report is bit for bit the one a study of that iota alone gives.
     """
     kind = ElementKind(kind)
     if levels < 1:

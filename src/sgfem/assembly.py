@@ -287,9 +287,6 @@ class DofMap:
     rank: np.ndarray
     blocks: tuple
     _forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # Read and written by sgfem.solver.solve alone: the elimination order
-    # of the first solve on the dof map.
-    _solver: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def nloc(self) -> int:
@@ -450,7 +447,6 @@ class SparseSystem:
     rhs: np.ndarray
     retained: np.ndarray
     n_total: int
-    dofmap: DofMap
     asymmetry: float = field(default=0.0, compare=False)
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
@@ -607,6 +603,5 @@ def assemble(dofmap: DofMap, mat: MaterialParams, f) -> SparseSystem:
         rhs=rhs[retained],
         retained=retained,
         n_total=dofmap.n_vector,
-        dofmap=dofmap,
         asymmetry=asymmetry,
     )

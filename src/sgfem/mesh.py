@@ -281,8 +281,8 @@ def load_mesh(path) -> Mesh:
 
     The format is: a first line ``V T``, then ``V`` lines of vertex
     coordinates ``x y``, then ``T`` lines of 0-based vertex indices
-    ``i j k``.  Clockwise triangles are reoriented; degenerate ones are
-    rejected.
+    ``i j k``.  Clockwise triangles are reoriented; degenerate ones and
+    non-finite coordinates are rejected.
     """
     with open(path) as fh:
         tokens = fh.read().split()
@@ -301,6 +301,9 @@ def load_mesh(path) -> Mesh:
     except ValueError as exc:
         raise ValueError(f"{path}: malformed entry") from exc
     vertices = np.array(values).reshape(nv, 2)
+    finite = np.isfinite(vertices).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}: vertex {int(finite.argmin())} has a non-finite coordinate")
     triangles = np.array(indices, dtype=np.int64).reshape(nt, 3)
     if triangles.min(initial=0) < 0 or triangles.max(initial=-1) >= nv:
         raise ValueError(f"{path}: triangle vertex index out of range")

@@ -1,5 +1,7 @@
 """Mesh construction, refinement, edge topology, and element geometry."""
 
+import warnings
+
 import hypothesis
 import numpy as np
 import pytest
@@ -383,3 +385,19 @@ def test_load_mesh_names_first_bad_triangle(tmp_path, rows, message):
     path.write_text("\n".join([f"5 {len(rows)}"] + vertices + rows) + "\n")
     with pytest.raises(ValueError, match=f"bad.txt: {message}$"):
         load_mesh(path)
+
+
+@pytest.mark.parametrize(
+    "vertex, index", [("inf 1", 1), ("0 nan", 1), ("-inf nan", 1), ("0.5 -inf", 3)]
+)
+def test_load_mesh_rejects_non_finite_coordinates(tmp_path, vertex, index):
+    path = tmp_path / "bad.txt"
+    vertices = ["0 0", "1 0", "0 1", "1 1"]
+    vertices[index] = vertex
+    path.write_text("\n".join(["4 2"] + vertices + ["0 1 2", "1 3 2"]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(
+            ValueError, match=f"bad.txt: vertex {index} has a non-finite coordinate$"
+        ):
+            load_mesh(path)
