@@ -300,10 +300,11 @@ class DofMap:
     def pattern(self) -> FormPattern:
         """The reduced matrix structure, built from scalar element pairs:
         each coupling of two scalar degrees of freedom is one 2 x 2 block
-        of vector entries (see :class:`FormPattern`).  A stable radix sort
-        of the coupling keys (:func:`_stable_order`, linear time) keeps each
-        coupling's triangles in mesh order; a stable sort of the columns
-        gives the transpose permutation."""
+        of vector entries (see :class:`FormPattern`).  A stable order of
+        the coupling keys (:func:`_stable_order`, one sort of the keys
+        packed with their positions, O(n log n)) keeps each coupling's
+        triangles in mesh order; a stable order of the columns gives the
+        transpose permutation."""
         keep = ~self.boundary
         n_red = int(keep.sum())
         reduced = np.full(self.n_scalar, -1, dtype=np.int64)

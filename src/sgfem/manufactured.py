@@ -18,17 +18,16 @@ each component together, :meth:`ManufacturedField.derivative_rows`) and
 the source read the x chain once and the y chain once, at orders 0, 2
 and 4.
 
-Each chain runs only at the distinct coordinates of its axis
-(:func:`~sgfem.quadrature.distinct_coordinates`) and every order is
-gathered back to the points, so the values are those of one evaluation
-per point.  A field whose x and y chains are one function, as the layer
-field's are, evaluates it in one call on both axes' distinct coordinates.
-A :class:`~sgfem.quadrature.PointSet`, such as the quadrature points a dof
+Each chain runs only at the distinct coordinates of its axis and every
+order is gathered back to the points with one take per axis, so the
+values are those of one evaluation per point.  A field whose x and y
+chains are one function, as the layer field's are, evaluates it in one
+call on both axes' distinct coordinates.  A
+:class:`~sgfem.quadrature.PointSet`, such as the quadrature points a dof
 map keeps for the load and the energy error, carries its distinct
-coordinates and the block of orders 0-2 of the last field evaluation on
-it: the energy error's order-2 read takes them from the load's order-4
-pass of the same field.  Any other (n, 2) array is deduplicated on each
-call.
+coordinates; any other (n, 2) array is deduplicated on each call.  No
+evaluation is kept between calls: the load's order-4 pass and the energy
+error's order-2 pass each run the chains.
 
 The second example subtracts a boundary corrector, built from ratios of
 exponentials, from both of its factors.  It is evaluated in an
@@ -192,50 +191,28 @@ def _layer_axis(iota: float) -> Callable:
     return chain
 
 
-def _gathered(factors, index, k):
+def _gathered(factors, index):
     """Both factors' orders, evaluated at distinct coordinates, at the
-    points that ``index`` maps to them: the (2, min(k, 2) + 1, n) block of
-    orders 0-2 and, for ``k > 2``, the (2, k - 2, n) block of orders 3..k.
-    One take per block keeps every row contiguous."""
+    points that ``index`` maps to them: one (2, k + 1, n) block, from one
+    take, whose rows are contiguous."""
     F1, F2 = factors
-    low = np.array(F1[:3] + F2[:3]).take(index, axis=1).reshape(2, -1, len(index))
-    if k <= 2:
-        return low, None
-    return low, np.array(F1[3:] + F2[3:]).take(index, axis=1).reshape(2, -1, len(index))
+    return np.array(F1 + F2).take(index, axis=1).reshape(2, -1, len(index))
 
 
 def _axis_orders(field, xy, k):
     """Orders ``0..k`` of both factors of each axis at the points ``xy``:
-    ``((X1, X2), (Y1, Y2))``, each a sequence of ``k + 1`` rows of n.
+    ``(X, Y)``, each a (2, k + 1, n) block whose first index is the factor.
 
-    On a :class:`~sgfem.quadrature.PointSet` the block of orders through 2,
-    those of :meth:`ManufacturedField.derivative_rows`, is kept as its
-    ``field_orders`` until the next call, which reads it if it is for the
-    same field at order 2 or below, and releases it: a chain computes its
-    lower orders the same way whatever ``k`` is, so the values are those of
-    a fresh evaluation.  Orders 3 and 4 are gathered into a block of their
-    own, so the kept block holds none of them through the load's solve."""
-    if isinstance(xy, PointSet):
-        kept, xy.field_orders = xy.field_orders, None
-        if kept is not None and kept[0] is field and kept[1].shape[1] > k:
-            return kept[1][:, : k + 1], kept[2][:, : k + 1]
-        (x, ix), (y, iy) = xy.axes
-    else:
-        (x, ix), (y, iy) = distinct_coordinates(xy)
+    The chains run at the distinct coordinates of each axis, which a
+    :class:`~sgfem.quadrature.PointSet` carries and any other array
+    computes, and are gathered back to the points."""
+    (x, ix), (y, iy) = xy.axes if isinstance(xy, PointSet) else distinct_coordinates(xy)
     if field.y is field.x:
         # One call on both axes' coordinates: at a few hundred values the
         # cost of a chain is its per-call overhead.
         both = field.x(np.concatenate([x, y]), k)
-        blocks = _gathered(both, ix, k), _gathered(both, iy + len(x), k)
-    else:
-        blocks = _gathered(field.x(x, k), ix, k), _gathered(field.y(y, k), iy, k)
-    (x_low, _), (y_low, _) = blocks
-    if isinstance(xy, PointSet):
-        xy.field_orders = (field, x_low, y_low)
-    if k <= 2:
-        return x_low, y_low
-    # Each factor's rows of both blocks, in order.
-    return tuple(tuple((*low[i], *high[i]) for i in (0, 1)) for low, high in blocks)
+        return _gathered(both, ix), _gathered(both, iy + len(x))
+    return _gathered(field.x(x, k), ix), _gathered(field.y(y, k), iy)
 
 
 @dataclass(frozen=True)

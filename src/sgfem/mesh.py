@@ -292,6 +292,8 @@ def load_mesh(path) -> Mesh:
         nv, nt = int(tokens[0]), int(tokens[1])
     except ValueError as exc:
         raise ValueError(f"{path}: malformed header") from exc
+    if nv < 0 or nt < 0:
+        raise ValueError(f"{path}: malformed header")
     need = 2 + 2 * nv + 3 * nt
     if len(tokens) != need:
         raise ValueError(f"{path}: expected {need} numbers, found {len(tokens)}")

@@ -8,13 +8,13 @@ integral of f over a triangle K is ``area(K) * (f(x_q) @ weights)``.  Edge
 rules are Gauss rules mapped to [0, 1] with the same unit-weight
 convention.
 
-A :class:`PointSet` is an (n, 2) array of quadrature points on a batch of
-triangles that also carries their weights and, per axis, the distinct
-coordinates with each point's index into them.  On a red-refined uniform
-mesh the points of neighbouring triangles share their axis coordinates,
-so a separable function evaluated at the distinct coordinates and
-gathered back does a small fraction of the work of one evaluation per
-point, with the same values.
+A :class:`PointSet` is an immutable (n, 2) array of quadrature points on
+a batch of triangles that also carries their weights and, per axis, the
+distinct coordinates with each point's index into them.  On a
+red-refined uniform mesh the points of neighbouring triangles share their
+axis coordinates, so a separable function evaluated at the distinct
+coordinates and gathered back does a small fraction of the work of one
+evaluation per point, with the same values.
 """
 
 from dataclasses import dataclass
@@ -123,15 +123,9 @@ def distinct_coordinates(xy):
 class PointSet(np.ndarray):
     """(n, 2) quadrature points, read-only, with their ``weights`` and their
     :attr:`axes`, the :func:`distinct_coordinates`, computed on first use
-    and kept.
-
-    ``field_orders`` holds the orders 0-2 of the last evaluation of a
-    manufactured field's axis chains at the points, which
-    :mod:`sgfem.manufactured` keeps and reads, so that the load and the
-    energy error of one field evaluate it once.  Slices, copies and
-    arithmetic results are point arrays without weights that compute
-    their own distinct coordinates and keep no evaluation: none reuses
-    its parent's.
+    and kept.  Slices, copies and arithmetic results are point arrays
+    without weights that compute their own distinct coordinates: none
+    reuses its parent's.
     """
 
     def __new__(cls, points, weights):
@@ -143,7 +137,6 @@ class PointSet(np.ndarray):
     def __array_finalize__(self, obj):
         self.weights = None
         self._axes = None
-        self.field_orders = None
 
     @property
     def axes(self):

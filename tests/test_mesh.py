@@ -1,5 +1,6 @@
 """Mesh construction, refinement, edge topology, and element geometry."""
 
+import re
 import warnings
 
 import hypothesis
@@ -367,6 +368,22 @@ def test_load_mesh_rejects_malformed(tmp_path, body):
     path = tmp_path / "bad.txt"
     path.write_text(body)
     with pytest.raises(ValueError):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        # Counts whose token total matches the file: without the sign
+        # check these fail in a reshape and in the index check.
+        "3 -1\n0 0 1\n",
+        "-1 2\n0 1 2 0\n",
+    ],
+)
+def test_load_mesh_rejects_negative_counts(tmp_path, body):
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed header$"):
         load_mesh(path)
 
 

@@ -3,15 +3,16 @@
 A dof map keeps the quadrature points of the load and the energy error as
 one ``PointSet`` with the distinct coordinates of each axis.  The field's
 axis chains run at those coordinates, in one call for both axes when they
-are one function, and are gathered back to the points, and the point set
-keeps the last evaluation, so the energy error reads the load's; the
-load's test values are computed once per translation class.  These
-must give exactly the values of one chain evaluation per point at
-``xy[:, 0]`` and ``xy[:, 1]`` and of the test values ``coeffs @ M`` per
-triangle, which the references below keep: the assembled right-hand side
-and the energy error are ``np.array_equal`` to theirs.  The points are in
-the dof map's block order, the mesh-order points permuted; the load is
-summed in mesh order, as the per-triangle reference sums it.
+are one function, and are gathered back to the points; nothing is kept
+on the points between reads, so the load and the energy error each run
+the chains.  The load's test values are computed once per translation
+class.  These must give exactly the values of one chain evaluation per
+point at ``xy[:, 0]`` and ``xy[:, 1]`` and of the test values
+``coeffs @ M`` per triangle, which the references below keep: the
+assembled right-hand side and the energy error are ``np.array_equal`` to
+theirs.  The points are in the dof map's block order, the mesh-order
+points permuted; the load is summed in mesh order, as the per-triangle
+reference sums it.
 """
 
 import hypothesis
@@ -20,11 +21,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sgfem import manufactured
 from sgfem.analysis import energy_error, local_coefficients
 from sgfem.assembly import FIELD_RULE, FIELD_TABLES, MaterialParams, assemble, build_dofmap
 from sgfem.elements import MORLEY_PI1, ElementKind, evaluate
-from sgfem.manufactured import ManufacturedField, example_field, source
+from sgfem.manufactured import example_field, source
 from sgfem.mesh import make_structured, mesh_geometry, refine
 from sgfem.quadrature import PointSet
 
@@ -227,45 +227,30 @@ def test_point_set_path_is_bitwise_the_per_point_path(mesh, seed):
                 assert got == reference_energy_error(dofmap, full_dofs, field)
 
 
-def counting_field(field, calls):
-    """``field`` with chains that log ``(axis, k)`` on each call."""
-
-    def counted(axis):
-        def chain(t, k):
-            calls.append((axis, k))
-            return getattr(field, axis)(t, k)
-
-        return chain
-
-    return ManufacturedField(field.name, counted("x"), counted("y"), field.mat)
-
-
 @pytest.mark.parametrize("example_name", ["smooth", "layer"])
-def test_point_set_keeps_the_last_field_evaluation(example_name):
-    """The load's order-4 pass serves the energy error's order-2 read of
-    the same field, once, and no other field's: every result is the plain
-    points' result, bit for bit."""
-    dofmap = build_dofmap(refine(make_structured(2)), "ntw")
-    points = dofmap.points
-    xy = np.array(points)
-    calls = []
-    field_a = counting_field(example_field(example_name, MaterialParams(iota=1e-2)), calls)
-    field_b = example_field(example_name, MaterialParams(iota=1e-4))
-    assert np.array_equal(source(field_a)(points), source(field_a)(xy))
-    calls.clear()
-    for got, expected in zip(field_a.derivatives(points), field_a.derivatives(xy)):
-        assert np.array_equal(got, expected)
-    # Only the plain points ran the chains, and the read released the orders.
-    assert sorted(calls) == [("x", 2), ("y", 2)]
-    assert points.field_orders is None
-    for got, expected in zip(field_b.derivatives(points), field_b.derivatives(xy)):
-        assert np.array_equal(got, expected)
-    calls.clear()
-    for got, expected in zip(field_a.derivatives(points), field_a.derivatives(xy)):
-        assert np.array_equal(got, expected)
-    assert sorted(calls) == [("x", 2), ("x", 2), ("y", 2), ("y", 2)]
-    # A slice keeps no evaluation of its parent's.
-    assert points[::2].field_orders is None
+def test_field_reads_leave_the_points_as_they_were(example_name):
+    """A load and an energy error attach nothing to the dof map's points,
+    and an energy error before any load has the bits of one after it."""
+    mesh = refine(make_structured(2))
+    field = example_field(example_name, MaterialParams(iota=1e-2))
+    for kind in ElementKind:
+        dofmap = build_dofmap(mesh, kind)
+        points = dofmap.points
+        points.axes  # computed on first use; the state to compare against
+        before = dict(vars(points))
+
+        def assert_unchanged():
+            assert vars(points).keys() == before.keys()
+            assert all(vars(points)[key] is value for key, value in before.items())
+
+        full_dofs = np.random.default_rng(7).normal(size=dofmap.n_vector)
+        first = energy_error(dofmap, full_dofs, field)
+        assert_unchanged()
+        assemble(dofmap, field.mat, source(field))
+        assert_unchanged()
+        after = energy_error(dofmap, full_dofs, field)
+        assert_unchanged()
+        assert [x.hex() for x in after] == [x.hex() for x in first]
 
 
 @hypothesis.seed(ENERGY_ERROR_SEED)
@@ -288,43 +273,3 @@ def test_energy_error_matches_the_einsum_formula(mesh, seed):
                 got = energy_error(dofmap, full_dofs, field)
                 expected = einsum_energy_error(dofmap, full_dofs, field)
                 np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
-
-
-@pytest.mark.parametrize("kind", list(ElementKind))
-@pytest.mark.parametrize("example_name", ["smooth", "layer"])
-def test_load_keeps_the_gathered_low_orders(kind, example_name, monkeypatch):
-    """The orders a load leaves on its points are the gathered block of
-    orders 0-2 itself, not a copy, and hold no order-3 or order-4 row; the
-    energy error's read releases them."""
-    gathered = []
-    original = manufactured._gathered
-
-    def recording(*args):
-        blocks = original(*args)
-        gathered.append(blocks)
-        return blocks
-
-    monkeypatch.setattr(manufactured, "_gathered", recording)
-    dofmap = build_dofmap(refine(make_structured(2)), kind)
-    points = dofmap.points
-    xy = np.asarray(points)
-    field = example_field(example_name, MaterialParams(iota=1e-2))
-    assemble(dofmap, field.mat, source(field))
-    kept = points.field_orders
-    assert kept[0] is field
-    (x_low, x_high), (y_low, y_high) = gathered
-    chains = field.x(xy[:, 0], 4), field.y(xy[:, 1], 4)
-    for orders, low, high, chain in zip(kept[1:], (x_low, y_low), (x_high, y_high), chains):
-        assert orders.shape == (2, 3, len(points))
-        assert np.shares_memory(orders, low)
-        # The memory behind the kept orders is theirs alone.
-        owner = orders
-        while owner.base is not None:
-            owner = owner.base
-        assert owner.nbytes == orders.nbytes
-        assert high.shape == (2, 2, len(points))
-        assert not np.shares_memory(orders, high)
-        assert np.array_equal(orders, [factor[:3] for factor in chain])
-        assert np.array_equal(high, [factor[3:] for factor in chain])
-    energy_error(dofmap, np.zeros(dofmap.n_vector), field)
-    assert points.field_orders is None
